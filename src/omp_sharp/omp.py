@@ -16,9 +16,8 @@ from .errors import (
     InvalidDeltaOrder,
     InvalidOrder,
     OutOfSharpRegion,
-    RankDeficient,
 )
-from .linalg import as_matrix, as_vector, least_squares
+from .linalg import RANK_TOLERANCE, as_matrix, as_vector
 from .rip import in_sharp_region
 
 #: Relative gap below which two correlation magnitudes count as tied.
@@ -27,6 +26,7 @@ TIE_TOLERANCE = 1e-12
 STOP_RULE_MET = "rule_met"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_RANK_DEFICIENT = "rank_deficient"
+STOP_STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,12 @@ class SparseSignal:
 
 
 class StoppingRule:
-    """Marker base class for OMP stopping rules."""
+    """Base class for OMP stopping rules."""
+
+    def met(self, k, residual_l2, correlation_linf):
+        """Whether the run stops after iteration ``k`` (0 = before the first),
+        given ||r^k||_2 and ||A^T r^k||_inf."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,9 @@ class FixedIterations(StoppingRule):
         if self.count < 1:
             raise InvalidOrder(f"iteration count must be >= 1, got {self.count}")
 
+    def met(self, k, residual_l2, correlation_linf):
+        return k >= self.count
+
 
 @dataclass(frozen=True)
 class ResidualL2(StoppingRule):
@@ -86,6 +94,9 @@ class ResidualL2(StoppingRule):
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InvalidOrder(f"epsilon must be > 0, got {self.epsilon}")
+
+    def met(self, k, residual_l2, correlation_linf):
+        return residual_l2 <= self.epsilon
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,9 @@ class CorrelationLInf(StoppingRule):
         if not self.threshold > 0:
             raise InvalidOrder(f"threshold must be > 0, got {self.threshold}")
 
+    def met(self, k, residual_l2, correlation_linf):
+        return correlation_linf <= self.threshold
+
 
 @dataclass(frozen=True)
 class NaiveLInf(StoppingRule):
@@ -108,6 +122,9 @@ class NaiveLInf(StoppingRule):
     def __post_init__(self):
         if not self.epsilon > 0:
             raise InvalidOrder(f"epsilon must be > 0, got {self.epsilon}")
+
+    def met(self, k, residual_l2, correlation_linf):
+        return correlation_linf <= self.epsilon
 
 
 @dataclass(frozen=True)
@@ -142,7 +159,7 @@ class OmpTrace:
         }
 
 
-def _select(correlations, chosen, rng):
+def _select(correlations, rng):
     """Index (1-based) of the largest |correlation|; ties within TIE_TOLERANCE
     relative go to the smallest index, or are drawn at random when an ``rng``
     is supplied."""
@@ -154,28 +171,36 @@ def _select(correlations, chosen, rng):
     return int(tied[0]) + 1
 
 
-def _rule_met_after_update(rule, residual_l2, correlation_linf):
-    if isinstance(rule, ResidualL2):
-        return residual_l2 <= rule.epsilon
-    if isinstance(rule, CorrelationLInf):
-        return correlation_linf <= rule.threshold
-    if isinstance(rule, NaiveLInf):
-        return correlation_linf <= rule.epsilon
-    return False
+def _back_substitute(R, b):
+    """Solve R x = b for a nonsingular upper-triangular ``R``."""
+    x = np.empty(len(b))
+    for i in range(len(b) - 1, -1, -1):
+        x[i] = (b[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
+    return x
 
 
 def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     """Run orthogonal matching pursuit on measurements ``y``.
 
     Each iteration selects the column with the largest absolute correlation
-    against the current residual, re-solves least squares on the selected set
-    and updates the residual.  ResidualL2 is additionally evaluated on r^0 = y
-    so a rule already met at the start runs zero iterations; the correlation
-    rules are evaluated after each residual update (a residual that is exactly
-    uncorrelated with every column also stops the loop, covering y = 0).
+    against the current residual and appends it to a QR factorization of the
+    selected columns, kept in selection order: classical Gram-Schmidt with
+    one re-orthogonalization pass yields the next orthonormal basis vector
+    q_k and the next column of R.  The residual r^k is y minus its projection
+    onto q_1..q_k, and the single product A^T r^k gives both ||A^T r^k||_inf
+    and the next iteration's correlations.  The estimate is solved once, at
+    the end, by back-substitution on R.
 
-    Returns an OmpTrace; a rank-deficient selection stops the run and is
-    recorded in ``stop_reason`` rather than raised.
+    Rules are evaluated after each residual update; ResidualL2 is also
+    evaluated on r^0 = y, so a rule already met at the start runs zero
+    iterations.  A residual that is exactly uncorrelated with every column
+    also stops the loop (covering y = 0).
+
+    Returns an OmpTrace.  Rather than raising, the run stops with
+    ``stop_reason`` "rank_deficient" when the new column's component
+    orthogonal to the selected ones is at most RANK_TOLERANCE times the
+    largest R diagonal, and "stalled" when it re-selects a chosen column
+    (the residual is then orthogonal to every column up to round-off).
     """
     A = as_matrix(A)
     y = as_vector(y)
@@ -192,16 +217,20 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
             f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
         )
 
+    # A[:, selected] = Q[:k].T @ R[:k, :k]: the rows of Q are q_1..q_k.  The
+    # buffers are left untouched when allocated, so their pages take memory
+    # only as the run fills them.
+    Q = np.empty((max_iterations, m))
+    R = np.zeros((max_iterations, max_iterations))
+    qty = np.empty(max_iterations)  # Q[:k] @ y
+    largest_diagonal = 0.0
     iterations = []
     selected = []
-    residual = y.copy()
-    estimate_on_support = np.zeros(0)
-    stop_reason = STOP_MAX_ITERATIONS
 
     def finish(reason):
+        k = len(selected)
         values = np.zeros(n)
-        for i, v in zip(sorted(selected), estimate_on_support):
-            values[i - 1] = v
+        values[[i - 1 for i in selected]] = _back_substitute(R[:k, :k], qty[:k])
         return OmpTrace(
             iterations=tuple(iterations),
             final_support=frozenset(selected),
@@ -209,28 +238,39 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
             stop_reason=reason,
         )
 
-    if isinstance(rule, ResidualL2) and float(np.linalg.norm(residual)) <= rule.epsilon:
+    # only ||r^0|| is known before the first selection; no correlation rule
+    # fires on r^0
+    if rule.met(0, float(np.linalg.norm(y)), math.inf):
         return finish(STOP_RULE_MET)
 
-    for k in range(1, max_iterations + 1):
-        correlations = A.T @ residual
-        if float(np.max(np.abs(correlations))) == 0.0:
+    correlations = A.T @ y
+    correlation_linf = float(np.max(np.abs(correlations)))
+    for k in range(max_iterations):
+        if correlation_linf == 0.0:
             return finish(STOP_RULE_MET)
-        s = _select(correlations, selected, tie_break_rng)
+        s = _select(correlations, tie_break_rng)
         if s in selected:
-            # residual numerically orthogonal to everything: no progress possible
-            return finish(STOP_MAX_ITERATIONS)
-        selected.append(s)
-        try:
-            estimate_on_support = least_squares(
-                A[:, [i - 1 for i in sorted(selected)]], y
-            )
-        except RankDeficient:
-            selected.pop()
+            return finish(STOP_STALLED)
+        column = A[:, s - 1]
+        basis = Q[:k]
+        coefficients = basis @ column
+        w = column - basis.T @ coefficients
+        correction = basis @ w
+        w -= basis.T @ correction
+        diagonal = float(np.linalg.norm(w))
+        largest_diagonal = max(largest_diagonal, diagonal)
+        if diagonal <= RANK_TOLERANCE * largest_diagonal:
             return finish(STOP_RANK_DEFICIENT)
-        residual = y - A[:, [i - 1 for i in sorted(selected)]] @ estimate_on_support
+        Q[k] = w / diagonal
+        R[:k, k] = coefficients + correction
+        R[k, k] = diagonal
+        qty[k] = Q[k] @ y
+        selected.append(s)
+
+        residual = y - Q[:k + 1].T @ qty[:k + 1]
         residual_l2 = float(np.linalg.norm(residual))
-        correlation_linf = float(np.max(np.abs(A.T @ residual)))
+        next_correlations = A.T @ residual
+        correlation_linf = float(np.max(np.abs(next_correlations)))
         iterations.append(
             OmpIteration(
                 selected_index=s,
@@ -239,13 +279,11 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
                 correlation_linf=correlation_linf,
             )
         )
-        if isinstance(rule, FixedIterations):
-            if k == rule.count:
-                return finish(STOP_RULE_MET)
-        elif _rule_met_after_update(rule, residual_l2, correlation_linf):
+        if rule.met(k + 1, residual_l2, correlation_linf):
             return finish(STOP_RULE_MET)
+        correlations = next_correlations
 
-    return finish(stop_reason)
+    return finish(STOP_MAX_ITERATIONS)
 
 
 def min_magnitude_threshold_l2(K, delta, epsilon):

@@ -7,6 +7,7 @@ every float64 round-trips exactly.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -30,7 +31,11 @@ def format_vector_text(u):
 
 
 def parse_matrix_text(text):
-    """Parse the matrix text format; errors carry 1-based line numbers."""
+    """Parse the matrix text format; errors carry 1-based line numbers.
+
+    Entries must be finite: "nan", "inf" and overflowing literals such as
+    "1e999" are rejected.
+    """
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -50,7 +55,16 @@ def parse_matrix_text(text):
         rows.append(row)
     if not rows:
         raise ParseError("no rows found", line=1)
-    return np.array(rows)
+    matrix = np.array(rows)
+    if not np.isfinite(matrix).all():
+        _raise_non_finite(text)
+    return matrix
+
+
+def _raise_non_finite(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not all(math.isfinite(float(c)) for c in line.split(",")):
+            raise ParseError(f"line {lineno}: non-finite entry", line=lineno)
 
 
 def parse_vector_text(text):

@@ -84,6 +84,23 @@ def test_parse_error_exit_2(tmp_path):
     assert "line 2" in result.stderr
 
 
+def test_non_finite_matrix_entry_exit_2(tmp_path):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1,0\n1,nan\n")
+    result = run_cli("ric", str(bad), "1")
+    assert result.returncode == 2
+    assert "line 2" in result.stderr
+
+
+def test_non_finite_measurement_exit_2(tmp_path):
+    matrix = write_identity(tmp_path)
+    y = tmp_path / "y.txt"
+    y.write_text("1\ninf\n0\n")
+    result = run_cli("omp", "run", str(matrix), str(y), "l2:1")
+    assert result.returncode == 2
+    assert "line 2" in result.stderr
+
+
 def test_ric_all_orders_monotone(tmp_path):
     result = run_cli(
         "construct", "l2", "-K", "2", "--delta", "0.4",

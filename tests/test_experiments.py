@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +102,45 @@ def test_example_experiments_pass(name):
     _, records, summary = run_experiment(ExperimentConfig(experiment=name, seed=0))
     assert summary["failures"] == 0
     assert records
+
+
+# Solver outputs frozen from the per-iteration least-squares solver.  The
+# stress configs use margin 0.03 so that about half the trials miss the
+# support.  Regenerate a file only when a change to the results is intended:
+#     write_experiment_outputs(ExperimentConfig(**GOLDEN[name]), DATA / name)
+DATA = Path(__file__).parent / "data"
+SWEEP = dict(k_values=[1, 2, 3], delta_fractions=[0.5, 0.855], epsilons=[0.5], trials=20)
+STRESS = dict(
+    seed=5, k_values=[2, 4], delta_fractions=[0.95], epsilons=[0.5, 2.0], trials=20,
+    margin=0.03,
+)
+GOLDEN = {
+    "theorem1_sweep.csv": dict(experiment="Theorem1Sweep", seed=1234, **SWEEP),
+    "theorem2_sweep.csv": dict(experiment="Theorem2Sweep", seed=1234, **SWEEP),
+    "lemma1_suite.csv": dict(
+        experiment="Lemma1Suite", seed=77, k_values=[2, 3], trials=20, m=10, n=7
+    ),
+    "theorem1_stress.csv": dict(experiment="Theorem1Sweep", **STRESS),
+    "theorem2_stress.csv": dict(experiment="Theorem2Sweep", **STRESS),
+}
+SOLVER_COLUMNS = [
+    "cell_index",
+    "trial_index",
+    "stop_reason",
+    "iterations",
+    "first_selected_index",
+    "support_found",
+    "passed",
+    "correlation_gap_iter1",
+]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_solver_outputs_match_golden(name, tmp_path):
+    write_experiment_outputs(ExperimentConfig(**GOLDEN[name]), tmp_path / name)
+
+    def solver_columns(path):
+        with open(path, newline="") as fh:
+            return [[row[c] for c in SOLVER_COLUMNS] for row in csv.DictReader(fh)]
+
+    assert solver_columns(tmp_path / name) == solver_columns(DATA / name)

@@ -11,11 +11,14 @@ from omp_sharp.errors import (
     InvalidDeltaOrder,
     InvalidOrder,
     OutOfSharpRegion,
+    RankDeficient,
 )
+from omp_sharp.linalg import least_squares
 from omp_sharp.omp import (
     STOP_MAX_ITERATIONS,
     STOP_RANK_DEFICIENT,
     STOP_RULE_MET,
+    STOP_STALLED,
     CorrelationLInf,
     FixedIterations,
     NaiveLInf,
@@ -141,8 +144,21 @@ def test_duplicate_columns_stop_without_progress():
     # an exactly duplicated column leaves a residual orthogonal to everything
     A = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     trace = run_omp(np.array([1.0, 1.0, 0.0]), A, ResidualL2(1e-8))
-    assert trace.stop_reason in (STOP_RULE_MET, STOP_MAX_ITERATIONS)
+    assert trace.stop_reason in (STOP_RULE_MET, STOP_STALLED)
     assert trace.final_support == {1}
+
+
+def test_reselection_reports_stalled():
+    # noiseless K=3 with an unreachable epsilon: once the support is found the
+    # residual is round-off, and the next pick is an already chosen column
+    rng = np.random.default_rng(0)
+    A = unit_column_matrix(0, 20, 40)
+    x = np.zeros(40)
+    x[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
+    trace = run_omp(A @ x, A, ResidualL2(1e-300))
+    assert trace.stop_reason == STOP_STALLED
+    assert len(trace.iterations) < 20
+    assert trace.final_support == SparseSignal(x).support
 
 
 def test_max_iterations_stop_reason():
@@ -179,6 +195,170 @@ def test_residual_monotone_and_orthogonal(seed, k):
         A[:, [i - 1 for i in S]], y, rcond=None
     )[0]
     assert abs(np.linalg.norm(r) - trace.iterations[-1].residual_l2) <= 1e-10
+
+
+# ------------------------------------------- reference solver, equivalence
+
+
+def reference_omp(y, A, rule, max_iterations=None):
+    """OMP re-solving least squares on the whole selected set every
+    iteration: the straightforward O(m k^2)-per-step form of run_omp, kept
+    here as the reference its incremental factorization is checked against."""
+    m, n = A.shape
+    if max_iterations is None:
+        max_iterations = min(m, n)
+    selected = []
+    iterations = []
+    estimate = np.zeros(0)
+
+    def finish(reason):
+        values = np.zeros(n)
+        values[[i - 1 for i in sorted(selected)]] = estimate
+        return selected, iterations, values, reason
+
+    if isinstance(rule, ResidualL2) and np.linalg.norm(y) <= rule.epsilon:
+        return finish(STOP_RULE_MET)
+    residual = y
+    for k in range(1, max_iterations + 1):
+        correlations = A.T @ residual
+        if np.max(np.abs(correlations)) == 0.0:
+            return finish(STOP_RULE_MET)
+        magnitudes = np.abs(correlations)
+        top = magnitudes.max()
+        s = int(np.nonzero(top - magnitudes <= 1e-12 * top)[0][0]) + 1
+        if s in selected:
+            return finish(STOP_STALLED)
+        columns = A[:, [i - 1 for i in sorted(selected + [s])]]
+        try:
+            estimate = least_squares(columns, y)
+        except RankDeficient:
+            return finish(STOP_RANK_DEFICIENT)
+        selected.append(s)
+        residual = y - columns @ estimate
+        residual_l2 = float(np.linalg.norm(residual))
+        correlation_linf = float(np.max(np.abs(A.T @ residual)))
+        iterations.append((s, correlations, residual_l2, correlation_linf))
+        if rule.met(k, residual_l2, correlation_linf):
+            return finish(STOP_RULE_MET)
+    return finish(STOP_MAX_ITERATIONS)
+
+
+def assert_matches_reference(y, A, rule, max_iterations=None):
+    selected, iterations, estimate, reason = reference_omp(y, A, rule, max_iterations)
+    trace = run_omp(y, A, rule, max_iterations=max_iterations)
+    assert [it.selected_index for it in trace.iterations] == selected
+    assert trace.stop_reason == reason
+    for it, (_, correlations, residual_l2, correlation_linf) in zip(
+        trace.iterations, iterations
+    ):
+        np.testing.assert_allclose(it.correlations, correlations, rtol=0, atol=1e-10)
+        assert abs(it.residual_l2 - residual_l2) <= 1e-10
+        assert abs(it.correlation_linf - correlation_linf) <= 1e-10
+    np.testing.assert_allclose(trace.final_estimate.values, estimate, rtol=0, atol=1e-10)
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 24),
+    st.integers(2, 48),
+    st.sampled_from(["fixed", "l2", "linf"]),
+    st.booleans(),
+)
+def test_incremental_solver_matches_reference(seed, m, n, rule_kind, noiseless):
+    """Same selections and stop reasons, and residuals, correlations and
+    estimates within 1e-10, for rules that stop above round-off: once the
+    residual is round-off, the next pick is among noise."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, n)
+    cap = min(m, n)
+    K = int(rng.integers(1, cap + 1))
+    x = np.zeros(n)
+    x[rng.choice(n, K, replace=False)] = rng.uniform(0.5, 2.0, K) * rng.choice([-1, 1], K)
+    y = A @ x
+    if not noiseless:
+        y = y + 0.1 * rng.standard_normal(m)
+    limit = int(rng.integers(1, cap + 1))
+    scale = 10.0 ** rng.uniform(-8.0, 0.0)
+    if rule_kind == "fixed":
+        count = min(limit, K) if noiseless else limit
+        rule = FixedIterations(int(rng.integers(1, count + 1)))
+    elif rule_kind == "l2":
+        rule = ResidualL2(scale * float(np.linalg.norm(y)))
+    else:
+        rule = CorrelationLInf(scale * float(np.max(np.abs(A.T @ y))))
+    assert_matches_reference(y, A, rule, max_iterations=limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 16),
+    st.integers(3, 24),
+    st.floats(1e-14, 1e-13),
+)
+def test_near_parallel_columns_stop_rank_deficient(seed, m, n, eta):
+    """Columns i and j span the plane of y and are parallel to within eta;
+    the other columns are orthogonal to that plane.  After one of the pair is
+    chosen the other is the only one correlated with the residual (eta stays
+    above the round-off in the other correlations), and appending it is
+    numerically singular (eta stays below RANK_TOLERANCE)."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+    A = basis[:, 2:] @ rng.standard_normal((m - 2, n))
+    A[:, i] = basis[:, 0]
+    A[:, j] = basis[:, 0] + eta * basis[:, 1]
+    y = basis[:, 0] + basis[:, 1]
+    trace = assert_matches_reference(y, A, ResidualL2(1e-8))
+    assert trace.stop_reason == STOP_RANK_DEFICIENT
+    assert len(trace.final_support) == 1
+    assert trace.final_support <= {i + 1, j + 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.floats(1e-7, 1e-5))
+def test_ill_conditioned_selection_keeps_residual_orthogonal(seed, m, delta):
+    """Four columns within delta of each other make the selected set
+    ill-conditioned (condition number of order 1/delta).  Each residual must
+    still be orthogonal to every column chosen before it: without the
+    re-orthogonalization pass, Gram-Schmidt loses that at about eps/delta^2."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, m))
+    A[:, 1:4] = A[:, [0]] + delta * rng.standard_normal((m, 3))
+    y = rng.standard_normal(m)
+    trace = run_omp(y, A, FixedIterations(m))
+    chosen = []
+    for it in trace.iterations:
+        assert np.all(np.abs(it.correlations[chosen]) <= 1e-10 * np.linalg.norm(y))
+        chosen.append(it.selected_index - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 20),
+    st.integers(2, 40),
+    st.integers(1, 5),
+    st.sampled_from([1e-300, 1e-12, 1e-6]),
+)
+def test_stop_reason_matches_iteration_count(seed, m, n, K, epsilon):
+    """max_iterations means the cap was reached; stalled and rank_deficient
+    mean the run stopped below it."""
+    rng = np.random.default_rng(seed)
+    A = unit_column_matrix(seed, m, n)
+    K = min(K, m, n)
+    x = np.zeros(n)
+    x[rng.choice(n, K, replace=False)] = rng.standard_normal(K)
+    cap = int(rng.integers(1, min(m, n) + 1))
+    trace = run_omp(A @ x, A, ResidualL2(epsilon), max_iterations=cap)
+    if trace.stop_reason == STOP_MAX_ITERATIONS:
+        assert len(trace.iterations) == cap
+    elif trace.stop_reason in (STOP_STALLED, STOP_RANK_DEFICIENT):
+        assert len(trace.iterations) < cap
+    else:
+        assert trace.stop_reason == STOP_RULE_MET
 
 
 # -------------------------------------------------------------- thresholds

@@ -56,6 +56,16 @@ def test_parse_errors_carry_line_numbers():
         parse_vector_text("1,2\n3,4\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("1,2\n3,nan\n", 2), ("inf\n", 1), ("1\n\n-Infinity\n", 3), ("1e999,0\n", 1)],
+)
+def test_non_finite_entries_are_parse_errors(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_matrix_text(text)
+    assert info.value.line == line
+
+
 def test_blank_lines_skipped():
     A = parse_matrix_text("1,2\n\n3,4\n")
     np.testing.assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
