@@ -13,8 +13,6 @@ from .errors import (
     InvalidDeltaOrder,
     InvalidOrder,
     NotProperSubset,
-    NotSquare,
-    NotSymmetric,
     OmpSharpError,
     OutOfSharpRegion,
     ParameterOutOfRange,
@@ -41,17 +39,10 @@ from .instances import (
     sample_l2_noise,
     sample_linf_noise,
 )
-from .linalg import (
-    columns_submatrix,
-    least_squares,
-    norms,
-    project_complement,
-    sym_eigen_extremes,
-)
+from .linalg import columns_submatrix, least_squares, project_complement
 from .omp import (
     CorrelationLInf,
     FixedIterations,
-    NaiveLInf,
     OmpIteration,
     OmpTrace,
     ResidualL2,

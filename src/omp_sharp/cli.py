@@ -12,7 +12,6 @@ error, 4 enumeration budget exceeded.
 """
 
 import json
-import os
 import sys
 
 import click
@@ -24,7 +23,6 @@ from .experiments import ExperimentConfig, write_experiment_outputs
 from .omp import (
     CorrelationLInf,
     FixedIterations,
-    NaiveLInf,
     ResidualL2,
     linf_stopping_threshold,
     run_omp,
@@ -57,21 +55,6 @@ def _emit(text, output):
             fh.write(text)
 
 
-def _thread_cap():
-    """OMP_SHARP_THREADS caps worker parallelism; execution is sequential, so
-    any positive value is honored trivially."""
-    raw = os.environ.get("OMP_SHARP_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise click.UsageError(f"OMP_SHARP_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
     """Resolve a rule spec string (fixed:K, l2:eps, linf:eps, naive-linf:eps)
     into a stopping rule.
@@ -89,14 +72,16 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
         if name == "l2":
             return ResidualL2(float(value))
         if name == "naive-linf":
-            return NaiveLInf(float(value))
+            return CorrelationLInf(float(value))
         if name == "linf":
             epsilon = float(value)
             if sparsity is None:
                 raise click.UsageError("linf rule requires --sparsity")
             if use_exact_ric:
                 delta_k1 = exact_ric(A, min(sparsity + 1, A.shape[1])).delta
-                delta2 = exact_ric(A, min(2, A.shape[1])).delta
+                # round-off can put the enumerated delta_2 an ulp above
+                # delta_(K+1), which monotonicity rules out
+                delta2 = min(exact_ric(A, min(2, A.shape[1])).delta, delta_k1)
             elif delta2 is None or delta_k1 is None:
                 raise click.UsageError(
                     "linf rule requires --exact-ric or both --delta2 and --delta-k1"
@@ -140,7 +125,6 @@ def omp_group():
 def omp_run(matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
             delta2, delta_k1, unit_norm, max_iterations, tie_seed, output):
     """Run the solver and emit the iteration trace as JSON."""
-    _thread_cap()
     A = _read_matrix(matrix_file)
     y = _read_vector(measurement_file)
     rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
@@ -159,7 +143,6 @@ def omp_run(matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by exhaustive enumeration."""
-    _thread_cap()
     A = _read_matrix(matrix_file)
     orders = range(1, order + 1) if all_orders else [order]
     reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]
@@ -178,21 +161,26 @@ def _certification(instance, sparsity):
         for i in range(1, A.shape[1] + 1)
         if i not in x.support
     ]
-    if instance.noise_model == inst.NOISE_L2:
-        noise_bound = float(np.linalg.norm(instance.v))
-    else:
-        noise_bound = float(np.max(np.abs(A.T @ instance.v)))
+    noise_bound = instance.noise_level()
     return {
         "exact_ric": ric.to_json_dict(),
         "noise_model": instance.noise_model,
         "noise_bound_value": noise_bound,
         "epsilon": instance.epsilon,
-        "noise_bound_satisfied": noise_bound <= instance.epsilon + 1e-12,
+        "noise_bound_satisfied": noise_bound <= instance.epsilon + inst.BOUND_SLACK,
         "first_iteration_correlations": {
             "max_on_support": max(on) if on else None,
             "max_off_support": max(off) if off else None,
         },
     }
+
+
+#: The 2x2 example kinds of ``construct``: (builder, default signal magnitude).
+_EXAMPLES = {
+    "example1": (inst.build_example1, inst.example1_default_a),
+    "example2": (inst.build_example2, inst.example2_default_a),
+    "example3": (inst.build_example3, inst.example3_default_a),
+}
 
 
 @cli.command("construct")
@@ -211,7 +199,6 @@ def _certification(instance, sparsity):
 def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value,
                   output, matrix_out):
     """Build a worst-case or demonstration instance and certify it."""
-    _thread_cap()
     K = sparsity
     if kind == "l2":
         if gamma is None:
@@ -221,20 +208,9 @@ def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value
         if gamma is None:
             gamma = gamma_fraction * inst.linf_gamma_bound(K, delta, epsilon)
         instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
-    elif kind == "example1":
-        if a_value is None:
-            a_value = 1.5 * (1.0 + delta) / (1.0 - delta)
-        instance = inst.build_example1(delta, a_value)
-        K = 1
-    elif kind == "example2":
-        if a_value is None:
-            a_value = 0.9 * inst.example2_a_bound(delta)
-        instance = inst.build_example2(delta, a_value)
-        K = 1
     else:
-        if a_value is None:
-            a_value = 0.9 * inst.example3_a_bound(delta)
-        instance = inst.build_example3(delta, a_value)
+        build, default_a = _EXAMPLES[kind]
+        instance = build(delta, default_a(delta) if a_value is None else a_value)
         K = 1
     doc = {
         "instance": instance_to_json_dict(instance),
@@ -254,7 +230,6 @@ def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value
               help="Override the config's JSON summary path.")
 def experiment_cmd(config_file, csv_path, summary_path):
     """Run a seeded experiment sweep from a JSON config."""
-    _thread_cap()
     with open(config_file) as fh:
         try:
             doc = json.load(fh)

@@ -21,14 +21,6 @@ class RankDeficient(OmpSharpError):
     """Selected columns are numerically linearly dependent."""
 
 
-class NotSquare(OmpSharpError):
-    pass
-
-
-class NotSymmetric(OmpSharpError):
-    pass
-
-
 class InvalidOrder(OmpSharpError):
     pass
 

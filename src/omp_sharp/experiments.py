@@ -8,16 +8,19 @@ independent set comparison, never trusted from the solver.
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import instances as inst
-from .errors import DegenerateDenominator, OmpSharpError, ParameterOutOfRange
+from .errors import (
+    DegenerateDenominator,
+    OmpSharpError,
+    ParameterOutOfRange,
+    ParseError,
+)
 from .omp import (
     CorrelationLInf,
     FixedIterations,
-    NaiveLInf,
     ResidualL2,
     SparseSignal,
     linf_stopping_threshold,
@@ -76,6 +79,37 @@ COMPARISON_COLUMNS = [
 ]
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+#: JSON type of each ExperimentConfig field: (test on the value, or on each
+#: entry of a list; whether the field is a list; whether null is allowed).
+_FIELD_TYPES = {
+    "experiment": (_is_str, False, False),
+    "seed": (_is_int, False, False),
+    "k_values": (_is_int, True, False),
+    "delta_fractions": (_is_real, True, False),
+    "deltas": (_is_real, True, True),
+    "epsilons": (_is_real, True, False),
+    "gamma_fractions": (_is_real, True, False),
+    "trials": (_is_int, False, False),
+    "m": (_is_int, False, False),
+    "n": (_is_int, False, False),
+    "margin": (_is_real, False, False),
+    "output_csv": (_is_str, False, True),
+    "output_summary": (_is_str, False, True),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Grid and seed for one experiment run.
@@ -119,10 +153,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        """Config from a parsed JSON document.
+
+        A document that is not an object is a ParseError; an unknown or
+        missing field, or a field of the wrong JSON type, is a
+        ParameterOutOfRange.
+        """
+        if not isinstance(doc, dict):
+            raise ParseError(
+                f"experiment config must be a JSON object, got {type(doc).__name__}"
+            )
+        unknown = set(doc) - set(_FIELD_TYPES)
         if unknown:
             raise ParameterOutOfRange(f"unknown config fields: {sorted(unknown)}")
+        if "experiment" not in doc:
+            raise ParameterOutOfRange("config field 'experiment' is required")
+        for name, value in doc.items():
+            valid, is_list, nullable = _FIELD_TYPES[name]
+            if value is None and nullable:
+                continue
+            if is_list:
+                ok = isinstance(value, list) and all(valid(v) for v in value)
+            else:
+                ok = valid(value)
+            if not ok:
+                raise ParameterOutOfRange(
+                    f"config field {name!r} has the wrong type: {value!r}"
+                )
         return cls(**doc)
 
     def resolved_deltas(self, K):
@@ -437,11 +494,10 @@ def run_example1(config):
     deltas = config.deltas if config.deltas is not None else [0.1, 0.5, 0.9]
     records = []
     for cell_index, delta in enumerate(deltas):
-        a = 1.5 * (1.0 + delta) / (1.0 - delta)
-        instance = inst.build_example1(delta, a)
+        instance = inst.build_example1(delta, inst.example1_default_a(delta))
         records.append(
             _example_record(
-                config, cell_index, 0, instance, NaiveLInf(1.0), "naive-linf:1",
+                config, cell_index, 0, instance, CorrelationLInf(1.0), "naive-linf:1",
                 expect=({1, 2}, 2),
             )
         )
@@ -460,8 +516,7 @@ def run_example2(config):
     deltas = config.deltas if config.deltas is not None else [0.2, 0.45, 0.65]
     records = []
     for cell_index, delta in enumerate(deltas):
-        a = 0.9 * inst.example2_a_bound(delta)
-        instance = inst.build_example2(delta, a)
+        instance = inst.build_example2(delta, inst.example2_default_a(delta))
         records.append(
             _example_record(
                 config, cell_index, 0, instance,
@@ -476,8 +531,7 @@ def run_example3(config):
     deltas = config.deltas if config.deltas is not None else [0.2, 0.45, 0.65]
     records = []
     for cell_index, delta in enumerate(deltas):
-        a = 0.9 * inst.example3_a_bound(delta)
-        instance = inst.build_example3(delta, a)
+        instance = inst.build_example3(delta, inst.example3_default_a(delta))
         threshold = linf_stopping_threshold(1, delta, delta, instance.epsilon)
         records.append(
             _example_record(

@@ -21,12 +21,13 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector, columns_submatrix, project_complement
 from .omp import SparseSignal
-from .rip import exact_ric, in_sharp_region
+from .rip import exact_ric, in_sharp_region, subset_spectra
 
 NOISE_L2 = "l2_bounded"
 NOISE_LINF = "linf_bounded"
 
-_BOUND_SLACK = 1e-12
+#: Absolute slack allowed when checking a noise vector against its bound.
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,19 @@ class Instance:
             )
         if not self.epsilon > 0:
             raise ParameterOutOfRange(f"epsilon must be > 0, got {self.epsilon}")
-        if self.noise_model == NOISE_L2:
-            bound = float(np.linalg.norm(v))
-        elif self.noise_model == NOISE_LINF:
-            bound = float(np.max(np.abs(A.T @ v)))
-        else:
-            raise ParameterOutOfRange(f"unknown noise model {self.noise_model!r}")
-        if bound > self.epsilon + _BOUND_SLACK:
+        level = self.noise_level()
+        if level > self.epsilon + BOUND_SLACK:
             raise ParameterOutOfRange(
-                f"noise bound violated: {bound} > epsilon {self.epsilon}"
+                f"noise bound violated: {level} > epsilon {self.epsilon}"
             )
+
+    def noise_level(self):
+        """The bounded quantity of the noise model: ||v||_2 or ||A^T v||_inf."""
+        if self.noise_model == NOISE_L2:
+            return float(np.linalg.norm(self.v))
+        if self.noise_model == NOISE_LINF:
+            return float(np.max(np.abs(self.A.T @ self.v)))
+        raise ParameterOutOfRange(f"unknown noise model {self.noise_model!r}")
 
     def measurements(self):
         return self.A @ self.x.values + self.v
@@ -227,6 +231,21 @@ def example3_a_bound(delta):
     return 2.0 * math.sqrt(2.0) * delta / (1.0 - math.sqrt(2.0) * delta)
 
 
+def example1_default_a(delta):
+    """Default signal magnitude for Example 1: 1.5 (1+delta)/(1-delta)."""
+    return 1.5 * (1.0 + delta) / (1.0 - delta)
+
+
+def example2_default_a(delta):
+    """Default signal magnitude for Example 2: 0.9 of its open upper bound."""
+    return 0.9 * example2_a_bound(delta)
+
+
+def example3_default_a(delta):
+    """Default signal magnitude for Example 3: 0.9 of its open upper bound."""
+    return 0.9 * example3_a_bound(delta)
+
+
 def build_example2(delta, a):
     """Scaled-identity instance recovered in one iteration under the l2 rule
     even though the worst-case magnitude bound is violated."""
@@ -344,8 +363,6 @@ def random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
     then applies the globally optimal rescaling; draws whose best achievable
     constant still exceeds the bound are rejected.
     """
-    from itertools import combinations
-
     rng = _as_rng(seed)
     for _ in range(attempts):
         A = rng.standard_normal((m, n))
@@ -353,14 +370,11 @@ def random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
             U, _, Vt = np.linalg.svd(A, full_matrices=False)
             A = math.sqrt(n / m) * U @ Vt  # project onto tight frames
             A = A / np.linalg.norm(A, axis=0)  # renormalize columns
-        gram = A.T @ A
         lam_min = math.inf
         lam_max = -math.inf
-        for S in combinations(range(n), order):
-            idx = list(S)
-            eigenvalues = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-            lam_min = min(lam_min, eigenvalues[0])
-            lam_max = max(lam_max, eigenvalues[-1])
+        for _, eigenvalues in subset_spectra(A.T @ A, order):
+            lam_min = min(lam_min, eigenvalues[:, 0].min())
+            lam_max = max(lam_max, eigenvalues[:, -1].max())
         if lam_min <= 0:
             continue
         best = (lam_max - lam_min) / (lam_max + lam_min)

@@ -1,26 +1,16 @@
 """Dense linear-algebra substrate.
 
-Least squares, orthogonal-complement projection and extreme eigenvalues of
-small symmetric matrices.  All index sets handled here are 1-based, matching
-the serialized formats used by the CLI.
+Input validation, column selection, least squares and orthogonal-complement
+projection.  All index sets handled here are 1-based, matching the
+serialized formats used by the CLI.
 """
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateIndex,
-    IndexOutOfRange,
-    NotSquare,
-    NotSymmetric,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, DuplicateIndex, IndexOutOfRange, RankDeficient
 
 #: Relative magnitude below which an R-factor diagonal entry marks rank deficiency.
 RANK_TOLERANCE = 1e-12
-
-#: Absolute asymmetry tolerated before a matrix is rejected as non-symmetric.
-SYMMETRY_TOLERANCE = 1e-12
 
 
 def as_matrix(a):
@@ -100,31 +90,3 @@ def project_complement(A_S, u):
         return u.copy()
     return u - A_S @ least_squares(A_S, u)
 
-
-def sym_eigen_extremes(M):
-    """Smallest and largest eigenvalue of a symmetric matrix.
-
-    ``M`` must be square and symmetric within SYMMETRY_TOLERANCE; it is
-    symmetrized before the solve to stabilize the eigensolver.
-    """
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise NotSquare(f"matrix is {M.shape[0]}x{M.shape[1]}")
-    if M.size and np.max(np.abs(M - M.T)) > SYMMETRY_TOLERANCE:
-        raise NotSymmetric(
-            f"asymmetry {np.max(np.abs(M - M.T)):.3e} exceeds {SYMMETRY_TOLERANCE}"
-        )
-    eigenvalues = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return float(eigenvalues[0]), float(eigenvalues[-1])
-
-
-def norms(u):
-    """(l1, l2, linf) norms of a vector."""
-    u = as_vector(u)
-    if u.size == 0:
-        return 0.0, 0.0, 0.0
-    return (
-        float(np.sum(np.abs(u))),
-        float(np.linalg.norm(u)),
-        float(np.max(np.abs(u))),
-    )

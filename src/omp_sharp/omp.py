@@ -101,7 +101,11 @@ class ResidualL2(StoppingRule):
 
 @dataclass(frozen=True)
 class CorrelationLInf(StoppingRule):
-    """Stop once ||A^T r^k||_inf <= threshold, checked after each iteration."""
+    """Stop once ||A^T r^k||_inf <= threshold, checked after each iteration.
+
+    The threshold is either the corrected one from linf_stopping_threshold or,
+    as in the paper's Example 1, the bare noise level epsilon.
+    """
 
     threshold: float
 
@@ -111,20 +115,6 @@ class CorrelationLInf(StoppingRule):
 
     def met(self, k, residual_l2, correlation_linf):
         return correlation_linf <= self.threshold
-
-
-@dataclass(frozen=True)
-class NaiveLInf(StoppingRule):
-    """The bare rule ||A^T r^k||_inf <= epsilon, without the corrective factor."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidOrder(f"epsilon must be > 0, got {self.epsilon}")
-
-    def met(self, k, residual_l2, correlation_linf):
-        return correlation_linf <= self.epsilon
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,23 @@ class RicReport:
         }
 
 
+def subset_spectra(gram, K):
+    """Gram spectra of every K-subset of columns, in lexicographic order.
+
+    Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
+    ``subsets`` holds the 0-based column indices, one subset per row, and
+    ``eigenvalues`` the ascending eigenvalues of each principal K x K block
+    of ``gram``.
+    """
+    subsets = combinations(range(gram.shape[0]), K)
+    while True:
+        chunk = list(islice(subsets, _CHUNK))
+        if not chunk:
+            return
+        idx = np.asarray(chunk)
+        yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+
+
 def exact_ric(A, K, budget=DEFAULT_BUDGET):
     """Exact RIC of order ``K``: max over all K-subsets S of the deviation of
     the spectrum of A_S^T A_S from 1.
@@ -59,26 +76,17 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
             requested=total,
         )
 
-    gram = A.T @ A
     best_delta = -math.inf
     best_subset = None
     best_eigenvalue = None
-
-    subsets = combinations(range(n), K)
-    while True:
-        chunk = list(islice(subsets, _CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk)
-        blocks = gram[idx[:, :, None], idx[:, None, :]]
-        eigenvalues = np.linalg.eigvalsh(blocks)
+    for subsets, eigenvalues in subset_spectra(A.T @ A, K):
         low = 1.0 - eigenvalues[:, 0]
         high = eigenvalues[:, -1] - 1.0
         deltas = np.maximum(low, high)
         j = int(np.argmax(deltas))  # first occurrence: lexicographic tie-break
         if deltas[j] > best_delta:
             best_delta = float(deltas[j])
-            best_subset = tuple(i + 1 for i in chunk[j])
+            best_subset = tuple(int(i) + 1 for i in subsets[j])
             best_eigenvalue = float(
                 eigenvalues[j, 0] if low[j] >= high[j] else eigenvalues[j, -1]
             )

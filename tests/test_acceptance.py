@@ -29,7 +29,6 @@ from omp_sharp.instances import (
 from omp_sharp.omp import (
     CorrelationLInf,
     FixedIterations,
-    NaiveLInf,
     ResidualL2,
     linf_stopping_threshold,
     min_magnitude_threshold_l2,
@@ -155,7 +154,7 @@ def test_criterion_06_example1_regression():
         r1 = y - inst.A[:, :1] @ sol
         ok &= np.max(np.abs(inst.A.T @ r1 - [0.0, 1.0 + delta**2])) <= 1e-10
         ok &= one.iterations[0].selected_index == 1
-        naive = run_omp(y, inst.A, NaiveLInf(1.0))
+        naive = run_omp(y, inst.A, CorrelationLInf(1.0))
         ok &= len(naive.iterations) == 2 and naive.final_support == {1, 2}
         threshold = linf_stopping_threshold(1, delta, delta, 1.0)
         corrected = run_omp(y, inst.A, CorrelationLInf(threshold))

@@ -1,11 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
+import pytest
 
-def run_cli(*args, env=None):
+from omp_sharp.serialize import format_matrix_text, format_vector_text
+
+
+def run_cli(*args):
     cmd = [sys.executable, "-m", "omp_sharp.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def write_identity(tmp_path, n=3):
@@ -56,6 +62,30 @@ def test_omp_run_naive_linf_example1(tmp_path):
     trace = json.loads(result.stdout)
     assert trace["final_support"] == [1]
     assert len(trace["iterations"]) == 1
+
+
+def test_exact_ric_linf_rule_tolerates_round_off_in_delta_2(tmp_path):
+    """On this matrix the enumerated delta_2 exceeds delta_3 by one ulp; the
+    CLI clamps it to delta_3 instead of failing the monotonicity check."""
+    c = 0.38082409669284656
+    A = np.eye(6)
+    A[:, 5] = [c, 0.0, 0.0, 0.0, 0.0, math.sqrt(1.0 - c * c)]
+    matrix = tmp_path / "A.txt"
+    matrix.write_text(format_matrix_text(A))
+    y = tmp_path / "y.txt"
+    y.write_text(format_vector_text(A @ np.array([1.0, 0.0, 2.0, 0.0, 0.0, 0.0])))
+    result = run_cli(
+        "omp", "run", str(matrix), str(y), "linf:0.01", "--sparsity", "2", "--exact-ric"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["final_support"] == [1, 3]
+    # an explicit out-of-order pair is still rejected
+    result = run_cli(
+        "omp", "run", str(matrix), str(y), "linf:0.01", "--sparsity", "2",
+        "--delta2", "0.4", "--delta-k1", "0.3",
+    )
+    assert result.returncode == 3
+    assert "InvalidDeltaOrder" in result.stderr
 
 
 def test_omp_run_dimension_mismatch_exit_3(tmp_path):
@@ -176,16 +206,43 @@ def test_experiment_bad_json_exit_2(tmp_path):
     assert run_cli("experiment", str(cfg_file)).returncode == 2
 
 
-def test_thread_cap_env_var(tmp_path):
-    import os
+@pytest.mark.parametrize("doc", [5, [{"experiment": "Example2"}], "Example2", None])
+def test_experiment_config_not_an_object_exit_2(tmp_path, doc):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert "JSON object" in result.stderr
 
-    matrix = write_identity(tmp_path)
-    y = tmp_path / "y.txt"
-    y.write_text("1\n0\n0\n")
-    env = dict(os.environ, OMP_SHARP_THREADS="2")
-    assert run_cli("omp", "run", str(matrix), str(y), "l2:0.5", env=env).returncode == 0
-    env["OMP_SHARP_THREADS"] = "zero"
-    assert run_cli("omp", "run", str(matrix), str(y), "l2:0.5", env=env).returncode == 2
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trials": "3"},
+        {"k_values": 2},
+        {"k_values": [1, "2"]},
+        {"trials": 2.0},
+        {"epsilons": [True]},
+        {"deltas": "0.1"},
+        {"output_csv": 1},
+        {"experiment": None},
+    ],
+)
+def test_experiment_config_wrong_field_type_exit_3(tmp_path, fields):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "Example2", **fields}))
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 3
+    assert "ParameterOutOfRange" in result.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_experiment_config_missing_experiment_exit_3(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": 1}))
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 3
+    assert "ParameterOutOfRange" in result.stderr
 
 
 def test_help_screens():

@@ -29,6 +29,26 @@ def test_config_validation():
         ExperimentConfig.from_json_dict({"experiment": "Example1", "bogus": 1})
 
 
+def test_config_from_json_accepts_every_field():
+    doc = {
+        "experiment": "Theorem1Sweep",
+        "seed": 3,
+        "k_values": [1, 2],
+        "delta_fractions": [0.5],
+        "deltas": None,
+        "epsilons": [1],
+        "gamma_fractions": [0.9],
+        "trials": 2,
+        "m": 14,
+        "n": 8,
+        "margin": 1,
+        "output_csv": "trials.csv",
+        "output_summary": None,
+    }
+    assert set(doc) == set(ExperimentConfig.__dataclass_fields__)
+    assert ExperimentConfig.from_json_dict(doc) == ExperimentConfig(**doc)
+
+
 def test_delta_resolution():
     cfg = ExperimentConfig(experiment="Example1", delta_fractions=[0.5])
     assert cfg.resolved_deltas(3) == [0.25]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omp_sharp.errors import (
+    DegenerateMatrix,
     GammaOutOfRange,
     NotProperSubset,
     OutOfSharpRegion,
@@ -70,6 +71,14 @@ def test_instance_measurements():
         noise_model=NOISE_L2,
     )
     np.testing.assert_allclose(inst.measurements(), [2.5, 0.5])
+
+
+def test_instance_noise_level_follows_noise_model():
+    A = 2.0 * np.eye(2)
+    x = SparseSignal(np.array([1.0, 0.0]))
+    v = np.array([0.3, -0.4])
+    assert Instance(A, x, v, 1.0, NOISE_L2).noise_level() == pytest.approx(0.5)
+    assert Instance(A, x, v, 1.0, NOISE_LINF).noise_level() == pytest.approx(0.8)
 
 
 # ------------------------------------------------------------ construction
@@ -255,3 +264,44 @@ def test_random_frame_with_ric_overcomplete():
     A = random_frame_with_ric(6, 8, 3, 0.7, seed=11)
     assert A.shape == (6, 8)
     assert exact_ric(A, 3).delta < 0.7
+
+
+def reference_random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
+    """The generator as it was before it shared exact_ric's enumeration: one
+    eigvalsh per subset in a Python loop over combinations."""
+    from itertools import combinations
+
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        A = rng.standard_normal((m, n))
+        for _ in range(60):
+            U, _, Vt = np.linalg.svd(A, full_matrices=False)
+            A = math.sqrt(n / m) * U @ Vt
+            A = A / np.linalg.norm(A, axis=0)
+        gram = A.T @ A
+        lam_min = math.inf
+        lam_max = -math.inf
+        for S in combinations(range(n), order):
+            idx = list(S)
+            eigenvalues = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+            lam_min = min(lam_min, eigenvalues[0])
+            lam_max = max(lam_max, eigenvalues[-1])
+        if lam_min <= 0:
+            continue
+        best = (lam_max - lam_min) / (lam_max + lam_min)
+        if 0.0 < best < delta_bound:
+            return A * math.sqrt(2.0 / (lam_max + lam_min))
+    return None
+
+
+@pytest.mark.parametrize("m,n,order", [(6, 8, 3), (8, 12, 3), (10, 14, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_frame_with_ric_matches_per_subset_reference(m, n, order, seed):
+    A = random_frame_with_ric(m, n, order, 0.75, seed)
+    assert np.array_equal(A, reference_random_frame_with_ric(m, n, order, 0.75, seed))
+
+
+def test_random_frame_with_ric_gives_up_after_its_attempts():
+    with pytest.raises(DegenerateMatrix):
+        random_frame_with_ric(6, 8, 3, 1e-3, seed=0, attempts=2)
+    assert reference_random_frame_with_ric(6, 8, 3, 1e-3, seed=0, attempts=2) is None

@@ -7,17 +7,9 @@ from omp_sharp.errors import (
     DimensionMismatch,
     DuplicateIndex,
     IndexOutOfRange,
-    NotSquare,
-    NotSymmetric,
     RankDeficient,
 )
-from omp_sharp.linalg import (
-    columns_submatrix,
-    least_squares,
-    norms,
-    project_complement,
-    sym_eigen_extremes,
-)
+from omp_sharp.linalg import columns_submatrix, least_squares, project_complement
 
 
 def random_matrix(seed, m, n, unit_columns=False):
@@ -144,29 +136,3 @@ def test_project_complement_idempotent_and_annihilates(seed, k):
         col = project_complement(A_S, A_S[:, j])
         assert np.linalg.norm(col) <= 1e-10 * np.linalg.norm(A_S[:, j])
 
-
-# ------------------------------------------------------------- eigenvalues
-
-
-def test_sym_eigen_extremes_diagonal():
-    lo, hi = sym_eigen_extremes(np.diag([0.25, 1.0, 4.0]))
-    assert lo == pytest.approx(0.25) and hi == pytest.approx(4.0)
-
-
-def test_sym_eigen_extremes_2x2_closed_form():
-    M = np.array([[1.0, 0.4], [0.4, 1.0]])
-    lo, hi = sym_eigen_extremes(M)
-    assert lo == pytest.approx(0.6, abs=1e-12)
-    assert hi == pytest.approx(1.4, abs=1e-12)
-
-
-def test_sym_eigen_extremes_rejects_bad_input():
-    with pytest.raises(NotSquare):
-        sym_eigen_extremes(np.ones((2, 3)))
-    with pytest.raises(NotSymmetric):
-        sym_eigen_extremes(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_norms():
-    assert norms(np.array([3.0, -4.0])) == (7.0, 5.0, 4.0)
-    assert norms(np.zeros(0)) == (0.0, 0.0, 0.0)

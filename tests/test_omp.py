@@ -21,7 +21,6 @@ from omp_sharp.omp import (
     STOP_STALLED,
     CorrelationLInf,
     FixedIterations,
-    NaiveLInf,
     OmpTrace,
     ResidualL2,
     SparseSignal,
@@ -61,7 +60,7 @@ def test_sparse_signal_sparsity_gate():
 
 
 def test_rule_validation():
-    for bad in (FixedIterations, ResidualL2, CorrelationLInf, NaiveLInf):
+    for bad in (FixedIterations, ResidualL2, CorrelationLInf):
         with pytest.raises(InvalidOrder):
             bad(0)
 
@@ -90,7 +89,7 @@ def test_zero_measurements_zero_iterations():
 def test_zero_measurements_correlation_rule():
     # no pre-check for correlation rules, but a fully uncorrelated residual
     # still stops the loop with an empty support
-    trace = run_omp(np.zeros(3), np.eye(3), NaiveLInf(1.0))
+    trace = run_omp(np.zeros(3), np.eye(3), CorrelationLInf(1.0))
     assert trace.iterations == ()
     assert trace.stop_reason == STOP_RULE_MET
 

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from omp_sharp.errors import BudgetExceeded, InvalidOrder
 from omp_sharp.instances import counterexample_operator
-from omp_sharp.rip import check_rip_inequality, exact_ric, in_sharp_region
+from omp_sharp.rip import (
+    check_rip_inequality,
+    exact_ric,
+    in_sharp_region,
+    subset_spectra,
+)
 
 
 def unit_column_matrix(seed, m, n):
@@ -26,6 +31,21 @@ def brute_force_ric(A, K):
         w = np.linalg.eigvalsh(G[np.ix_(S, S)])
         best = max(best, max(w[-1] - 1.0, 1.0 - w[0]))
     return best
+
+
+def test_subset_spectra_walks_every_subset_in_lexicographic_order():
+    from itertools import combinations
+
+    A = unit_column_matrix(4, 10, 16)
+    gram = A.T @ A
+    chunks = list(subset_spectra(gram, 6))
+    assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
+    subsets = np.concatenate([subsets for subsets, _ in chunks])
+    eigenvalues = np.concatenate([values for _, values in chunks])
+    assert [tuple(S) for S in subsets] == list(combinations(range(16), 6))
+    for S, values in zip(subsets[::97], eigenvalues[::97]):
+        expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
 
 
 def test_identity_is_isometry():
