@@ -139,10 +139,10 @@ def omp_run(matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
 @click.option("--all-orders", is_flag=True,
               help="Report every order 1..ORDER in one monotone table.")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="Cap on the number of enumerated subsets.")
+              help="Cap on C(columns, k) for each order k, pruned subsets included.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 def ric_cmd(matrix_file, order, all_orders, budget, output):
-    """Exact restricted isometry constant by exhaustive enumeration."""
+    """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = _read_matrix(matrix_file)
     orders = range(1, order + 1) if all_orders else [order]
     reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]

@@ -35,6 +35,14 @@ from .serialize import dumps_json, write_csv
 TRIAL_SCHEMA = "omp-sharp-trials-1"
 COMPARISON_SCHEMA = "omp-sharp-comparison-1"
 
+#: Absolute slack of the Lemma 1 pass test: a trial passes when
+#: lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
+LEMMA1_TOLERANCE = 1e-10
+
+# Experiments that draw an m x n matrix and enumerate its RIC of order K+1,
+# so every K must be at most n - 1.
+_MATRIX_EXPERIMENTS = ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite")
+
 TRIAL_COLUMNS = [
     "schema_version",
     "experiment",
@@ -142,8 +150,14 @@ class ExperimentConfig:
         for name in ("k_values", "delta_fractions", "epsilons", "gamma_fractions"):
             if not getattr(self, name):
                 raise ParameterOutOfRange(f"{name} must be non-empty")
+        if self.seed < 0:
+            raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
         if any(k < 1 for k in self.k_values):
             raise ParameterOutOfRange("k_values must be >= 1")
+        if self.experiment in _MATRIX_EXPERIMENTS and max(self.k_values) >= self.n:
+            raise ParameterOutOfRange(
+                f"k_values must be <= n - 1 = {self.n - 1} for {self.experiment}"
+            )
         if any(not 0.0 < f < 1.0 for f in self.delta_fractions):
             raise ParameterOutOfRange("delta_fractions must lie in (0, 1)")
         if self.deltas is not None and any(not 0.0 < d < 1.0 for d in self.deltas):
@@ -198,6 +212,18 @@ def _record(config, **kwargs):
     record["experiment"] = config.experiment
     record.update(kwargs)
     return record
+
+
+def _captured(config, trial, **fields):
+    """The record of ``trial()``; an OmpSharpError becomes a failed record
+    with ``fields`` and the error instead, so one bad trial does not sink
+    the run."""
+    try:
+        return trial()
+    except OmpSharpError as exc:
+        return _record(
+            config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields
+        )
 
 
 def _support_string(support):
@@ -296,27 +322,21 @@ def _run_sufficiency(config, linf):
                 cells.append((K, delta, epsilon))
     for cell_index, (K, delta, epsilon) in enumerate(cells):
         for trial_index in range(config.trials):
-            try:
-                records.append(
-                    _sufficiency_trial(
+            records.append(
+                _captured(
+                    config,
+                    lambda: _sufficiency_trial(
                         config, cell_index, trial_index, K, delta, epsilon, linf
-                    )
+                    ),
+                    cell_index=cell_index,
+                    trial_index=trial_index,
+                    K=K,
+                    m=config.m,
+                    n=config.n,
+                    delta_nominal=delta,
+                    epsilon=epsilon,
                 )
-            except OmpSharpError as exc:
-                records.append(
-                    _record(
-                        config,
-                        cell_index=cell_index,
-                        trial_index=trial_index,
-                        K=K,
-                        m=config.m,
-                        n=config.n,
-                        delta_nominal=delta,
-                        epsilon=epsilon,
-                        passed=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            )
     return records
 
 
@@ -328,53 +348,63 @@ def run_theorem2_sweep(config):
     return _run_sufficiency(config, linf=True)
 
 
+def _failure_trial(config, cell_index, K, delta, epsilon, fraction, linf):
+    if linf:
+        gamma = fraction * inst.linf_gamma_bound(K, delta, epsilon)
+        instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
+        rule_name = "fixed-linf-demo"
+    else:
+        gamma = fraction * inst.l2_gamma_bound(K, delta, epsilon)
+        instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
+        rule_name = "fixed-l2-demo"
+    delta_exact = exact_ric(instance.A, K + 1).delta
+    trace = run_omp(instance.measurements(), instance.A, FixedIterations(K))
+    fields = _trace_fields(trace, instance.x.support)
+    passed = (
+        not fields["support_recovered"]
+        and fields["first_selected_index"] == K + 1
+    )
+    return _record(
+        config,
+        cell_index=cell_index,
+        trial_index=0,
+        K=K,
+        m=K + 1,
+        n=K + 1,
+        delta_nominal=delta,
+        delta_exact=delta_exact,
+        epsilon=epsilon,
+        gamma=gamma,
+        min_magnitude=instance.x.min_magnitude(),
+        noise_model=instance.noise_model,
+        rule=rule_name,
+        correlation_gap_iter1=_correlation_gap(trace, instance.x.support, K + 1),
+        passed=passed,
+        **fields,
+    )
+
+
 def _run_failure_demo(config, linf):
-    records = []
     cells = []
     for K in config.k_values:
         for delta in config.resolved_deltas(K):
             for epsilon in config.epsilons:
                 for fraction in config.gamma_fractions:
                     cells.append((K, delta, epsilon, fraction))
-    for cell_index, (K, delta, epsilon, fraction) in enumerate(cells):
-        if linf:
-            gamma = fraction * inst.linf_gamma_bound(K, delta, epsilon)
-            instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
-            rule_name = "fixed-linf-demo"
-        else:
-            gamma = fraction * inst.l2_gamma_bound(K, delta, epsilon)
-            instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
-            rule_name = "fixed-l2-demo"
-        delta_exact = exact_ric(instance.A, K + 1).delta
-        trace = run_omp(instance.measurements(), instance.A, FixedIterations(K))
-        fields = _trace_fields(trace, instance.x.support)
-        passed = (
-            not fields["support_recovered"]
-            and fields["first_selected_index"] == K + 1
+    return [
+        _captured(
+            config,
+            lambda: _failure_trial(config, cell_index, K, delta, epsilon, fraction, linf),
+            cell_index=cell_index,
+            trial_index=0,
+            K=K,
+            m=K + 1,
+            n=K + 1,
+            delta_nominal=delta,
+            epsilon=epsilon,
         )
-        records.append(
-            _record(
-                config,
-                cell_index=cell_index,
-                trial_index=0,
-                K=K,
-                m=K + 1,
-                n=K + 1,
-                delta_nominal=delta,
-                delta_exact=delta_exact,
-                epsilon=epsilon,
-                gamma=gamma,
-                min_magnitude=instance.x.min_magnitude(),
-                noise_model=instance.noise_model,
-                rule=rule_name,
-                correlation_gap_iter1=_correlation_gap(
-                    trace, instance.x.support, K + 1
-                ),
-                passed=passed,
-                **fields,
-            )
-        )
-    return records
+        for cell_index, (K, delta, epsilon, fraction) in enumerate(cells)
+    ]
 
 
 def run_theorem3_demo(config):
@@ -385,45 +415,55 @@ def run_theorem4_demo(config):
     return _run_failure_demo(config, linf=True)
 
 
+def _lemma1_trial(config, cell_index, trial_index, omega_size):
+    rng = _rng(config, cell_index, trial_index)
+    bound = 1.0 / math.sqrt(omega_size + 1)
+    A = inst.random_matrix_with_ric(config.m, config.n, 0.9 * bound, rng)
+    support = sorted(
+        int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
+    )
+    values = np.zeros(config.n)
+    for i in support:
+        values[i - 1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    x = SparseSignal(values)
+    subset = [
+        int(i)
+        for i in rng.choice(
+            support, size=int(rng.integers(0, omega_size)), replace=False
+        )
+    ]
+    gap = inst.lemma1_gap(A, x, subset)
+    return _record(
+        config,
+        cell_index=cell_index,
+        trial_index=trial_index,
+        K=omega_size,
+        m=config.m,
+        n=config.n,
+        delta_exact=gap["delta"],
+        support_true=_support_string(support),
+        lhs_gap=gap["lhs_gap"],
+        rhs_bound=gap["rhs_bound"],
+        passed=gap["lhs_gap"] - gap["rhs_bound"] >= -LEMMA1_TOLERANCE,
+    )
+
+
 def run_lemma1_suite(config):
     """Random instances satisfying the selection-gap premises; a trial passes
-    when lhs_gap >= rhs_bound - 1e-10."""
-    records = []
-    for cell_index, omega_size in enumerate(config.k_values):
-        bound = 1.0 / math.sqrt(omega_size + 1)
-        for trial_index in range(config.trials):
-            rng = _rng(config, cell_index, trial_index)
-            A = inst.random_matrix_with_ric(config.m, config.n, 0.9 * bound, rng)
-            support = sorted(
-                int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
-            )
-            values = np.zeros(config.n)
-            for i in support:
-                values[i - 1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            x = SparseSignal(values)
-            subset = [
-                int(i)
-                for i in rng.choice(
-                    support, size=int(rng.integers(0, omega_size)), replace=False
-                )
-            ]
-            gap = inst.lemma1_gap(A, x, subset)
-            records.append(
-                _record(
-                    config,
-                    cell_index=cell_index,
-                    trial_index=trial_index,
-                    K=omega_size,
-                    m=config.m,
-                    n=config.n,
-                    delta_exact=exact_ric(A, omega_size + 1).delta,
-                    support_true=_support_string(support),
-                    lhs_gap=gap["lhs_gap"],
-                    rhs_bound=gap["rhs_bound"],
-                    passed=gap["lhs_gap"] - gap["rhs_bound"] >= -1e-10,
-                )
-            )
-    return records
+    when lhs_gap >= rhs_bound - LEMMA1_TOLERANCE."""
+    return [
+        _captured(
+            config,
+            lambda: _lemma1_trial(config, cell_index, trial_index, omega_size),
+            cell_index=cell_index,
+            trial_index=trial_index,
+            K=omega_size,
+            m=config.m,
+            n=config.n,
+        )
+        for cell_index, omega_size in enumerate(config.k_values)
+        for trial_index in range(config.trials)
+    ]
 
 
 def run_comparison_table(config):

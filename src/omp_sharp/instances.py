@@ -263,14 +263,14 @@ def build_example3(delta, a):
     )
 
 
-def lemma1_gap(A, x, subset, ric_budget=None):
+def lemma1_gap(A, x, subset):
     """Selection-gap bound for one partially-completed recovery state.
 
     ``subset`` (1-based) must be a proper subset of the support of ``x``.
     Returns lhs_gap, the difference of the max absolute correlations of
     on-support and off-support columns against the projected residual
-    direction, and rhs_bound, the closed-form lower bound computed with the
-    exactly enumerated RIC of order |support|+1.
+    direction, rhs_bound, the closed-form lower bound, and delta, the exactly
+    enumerated RIC of order |support|+1 that rhs_bound uses.
     """
     A = as_matrix(A)
     support = x.support
@@ -285,11 +285,10 @@ def lemma1_gap(A, x, subset, ric_budget=None):
     direction = project_complement(A_S, columns_submatrix(A, remaining) @ x_remaining)
     lhs_on = float(np.max(np.abs(columns_submatrix(A, remaining).T @ direction)))
     lhs_off = float(np.max(np.abs(columns_submatrix(A, off_support).T @ direction)))
-    kwargs = {} if ric_budget is None else {"budget": ric_budget}
-    delta = exact_ric(A, len(support) + 1, **kwargs).delta
+    delta = exact_ric(A, len(support) + 1).delta
     r = len(remaining)
     rhs = (1.0 - math.sqrt(r + 1) * delta) * float(np.linalg.norm(x_remaining)) / math.sqrt(r)
-    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs}
+    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs, "delta": delta}
 
 
 def sample_l2_noise(m, epsilon, seed):

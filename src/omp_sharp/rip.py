@@ -1,21 +1,38 @@
-"""Exact restricted isometry constants by exhaustive subset enumeration."""
+"""Exact restricted isometry constants by branch-and-bound subset enumeration."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder
 from .linalg import as_matrix, as_vector
 
-#: Default cap on the number of enumerated subsets.
+#: Default cap on C(cols, K), the number of subsets an order-K search covers.
 DEFAULT_BUDGET = 10**6
 
-# Subsets are processed in lexicographic chunks of this size; the chunking
-# only batches the eigensolves and never changes the reported witness.
+#: Relative slack for skipping a subtree: its interlacing bound must fall
+#: below the best delta so far by more than PRUNE_TOLERANCE times the largest
+#: eigenvalue of the bounding block.  This covers the eigensolver's round-off
+#: on the block and on every subset inside it, so a skipped subset can never
+#: have a computed delta above the best one.
+PRUNE_TOLERANCE = 1e-10
+
+#: Relative slack of check_rip_inequality, in units of ||x||^2.
+RIP_CHECK_TOLERANCE = 1e-10
+
+# Subsets are processed in lexicographic chunks of at most this size; the
+# chunking only batches the eigensolves and never changes the reported witness.
 _CHUNK = 4096
+
+# Only a set of more subsets than this is bounded before it is walked;
+# smaller ones go to the eigensolver batch unbounded, so a search over few
+# subsets, such as every order of the sweeps' 8-column matrices, stays one
+# batched eigensolve.
+_BOUND_MIN_SUBSETS = 256
 
 
 @dataclass(frozen=True)
@@ -23,13 +40,17 @@ class RicReport:
     """Exact order-K restricted isometry constant and the subset attaining it.
 
     ``witness_subset`` is 1-based ascending; ``witness_eigenvalue`` is the
-    extremal Gram eigenvalue on that subset.
+    extremal Gram eigenvalue on that subset.  ``subsets_evaluated`` subsets
+    had their spectra computed and ``subsets_pruned`` were skipped by the
+    interlacing bound; the two sum to C(cols, K).
     """
 
     order: int
     delta: float
     witness_subset: tuple
     witness_eigenvalue: float
+    subsets_evaluated: int = None
+    subsets_pruned: int = None
 
     def to_json_dict(self):
         return {
@@ -37,33 +58,104 @@ class RicReport:
             "delta": self.delta,
             "witness_subset": list(self.witness_subset),
             "witness_eigenvalue": self.witness_eigenvalue,
+            "subsets_evaluated": self.subsets_evaluated,
+            "subsets_pruned": self.subsets_pruned,
         }
 
 
-def subset_spectra(gram, K):
-    """Gram spectra of every K-subset of columns, in lexicographic order.
+@lru_cache(maxsize=256)
+def _combinations(n, k):
+    """Every k-subset of range(n) in lexicographic order, one per row."""
+    table = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    table.flags.writeable = False
+    return table
+
+
+def subset_spectra(gram, K, threshold=None):
+    """Gram spectra of the K-subsets of columns, in lexicographic order.
 
     Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
     ``subsets`` holds the 0-based column indices, one subset per row, and
     ``eigenvalues`` the ascending eigenvalues of each principal K x K block
-    of ``gram``.
+    of ``gram``.  Without ``threshold`` every subset is yielded.
+
+    With ``threshold``, a callable returning the largest delta found so far
+    (-inf before any), the walk is a depth-first branch-and-bound.  Under a
+    prefix P, the subsets from P + (i,) onward are P plus a subset of the
+    columns i, i+1, ..., so their Gram blocks are principal submatrices of
+    the block on P and those columns.  By Cauchy interlacing their deltas are
+    at most that block's ``max(1 - lambda_min, lambda_max - 1)``.  The walk
+    skips them all, and never yields them, when that bound is below
+    ``threshold()`` by more than PRUNE_TOLERANCE times the block's largest
+    eigenvalue: none of them can then beat a subset already yielded, which
+    also comes earlier in lexicographic order.  Only a set of more than
+    _BOUND_MIN_SUBSETS subsets is bounded, and pending subsets are yielded
+    before each bound so that ``threshold()`` is current.
     """
-    subsets = combinations(range(gram.shape[0]), K)
-    while True:
-        chunk = list(islice(subsets, _CHUNK))
-        if not chunk:
+    n = gram.shape[0]
+    pending = []
+    pending_count = 0
+
+    def flush():
+        nonlocal pending_count
+        if not pending_count:
             return
-        idx = np.asarray(chunk)
-        yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        subsets = np.concatenate(pending)
+        pending.clear()
+        pending_count = 0
+        for start in range(0, len(subsets), _CHUNK):
+            idx = subsets[start : start + _CHUNK]
+            yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+
+    def pruned(columns):
+        """True when no K-subset of ``columns`` can beat threshold()."""
+        best = threshold()
+        if best == -math.inf:
+            return False
+        w = np.linalg.eigvalsh(gram[np.ix_(columns, columns)])
+        bound = max(1.0 - w[0], w[-1] - 1.0)
+        return bound < best - PRUNE_TOLERANCE * abs(w[-1])
+
+    def walk(prefix, start, need):
+        """Subsets ``prefix`` + T for every ``need``-subset T of range(start, n).
+
+        The block on ``prefix`` + range(start, n) is already bounded, by the
+        caller's bound on the same columns (or, at the root, not at all).
+        """
+        nonlocal pending_count
+        for i in range(start, n - need + 1):
+            if (threshold is not None and i > start
+                    and math.comb(n - i, need) > _BOUND_MIN_SUBSETS):
+                yield from flush()
+                if pruned(list(prefix) + list(range(i, n))):
+                    return
+            if math.comb(n - i - 1, need - 1) <= _BOUND_MIN_SUBSETS:
+                # the children from i on are small: emit them as one table
+                table = _combinations(n - i, need)
+                rows = np.empty((len(table), K), dtype=np.intp)
+                rows[:, : len(prefix)] = prefix
+                rows[:, len(prefix) :] = table + i
+                pending.append(rows)
+                pending_count += len(rows)
+                if pending_count >= _CHUNK:
+                    yield from flush()
+                return
+            yield from walk(prefix + (i,), i + 1, need - 1)
+
+    yield from walk((), 0, K)
+    yield from flush()
 
 
 def exact_ric(A, K, budget=DEFAULT_BUDGET):
     """Exact RIC of order ``K``: max over all K-subsets S of the deviation of
     the spectrum of A_S^T A_S from 1.
 
-    Enumeration is lexicographic and ties break toward the lexicographically
-    smallest subset, so the report is deterministic.  Raises BudgetExceeded
-    when C(cols, K) exceeds ``budget``.
+    The search is the branch-and-bound of subset_spectra, which skips only
+    subtrees that cannot hold a subset with a larger delta, so the report
+    equals that of evaluating every subset.  Ties break toward the
+    lexicographically smallest subset, so the report is deterministic.
+    Raises BudgetExceeded when C(cols, K) exceeds ``budget``, before any
+    subset is evaluated.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -79,7 +171,9 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     best_delta = -math.inf
     best_subset = None
     best_eigenvalue = None
-    for subsets, eigenvalues in subset_spectra(A.T @ A, K):
+    evaluated = 0
+    for subsets, eigenvalues in subset_spectra(A.T @ A, K, lambda: best_delta):
+        evaluated += len(subsets)
         low = 1.0 - eigenvalues[:, 0]
         high = eigenvalues[:, -1] - 1.0
         deltas = np.maximum(low, high)
@@ -96,6 +190,8 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
         delta=best_delta,
         witness_subset=best_subset,
         witness_eigenvalue=best_eigenvalue,
+        subsets_evaluated=evaluated,
+        subsets_pruned=total - evaluated,
     )
 
 
@@ -115,7 +211,7 @@ def in_sharp_region(K, delta):
 
 def check_rip_inequality(A, x, delta):
     """Check (1-delta)||x||^2 <= ||Ax||^2 <= (1+delta)||x||^2 within
-    1e-10 * ||x||^2 slack.
+    RIP_CHECK_TOLERANCE * ||x||^2 slack.
 
     ``x`` may have fewer entries than A has columns; missing entries are zero.
     """
@@ -128,5 +224,5 @@ def check_rip_inequality(A, x, delta):
         x = np.concatenate([x, np.zeros(n - x.shape[0])])
     xx = float(x @ x)
     axax = float(np.linalg.norm(A @ x) ** 2)
-    tol = 1e-10 * xx
+    tol = RIP_CHECK_TOLERANCE * xx
     return (1.0 - delta) * xx - tol <= axax <= (1.0 + delta) * xx + tol

@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# Property tests draw the same cases on every run; pass
+# --hypothesis-profile=default to pytest to explore fresh random cases.
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the one-line acceptance verdicts after the test summary."""

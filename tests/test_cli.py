@@ -144,6 +144,8 @@ def test_ric_all_orders_monotone(tmp_path):
     deltas = [r["delta"] for r in reports]
     assert deltas == sorted(deltas)
     assert abs(deltas[-1] - 0.4) < 1e-10
+    for k, r in enumerate(reports, start=1):
+        assert r["subsets_evaluated"] + r["subsets_pruned"] == math.comb(3, k)
 
 
 def test_ric_budget_exceeded_exit_4(tmp_path):
@@ -243,6 +245,24 @@ def test_experiment_config_missing_experiment_exit_3(tmp_path):
     result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
     assert result.returncode == 3
     assert "ParameterOutOfRange" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"experiment": "Theorem1Sweep", "seed": -1, "trials": 1}, "seed"),
+        ({"experiment": "Lemma1Suite", "k_values": [9], "trials": 1}, "k_values"),
+        ({"experiment": "Theorem2Sweep", "k_values": [1, 8], "trials": 1}, "k_values"),
+    ],
+)
+def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 3
+    assert "ParameterOutOfRange" in result.stderr and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_help_screens():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from omp_sharp.errors import ParameterOutOfRange
+from omp_sharp import experiments
+from omp_sharp.errors import DegenerateMatrix, ParameterOutOfRange
 from omp_sharp.experiments import (
     COMPARISON_COLUMNS,
     TRIAL_COLUMNS,
@@ -27,6 +28,14 @@ def test_config_validation():
         ExperimentConfig(experiment="Theorem1Sweep", trials=0)
     with pytest.raises(ParameterOutOfRange):
         ExperimentConfig.from_json_dict({"experiment": "Example1", "bogus": 1})
+    with pytest.raises(ParameterOutOfRange):
+        ExperimentConfig(experiment="Example1", seed=-1)
+    for name in ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite"):
+        with pytest.raises(ParameterOutOfRange):
+            ExperimentConfig(experiment=name, k_values=[1, 8], n=8)
+        ExperimentConfig(experiment=name, k_values=[1, 7], n=8)
+    # the failure demos size their matrices from K alone
+    ExperimentConfig(experiment="Theorem3Demo", k_values=[9], n=8)
 
 
 def test_config_from_json_accepts_every_field():
@@ -115,6 +124,43 @@ def test_different_seeds_differ(tmp_path):
         ExperimentConfig(experiment="Theorem1Sweep", seed=2, trials=2), b
     )
     assert a.read_bytes() != b.read_bytes()
+
+
+def failing_once(monkeypatch, module, name, call):
+    """Make the ``call``-th call (0-based) of ``module.name`` raise."""
+    original = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call + 1:
+            raise DegenerateMatrix("injected failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+@pytest.mark.parametrize(
+    "experiment, function, call, fields",
+    [
+        ("Lemma1Suite", "lemma1_gap", 3, {"k_values": [2, 3], "trials": 3, "n": 7}),
+        ("Theorem3Demo", "build_counterexample_l2", 2, {"k_values": [1, 2]}),
+        ("Theorem4Demo", "build_counterexample_linf", 1, {"k_values": [1, 2]}),
+    ],
+)
+def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, call, fields):
+    cfg = ExperimentConfig(experiment=experiment, seed=3, **fields)
+    _, expected, _ = run_experiment(cfg)
+    failing_once(monkeypatch, experiments.inst, function, call)
+    _, records, summary = run_experiment(cfg)
+    assert len(records) == len(expected)
+    failed = records[call]
+    assert failed["passed"] is False
+    assert failed["error"] == "DegenerateMatrix: injected failure"
+    for column in ("cell_index", "trial_index", "K", "m", "n"):
+        assert failed[column] == expected[call][column]
+    assert records[:call] + records[call + 1 :] == expected[:call] + expected[call + 1 :]
+    assert summary["failures"] == 1
 
 
 @pytest.mark.parametrize("name", ["Example1", "Example2", "Example3"])

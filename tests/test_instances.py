@@ -231,6 +231,7 @@ def test_lemma1_gap_identity():
         math.sqrt(5.0) / math.sqrt(2.0) * (1 - math.sqrt(3) * 0.0), rel=1e-12
     )
     assert out["lhs_gap"] >= out["rhs_bound"] - 1e-10
+    assert out["delta"] == exact_ric(np.eye(4), 3).delta
 
 
 # ------------------------------------------------------------ random draws

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from omp_sharp.errors import BudgetExceeded, InvalidOrder
 from omp_sharp.instances import counterexample_operator
 from omp_sharp.rip import (
+    _CHUNK,
     check_rip_inequality,
     exact_ric,
     in_sharp_region,
@@ -23,8 +25,6 @@ def unit_column_matrix(seed, m, n):
 
 def brute_force_ric(A, K):
     """Independent oracle: pairwise-combinations loop with eigvalsh per subset."""
-    from itertools import combinations
-
     G = A.T @ A
     best = -math.inf
     for S in combinations(range(A.shape[1]), K):
@@ -33,13 +33,124 @@ def brute_force_ric(A, K):
     return best
 
 
-def test_subset_spectra_walks_every_subset_in_lexicographic_order():
-    from itertools import combinations
+def reference_ric(A, K):
+    """The unpruned search: every K-subset in lexicographic chunks, one
+    batched eigvalsh per chunk, first occurrence of the largest delta.
 
+    Returns (delta, witness_subset, witness_eigenvalue) as exact_ric reports
+    them, so the pruned search must match it with ``==``.
+    """
+    gram = A.T @ A
+    subsets = combinations(range(A.shape[1]), K)
+    best_delta, best_subset, best_eigenvalue = -math.inf, None, None
+    while chunk := list(islice(subsets, _CHUNK)):
+        idx = np.asarray(chunk)
+        eigenvalues = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        low = 1.0 - eigenvalues[:, 0]
+        high = eigenvalues[:, -1] - 1.0
+        deltas = np.maximum(low, high)
+        j = int(np.argmax(deltas))
+        if deltas[j] > best_delta:
+            best_delta = float(deltas[j])
+            best_subset = tuple(int(i) + 1 for i in idx[j])
+            best_eigenvalue = float(
+                eigenvalues[j, 0] if low[j] >= high[j] else eigenvalues[j, -1]
+            )
+    return best_delta, best_subset, best_eigenvalue
+
+
+def structured_matrix(rng, n, order, spectrum=None):
+    """A block of ``order`` columns with Gram spectrum ``spectrum`` (default
+    linspace(0.3, 1.45, order)) in the orthogonal complement of ``n - order``
+    orthonormal columns, block first."""
+    if spectrum is None:
+        spectrum = np.linspace(0.3, 1.45, order)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((order, order)))[0]
+    block = Q[:, n - order :] @ (np.sqrt(spectrum)[:, None] * V.T)
+    return np.hstack([block, Q[:, : n - order]])
+
+
+@st.composite
+def ric_inputs(draw):
+    """Matrices on which pruning must not change the report: Gaussian (also
+    with more columns than rows), rescaled, with duplicate columns or a
+    scaled-identity block (exact ties), and the structured block."""
+    kind = draw(
+        st.sampled_from(["gaussian", "scaled", "duplicates", "identity", "structured"])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 14))
+    m = draw(st.integers(4, n + 3))
+    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    if kind == "scaled":
+        A = draw(st.floats(0.2, 2.0)) * A / np.linalg.norm(A, axis=0)
+    elif kind == "duplicates":
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = rng.choice(n, size=2, replace=False)
+            A[:, j] = A[:, i]
+    elif kind == "identity":
+        size = draw(st.integers(3, min(m, n)))
+        A[:, :size] = 0.0
+        A[:size, :size] = draw(st.floats(0.3, 1.5)) * np.eye(size)
+    elif kind == "structured":
+        order = draw(st.integers(2, n - 2))
+        A = structured_matrix(rng, n, order)
+        if draw(st.booleans()):
+            A = A[:, rng.permutation(n)]
+    return A
+
+
+@settings(max_examples=40)
+@given(ric_inputs())
+def test_pruned_search_matches_unpruned_reference(A):
+    n = A.shape[1]
+    for K in range(1, n + 1):
+        report = exact_ric(A, K)
+        assert (
+            report.delta,
+            report.witness_subset,
+            report.witness_eigenvalue,
+        ) == reference_ric(A, K)
+        assert report.subsets_evaluated + report.subsets_pruned == math.comb(n, K)
+        assert report.subsets_evaluated >= 1 and report.subsets_pruned >= 0
+
+
+def test_structured_block_prunes_nearly_everything():
+    A = structured_matrix(np.random.default_rng(3), 16, 6)
+    report = exact_ric(A, 6)
+    assert report.witness_subset == (1, 2, 3, 4, 5, 6)
+    assert report.delta == pytest.approx(0.7, abs=1e-12)
+    assert (report.delta, report.witness_subset, report.witness_eigenvalue) == (
+        reference_ric(A, 6)
+    )
+    assert report.subsets_pruned > 0.9 * math.comb(16, 6)
+    assert report.subsets_evaluated + report.subsets_pruned == math.comb(16, 6)
+
+
+def test_small_searches_run_as_one_batch():
+    """Below the bounding size every subset goes to one eigensolve, as the
+    sweeps' 8-column orders always do."""
+    gram = unit_column_matrix(5, 14, 8).T @ unit_column_matrix(5, 14, 8)
+    for K in range(1, 9):
+        chunks = list(subset_spectra(gram, K, lambda: 0.0))
+        assert len(chunks) == 1
+        assert len(chunks[0][0]) == math.comb(8, K)
+    report = exact_ric(unit_column_matrix(5, 14, 8), 4)
+    assert (report.subsets_evaluated, report.subsets_pruned) == (70, 0)
+
+
+def test_report_json_carries_the_work_counters():
+    doc = exact_ric(np.eye(4), 2).to_json_dict()
+    assert doc["subsets_evaluated"] + doc["subsets_pruned"] == 6
+
+
+def test_subset_spectra_walks_every_subset_in_lexicographic_order():
     A = unit_column_matrix(4, 10, 16)
     gram = A.T @ A
     chunks = list(subset_spectra(gram, 6))
     assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
+    assert all(len(subsets) <= _CHUNK for subsets, _ in chunks)
     subsets = np.concatenate([subsets for subsets, _ in chunks])
     eigenvalues = np.concatenate([values for _, values in chunks])
     assert [tuple(S) for S in subsets] == list(combinations(range(16), 6))
@@ -116,8 +227,6 @@ def test_monotone_in_order(seed):
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 3.0))
 def test_scaling_covariance(seed, c):
     """Rescaling A rescales the Gram spectrum by c^2 over the same subsets."""
-    from itertools import combinations
-
     A = unit_column_matrix(seed, 3, 4)
     G = A.T @ A
     expected = -math.inf
