@@ -28,11 +28,21 @@ RIP_CHECK_TOLERANCE = 1e-10
 # chunking only batches the eigensolves and never changes the reported witness.
 _CHUNK = 4096
 
-# Only a set of more subsets than this is bounded before it is walked;
-# smaller ones go to the eigensolver batch unbounded, so a search over few
-# subsets, such as every order of the sweeps' 8-column matrices, stays one
-# batched eigensolve.
+# A subtree is bounded only when it holds more subsets than this; smaller
+# ones go to the eigensolver batch unbounded, so a search over few subsets,
+# such as every order of the sweeps' 8-column matrices, stays one batched
+# eigensolve.
 _BOUND_MIN_SUBSETS = 256
+
+# A bound on a block of b columns is computed only when, should it fail to
+# prune, the walk evaluates at least b**3 / _BOUND_CUBE_RATIO subsets before
+# its next bound at the same depth.  With one BLAS thread on x86-64, one
+# eigvalsh of b columns costs as much as evaluating about b**3 / 90 (b = 16)
+# to b**3 / 1000 (b = 100) order-2 subsets, and each higher order costs more
+# per subset.  So orders 2 and 3 are never bounded (at order 3 a failed bound
+# would still cost 7-15% of the subsets walked after it), and from order 4 on
+# a bound that fails adds at most about a tenth of that work.
+_BOUND_CUBE_RATIO = 32
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,7 @@ def _combinations(n, k):
     return table
 
 
-def subset_spectra(gram, K, threshold=None):
+def subset_spectra(gram, K, threshold=None, rank=None):
     """Gram spectra of the K-subsets of columns, in lexicographic order.
 
     Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
@@ -88,11 +98,19 @@ def subset_spectra(gram, K, threshold=None):
     skips them all, and never yields them, when that bound is below
     ``threshold()`` by more than PRUNE_TOLERANCE times the block's largest
     eigenvalue: none of them can then beat a subset already yielded, which
-    also comes earlier in lexicographic order.  Only a set of more than
-    _BOUND_MIN_SUBSETS subsets is bounded, and pending subsets are yielded
+    also comes earlier in lexicographic order.  Pending subsets are yielded
     before each bound so that ``threshold()`` is current.
+
+    A bound is computed only where it can pay off: on a set of more than
+    _BOUND_MIN_SUBSETS subsets, when the subsets walked if it fails number at
+    least the block's column count cubed over _BOUND_CUBE_RATIO, and when the
+    best delta exceeds 1 or the block has at most ``rank`` columns (an upper
+    bound on the rank of ``gram``, such as the row count of A for
+    ``gram = A.T @ A``).  A block on more columns is singular, so its bound is
+    at least 1 and cannot prune below a best delta of 1.
     """
     n = gram.shape[0]
+    rank = n if rank is None else rank
     pending = []
     pending_count = 0
 
@@ -107,10 +125,16 @@ def subset_spectra(gram, K, threshold=None):
             idx = subsets[start : start + _CHUNK]
             yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
 
+    def worth_bounding(prefix, i, need):
+        """True when bounding ``prefix`` + range(i, n) can pay for itself."""
+        return (math.comb(n - i, need) > _BOUND_MIN_SUBSETS
+                and math.comb(n - i - 1, need - 1) * _BOUND_CUBE_RATIO
+                >= (len(prefix) + n - i) ** 3)
+
     def pruned(columns):
         """True when no K-subset of ``columns`` can beat threshold()."""
         best = threshold()
-        if best == -math.inf:
+        if best == -math.inf or (len(columns) > rank and best <= 1.0):
             return False
         w = np.linalg.eigvalsh(gram[np.ix_(columns, columns)])
         bound = max(1.0 - w[0], w[-1] - 1.0)
@@ -119,13 +143,13 @@ def subset_spectra(gram, K, threshold=None):
     def walk(prefix, start, need):
         """Subsets ``prefix`` + T for every ``need``-subset T of range(start, n).
 
-        The block on ``prefix`` + range(start, n) is already bounded, by the
-        caller's bound on the same columns (or, at the root, not at all).
+        The block on ``prefix`` + range(start, n) is not bounded again: the
+        caller has already bounded the same columns, or judged it not worth
+        it (at the root there is nothing to bound against yet).
         """
         nonlocal pending_count
         for i in range(start, n - need + 1):
-            if (threshold is not None and i > start
-                    and math.comb(n - i, need) > _BOUND_MIN_SUBSETS):
+            if threshold is not None and i > start and worth_bounding(prefix, i, need):
                 yield from flush()
                 if pruned(list(prefix) + list(range(i, n))):
                     return
@@ -172,7 +196,7 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     best_subset = None
     best_eigenvalue = None
     evaluated = 0
-    for subsets, eigenvalues in subset_spectra(A.T @ A, K, lambda: best_delta):
+    for subsets, eigenvalues in subset_spectra(A.T @ A, K, lambda: best_delta, A.shape[0]):
         evaluated += len(subsets)
         low = 1.0 - eigenvalues[:, 0]
         high = eigenvalues[:, -1] - 1.0

@@ -140,6 +140,47 @@ def test_small_searches_run_as_one_batch():
     assert (report.subsets_evaluated, report.subsets_pruned) == (70, 0)
 
 
+def count_bound_solves(monkeypatch):
+    """Record the column count of every single-block eigensolve, which only
+    the interlacing bound makes (subset spectra are solved in batches)."""
+    columns = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        if a.ndim == 2:
+            columns.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return columns
+
+
+def test_wide_low_order_search_computes_no_bound(monkeypatch):
+    """At order 2 a bound would cost more than the subsets it could skip,
+    and on 150 rows every block of more columns is singular."""
+    A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
+    bounds = count_bound_solves(monkeypatch)
+    report = exact_ric(A, 2)
+    assert bounds == []
+    assert (report.subsets_evaluated, report.subsets_pruned) == (math.comb(500, 2), 0)
+
+
+def test_singular_blocks_are_bounded_only_above_delta_one(monkeypatch):
+    """Blocks on more columns than the rank of the Gram matrix bound their
+    subsets by at least 1, so they are bounded only when the best delta
+    exceeds 1."""
+    A = unit_column_matrix(6, 4, 16)
+    gram = A.T @ A
+    bounds = count_bound_solves(monkeypatch)
+    subsets = np.concatenate([S for S, _ in subset_spectra(gram, 6, lambda: 0.9, rank=4)])
+    assert bounds == [] and len(subsets) == math.comb(16, 6)
+    list(subset_spectra(gram, 6, lambda: 0.9))
+    assert bounds and min(bounds) > 4
+    bounds.clear()
+    list(subset_spectra(gram, 6, lambda: 1.5, rank=4))
+    assert bounds
+
+
 def test_report_json_carries_the_work_counters():
     doc = exact_ric(np.eye(4), 2).to_json_dict()
     assert doc["subsets_evaluated"] + doc["subsets_pruned"] == 6
