@@ -30,18 +30,18 @@ _CHUNK = 4096
 
 # A subtree is bounded only when it holds more subsets than this; smaller
 # ones go to the eigensolver batch unbounded, so a search over few subsets,
-# such as every order of the sweeps' 8-column matrices, stays one batched
-# eigensolve.
-_BOUND_MIN_SUBSETS = 256
+# such as every order of the sweeps' 8-column matrices (at most 35 subsets
+# under a column), stays one batched eigensolve.
+_BOUND_MIN_SUBSETS = 64
 
 # A bound on a block of b columns is computed only when, should it fail to
 # prune, the walk evaluates at least b**3 / _BOUND_CUBE_RATIO subsets before
 # its next bound at the same depth.  With one BLAS thread on x86-64, one
 # eigvalsh of b columns costs as much as evaluating about b**3 / 90 (b = 16)
 # to b**3 / 1000 (b = 100) order-2 subsets, and each higher order costs more
-# per subset.  So orders 2 and 3 are never bounded (at order 3 a failed bound
-# would still cost 7-15% of the subsets walked after it), and from order 4 on
-# a bound that fails adds at most about a tenth of that work.
+# per subset.  So order 2 is never bounded, order 3 only on the last blocks
+# of 9 to 12 columns at the root, and from order 4 on a bound that fails adds
+# at most about a tenth of the work walked after it.
 _BOUND_CUBE_RATIO = 32
 
 
@@ -76,30 +76,62 @@ class RicReport:
 @lru_cache(maxsize=256)
 def _combinations(n, k):
     """Every k-subset of range(n) in lexicographic order, one per row."""
-    table = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    if k == 1:  # the walk asks for one per column count, which outruns the cache
+        table = np.arange(n, dtype=np.intp)[:, None]
+    else:
+        table = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
     table.flags.writeable = False
     return table
 
 
+def _peel_order(gram):
+    """The columns of ``gram``, ordered so that each tail of the order spans
+    a block near an isometry.
+
+    Repeatedly takes, from the columns left, the one with the largest entry
+    in the eigenvector of the block's extremal eigenvalue (the one farther
+    from 1), and puts it next in the order.  One eigensolve per column.
+    """
+    rest = list(range(gram.shape[0]))
+    order = []
+    while len(rest) > 1:
+        w, V = np.linalg.eigh(gram[np.ix_(rest, rest)])
+        v = V[:, 0] if 1.0 - w[0] >= w[-1] - 1.0 else V[:, -1]
+        order.append(rest.pop(int(np.argmax(np.abs(v)))))
+    return np.array(order + rest, dtype=np.intp)
+
+
 def subset_spectra(gram, K, threshold=None, rank=None):
-    """Gram spectra of the K-subsets of columns, in lexicographic order.
+    """Gram spectra of the K-subsets of columns.
 
     Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
-    ``subsets`` holds the 0-based column indices, one subset per row, and
-    ``eigenvalues`` the ascending eigenvalues of each principal K x K block
-    of ``gram``.  Without ``threshold`` every subset is yielded.
+    ``subsets`` holds the 0-based column indices, one ascending subset per
+    row, and ``eigenvalues`` the ascending eigenvalues of each principal
+    K x K block of ``gram``.  Without ``threshold`` every subset is yielded,
+    in lexicographic order.
 
     With ``threshold``, a callable returning the largest delta found so far
-    (-inf before any), the walk is a depth-first branch-and-bound.  Under a
-    prefix P, the subsets from P + (i,) onward are P plus a subset of the
-    columns i, i+1, ..., so their Gram blocks are principal submatrices of
-    the block on P and those columns.  By Cauchy interlacing their deltas are
-    at most that block's ``max(1 - lambda_min, lambda_max - 1)``.  The walk
+    (-inf before any), the walk is a depth-first branch-and-bound over the
+    columns taken in an order c_0, c_1, ... (see below).  Under a prefix P,
+    the subsets from P + (c_i,) onward are P plus a subset of the columns
+    c_i, c_i+1, ..., so their Gram blocks are principal submatrices of the
+    block on P and those columns.  By Cauchy interlacing their deltas are at
+    most that block's ``max(1 - lambda_min, lambda_max - 1)``.  The walk
     skips them all, and never yields them, when that bound is below
     ``threshold()`` by more than PRUNE_TOLERANCE times the block's largest
-    eigenvalue: none of them can then beat a subset already yielded, which
-    also comes earlier in lexicographic order.  Pending subsets are yielded
-    before each bound so that ``threshold()`` is current.
+    eigenvalue: none of them can then reach a delta already yielded, so
+    every subset that ties with the largest delta is still yielded.  Pending
+    subsets are yielded before each bound so that ``threshold()`` is
+    current.
+
+    When the root's first bound (on every column but c_0) is worth
+    computing, the columns are taken in the order of _peel_order, so that
+    the trailing blocks, which the bounds near the root cover, are as near
+    an isometry as one greedy pass makes them.  On Gaussian matrices this
+    makes the share of subsets pruned both larger and less dependent on the
+    draw than in the given column order.  Otherwise the walk keeps the given
+    order (c_i = i), and the subsets come in lexicographic order; the few
+    bounds it may still compute near the end of the root cover small blocks.
 
     A bound is computed only where it can pay off: on a set of more than
     _BOUND_MIN_SUBSETS subsets, when the subsets walked if it fails number at
@@ -111,6 +143,7 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     """
     n = gram.shape[0]
     rank = n if rank is None else rank
+    order = None
     pending = []
     pending_count = 0
 
@@ -121,6 +154,8 @@ def subset_spectra(gram, K, threshold=None, rank=None):
         subsets = np.concatenate(pending)
         pending.clear()
         pending_count = 0
+        if order is not None:
+            subsets = np.sort(order[subsets], axis=1)
         for start in range(0, len(subsets), _CHUNK):
             idx = subsets[start : start + _CHUNK]
             yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
@@ -136,6 +171,8 @@ def subset_spectra(gram, K, threshold=None, rank=None):
         best = threshold()
         if best == -math.inf or (len(columns) > rank and best <= 1.0):
             return False
+        if order is not None:
+            columns = order[columns]
         w = np.linalg.eigvalsh(gram[np.ix_(columns, columns)])
         bound = max(1.0 - w[0], w[-1] - 1.0)
         return bound < best - PRUNE_TOLERANCE * abs(w[-1])
@@ -166,6 +203,8 @@ def subset_spectra(gram, K, threshold=None, rank=None):
                 return
             yield from walk(prefix + (i,), i + 1, need - 1)
 
+    if threshold is not None and worth_bounding((), 1, K):
+        order = _peel_order(gram)
     yield from walk((), 0, K)
     yield from flush()
 
@@ -175,8 +214,8 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     the spectrum of A_S^T A_S from 1.
 
     The search is the branch-and-bound of subset_spectra, which skips only
-    subtrees that cannot hold a subset with a larger delta, so the report
-    equals that of evaluating every subset.  Ties break toward the
+    subtrees that cannot hold a subset reaching the best delta, so the
+    report equals that of evaluating every subset.  Ties break toward the
     lexicographically smallest subset, so the report is deterministic.
     Raises BudgetExceeded when C(cols, K) exceeds ``budget``, before any
     subset is evaluated.
@@ -201,10 +240,17 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
         low = 1.0 - eigenvalues[:, 0]
         high = eigenvalues[:, -1] - 1.0
         deltas = np.maximum(low, high)
-        j = int(np.argmax(deltas))  # first occurrence: lexicographic tie-break
-        if deltas[j] > best_delta:
+        j = int(np.argmax(deltas))
+        if deltas[j] < best_delta:
+            continue
+        # the walk need not be lexicographic: among ties take the smallest subset
+        ties = np.flatnonzero(deltas == deltas[j])
+        if len(ties) > 1:
+            j = ties[np.lexsort(subsets[ties].T[::-1])[0]]
+        subset = tuple(int(i) + 1 for i in subsets[j])
+        if deltas[j] > best_delta or subset < best_subset:
             best_delta = float(deltas[j])
-            best_subset = tuple(int(i) + 1 for i in subsets[j])
+            best_subset = subset
             best_eigenvalue = float(
                 eigenvalues[j, 0] if low[j] >= high[j] else eigenvalues[j, -1]
             )

@@ -128,6 +128,46 @@ def test_structured_block_prunes_nearly_everything():
     assert report.subsets_evaluated + report.subsets_pruned == math.comb(16, 6)
 
 
+def test_ties_go_to_the_lexicographically_first_subset_in_any_walk_order():
+    """Columns 4 and 13 carry every maximal subset; the walk takes them
+    first, so it meets the tie (4, 13, ...) before (1, 2, 3, 4, 5, 6)."""
+    A = np.eye(16)
+    A[:, [3, 12]] *= 1.5
+    report = exact_ric(A, 6)
+    assert report.witness_subset == (1, 2, 3, 4, 5, 6)
+    assert report.delta == pytest.approx(1.25, abs=1e-12)
+    assert (report.delta, report.witness_subset, report.witness_eigenvalue) == (
+        reference_ric(A, 6)
+    )
+
+
+def test_ordered_walk_yields_every_subset_once_in_ascending_rows():
+    A = unit_column_matrix(4, 10, 16)
+    gram = A.T @ A
+    chunks = list(subset_spectra(gram, 6, lambda: -math.inf))
+    subsets = np.concatenate([subsets for subsets, _ in chunks])
+    eigenvalues = np.concatenate([values for _, values in chunks])
+    rows = [tuple(S) for S in subsets]
+    assert sorted(rows) == list(combinations(range(16), 6))
+    assert rows != sorted(rows)  # the walk took the columns out of order
+    for S, values in zip(subsets[::97], eigenvalues[::97]):
+        expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+
+
+def test_gaussian_searches_prune_steadily_across_draws():
+    """The walk's column order makes the bound prune most of a 16-column
+    Gaussian order-6 search on every draw, not only on lucky ones."""
+    pruned = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for m in (16, 32):
+            report = exact_ric(rng.standard_normal((m, 16)) / math.sqrt(m), 6)
+            pruned.append(report.subsets_pruned / math.comb(16, 6))
+    assert min(pruned) > 0.5
+    assert np.median(pruned) > 0.75
+
+
 def test_small_searches_run_as_one_batch():
     """Below the bounding size every subset goes to one eigensolve, as the
     sweeps' 8-column orders always do."""
