@@ -29,7 +29,7 @@ from .omp import (
     prior_art_thresholds,
     run_omp,
 )
-from .rip import exact_ric
+from .rip import exact_ric, exact_rics, stack_size
 from .serialize import dumps_json, write_csv
 
 TRIAL_SCHEMA = "omp-sharp-trials-1"
@@ -39,8 +39,9 @@ COMPARISON_SCHEMA = "omp-sharp-comparison-1"
 #: lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
 LEMMA1_TOLERANCE = 1e-10
 
-# Experiments that draw an m x n matrix and enumerate its RIC of order K+1,
-# so every K must be at most n - 1.
+# Experiments that draw an m x n matrix with orthonormal-column embedding,
+# so n must be at most m, and enumerate its RIC of order K+1, so every K
+# must be at most n - 1.
 _MATRIX_EXPERIMENTS = ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite")
 
 TRIAL_COLUMNS = [
@@ -158,6 +159,10 @@ class ExperimentConfig:
             raise ParameterOutOfRange(
                 f"k_values must be <= n - 1 = {self.n - 1} for {self.experiment}"
             )
+        if self.experiment in _MATRIX_EXPERIMENTS and self.n > self.m:
+            raise ParameterOutOfRange(
+                f"need n <= m for {self.experiment}, got {self.m}x{self.n}"
+            )
         if any(not 0.0 < f < 1.0 for f in self.delta_fractions):
             raise ParameterOutOfRange("delta_fractions must lie in (0, 1)")
         if self.deltas is not None and any(not 0.0 < d < 1.0 for d in self.deltas):
@@ -214,6 +219,11 @@ def _record(config, **kwargs):
     return record
 
 
+def _failed(config, exc, **fields):
+    """The record of a trial that raised ``exc``."""
+    return _record(config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields)
+
+
 def _captured(config, trial, **fields):
     """The record of ``trial()``; an OmpSharpError becomes a failed record
     with ``fields`` and the error instead, so one bad trial does not sink
@@ -221,9 +231,44 @@ def _captured(config, trial, **fields):
     try:
         return trial()
     except OmpSharpError as exc:
-        return _record(
-            config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields
-        )
+        return _failed(config, exc, **fields)
+
+
+def _cell_records(config, cell_index, orders, fields, stacked, trial):
+    """The records of one cell, worked through a block of trials at a time.
+
+    ``stacked(rngs)`` draws from each trial's generator what the trial
+    draws first and returns sequences with one entry per trial, such as the
+    matrices and their RICs, computed for the whole block at once; an
+    OmpSharpError there fails every trial of the block, as it would fail
+    each alone.  ``trial(trial_index, rng, *entries)`` then finishes each
+    trial.  Blocks are small enough that exact_rics on their matrices stays
+    within one eigensolve per chunk at every order of ``orders``.
+    """
+    size = min(stack_size(config.n, order) for order in orders)
+    records = []
+    for first in range(0, config.trials, size):
+        trials = range(first, min(first + size, config.trials))
+        rngs = [_rng(config, cell_index, t) for t in trials]
+        try:
+            entries = stacked(rngs)
+        except OmpSharpError as exc:
+            records += [
+                _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
+                for t in trials
+            ]
+            continue
+        records += [
+            _captured(
+                config,
+                lambda: trial(t, rng, *entry),
+                cell_index=cell_index,
+                trial_index=t,
+                **fields,
+            )
+            for t, rng, *entry in zip(trials, rngs, *entries)
+        ]
+    return records
 
 
 def _support_string(support):
@@ -267,13 +312,12 @@ def _random_signal(rng, n, K, magnitude):
     return SparseSignal(values, sparsity=K)
 
 
-def _sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf):
-    rng = _rng(config, cell_index, trial_index)
+def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, delta2,
+                       K, delta, epsilon, linf):
+    """One trial once its matrix ``A`` and its constants are known: the
+    noise and the signal drawn from ``rng``, then OMP."""
     m, n = config.m, config.n
-    A = inst.random_matrix_with_ric(m, n, delta, rng)
-    delta_exact = exact_ric(A, K + 1).delta
     if linf:
-        delta2 = min(exact_ric(A, 2).delta, delta_exact)
         bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
         rule = CorrelationLInf(
             linf_stopping_threshold(K, delta2, delta_exact, epsilon)
@@ -282,7 +326,6 @@ def _sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf)
         noise_model = inst.NOISE_LINF
         rule_name = f"linf:{epsilon}"
     else:
-        delta2 = None
         bound = min_magnitude_threshold_l2(K, delta_exact, epsilon)
         rule = ResidualL2(epsilon)
         v = inst.sample_l2_noise(m, epsilon, rng)
@@ -313,31 +356,40 @@ def _sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf)
     )
 
 
+def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
+    """The records of one cell: the block's matrices and their RICs
+    (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
+    each trial's noise, signal and OMP."""
+
+    def stacked(rngs):
+        A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
+        deltas = [report.delta for report in exact_rics(A, K + 1)]
+        deltas2 = [None] * len(rngs)
+        if linf:
+            deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
+        return A, deltas, deltas2
+
+    return _cell_records(
+        config, cell_index, (K + 1, 2) if linf else (K + 1,),
+        dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon),
+        stacked,
+        lambda t, rng, A, delta_exact, delta2: _sufficiency_trial(
+            config, cell_index, t, rng, A, delta_exact, delta2, K, delta, epsilon, linf
+        ),
+    )
+
+
 def _run_sufficiency(config, linf):
-    records = []
     cells = []
     for K in config.k_values:
         for delta in config.resolved_deltas(K):
             for epsilon in config.epsilons:
                 cells.append((K, delta, epsilon))
-    for cell_index, (K, delta, epsilon) in enumerate(cells):
-        for trial_index in range(config.trials):
-            records.append(
-                _captured(
-                    config,
-                    lambda: _sufficiency_trial(
-                        config, cell_index, trial_index, K, delta, epsilon, linf
-                    ),
-                    cell_index=cell_index,
-                    trial_index=trial_index,
-                    K=K,
-                    m=config.m,
-                    n=config.n,
-                    delta_nominal=delta,
-                    epsilon=epsilon,
-                )
-            )
-    return records
+    return [
+        record
+        for cell_index, (K, delta, epsilon) in enumerate(cells)
+        for record in _sufficiency_cell(config, cell_index, K, delta, epsilon, linf)
+    ]
 
 
 def run_theorem1_sweep(config):
@@ -415,10 +467,7 @@ def run_theorem4_demo(config):
     return _run_failure_demo(config, linf=True)
 
 
-def _lemma1_trial(config, cell_index, trial_index, omega_size):
-    rng = _rng(config, cell_index, trial_index)
-    bound = 1.0 / math.sqrt(omega_size + 1)
-    A = inst.random_matrix_with_ric(config.m, config.n, 0.9 * bound, rng)
+def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A):
     support = sorted(
         int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
     )
@@ -450,20 +499,21 @@ def _lemma1_trial(config, cell_index, trial_index, omega_size):
 
 def run_lemma1_suite(config):
     """Random instances satisfying the selection-gap premises; a trial passes
-    when lhs_gap >= rhs_bound - LEMMA1_TOLERANCE."""
-    return [
-        _captured(
-            config,
-            lambda: _lemma1_trial(config, cell_index, trial_index, omega_size),
-            cell_index=cell_index,
-            trial_index=trial_index,
-            K=omega_size,
-            m=config.m,
-            n=config.n,
+    when lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
+
+    A cell's matrices are built a block of trials at a time, as in the
+    sufficiency sweeps; each trial then draws its signal and subset from
+    its own generator."""
+    records = []
+    for cell_index, omega_size in enumerate(config.k_values):
+        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+        records += _cell_records(
+            config, cell_index, (omega_size + 1,),
+            dict(K=omega_size, m=config.m, n=config.n),
+            lambda rngs: (inst.random_matrices_with_ric(config.m, config.n, cap, rngs),),
+            lambda t, rng, A: _lemma1_trial(config, cell_index, t, omega_size, rng, A),
         )
-        for cell_index, omega_size in enumerate(config.k_values)
-        for trial_index in range(config.trials)
-    ]
+    return records
 
 
 def run_comparison_table(config):

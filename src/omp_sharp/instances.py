@@ -338,19 +338,38 @@ def random_matrix_with_ric(m, n, delta_cap, seed):
     endpoints attained, so the top-order RIC equals delta_cap exactly and
     lower orders fall strictly inside (0, delta_cap].
     """
+    return random_matrices_with_ric(m, n, delta_cap, [seed])[0]
+
+
+def random_matrices_with_ric(m, n, delta_cap, seeds):
+    """random_matrix_with_ric for each seed or generator of ``seeds``,
+    stacked on a leading axis.
+
+    Each generator draws what random_matrix_with_ric draws, in the same
+    order: the squared singular values, two n x n Gaussian factors and the
+    m x n Gaussian embedding.  The QR factorizations and products then run
+    once over the whole stack, and each matrix equals the one built alone.
+    """
     if n > m:
         raise DimensionMismatch(f"need n <= m, got {m}x{n}")
     if not 0.0 < delta_cap < 1.0:
         raise ParameterOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
-    rng = _as_rng(seed)
-    squared = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
-    squared[0] = 1.0 - delta_cap
+    count = len(seeds)
+    squared = np.empty((count, n))
+    factors = np.empty((2, count, n, n))
+    embeddings = np.empty((count, m, n))
+    for t, seed in enumerate(seeds):
+        rng = _as_rng(seed)
+        squared[t] = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
+        rng.standard_normal(out=factors[0, t])
+        rng.standard_normal(out=factors[1, t])
+        rng.standard_normal(out=embeddings[t])
+    squared[:, 0] = 1.0 - delta_cap
     if n > 1:
-        squared[-1] = 1.0 + delta_cap
-    W1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    W2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    B = (W1 * np.sqrt(squared)) @ W2.T
-    Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        squared[:, -1] = 1.0 + delta_cap
+    W1, W2 = np.linalg.qr(factors[0])[0], np.linalg.qr(factors[1])[0]
+    B = (W1 * np.sqrt(squared)[:, None, :]) @ np.swapaxes(W2, 1, 2)
+    Q = np.linalg.qr(embeddings)[0]
     return Q @ B
 
 

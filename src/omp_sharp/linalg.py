@@ -13,24 +13,29 @@ from .errors import DimensionMismatch, DuplicateIndex, IndexOutOfRange, RankDefi
 RANK_TOLERANCE = 1e-12
 
 
+def _as_finite(a, ndim, kind):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"expected a {kind}, got array of ndim {a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise DimensionMismatch(f"{kind} contains non-finite entries")
+    return a
+
+
 def as_matrix(a):
     """Validate and return a 2-D float array with finite entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise DimensionMismatch("matrix contains non-finite entries")
-    return a
+    return _as_finite(a, 2, "matrix")
+
+
+def as_matrix_stack(a):
+    """Validate and return a 3-D float array with finite entries: a stack of
+    matrices on the leading axis."""
+    return _as_finite(a, 3, "matrix stack")
 
 
 def as_vector(u):
     """Validate and return a 1-D float array with finite entries."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got array of ndim {u.ndim}")
-    if u.size and not np.all(np.isfinite(u)):
-        raise DimensionMismatch("vector contains non-finite entries")
-    return u
+    return _as_finite(u, 1, "vector")
 
 
 def columns_submatrix(A, subset):

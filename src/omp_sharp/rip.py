@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_matrix_stack, as_vector
 
 #: Default cap on C(cols, K), the number of subsets an order-K search covers.
 DEFAULT_BUDGET = 10**6
@@ -101,6 +101,18 @@ def _peel_order(gram):
     return np.array(order + rest, dtype=np.intp)
 
 
+def _may_bound(n, K):
+    """Whether the walk of subset_spectra over the K-subsets of n columns
+    may compute a bound.
+
+    Every bound covers more than _BOUND_MIN_SUBSETS subsets, all of them
+    K-subsets of the columns after the first, so when C(n - 1, K) is at most
+    that the walk computes none, whatever the threshold, and yields every
+    subset in lexicographic order.  This holds at every order on 8 columns.
+    """
+    return math.comb(n - 1, K) > _BOUND_MIN_SUBSETS
+
+
 def subset_spectra(gram, K, threshold=None, rank=None):
     """Gram spectra of the K-subsets of columns.
 
@@ -108,7 +120,9 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     ``subsets`` holds the 0-based column indices, one ascending subset per
     row, and ``eigenvalues`` the ascending eigenvalues of each principal
     K x K block of ``gram``.  Without ``threshold`` every subset is yielded,
-    in lexicographic order.
+    in lexicographic order, and ``gram`` may be a stack of Gram matrices on
+    leading axes; ``eigenvalues`` then carries the same leading axes, and
+    each chunk is one eigensolve over every matrix of the stack.
 
     With ``threshold``, a callable returning the largest delta found so far
     (-inf before any), the walk is a depth-first branch-and-bound over the
@@ -141,7 +155,7 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     ``gram = A.T @ A``).  A block on more columns is singular, so its bound is
     at least 1 and cannot prune below a best delta of 1.
     """
-    n = gram.shape[0]
+    n = gram.shape[-1]
     rank = n if rank is None else rank
     order = None
     pending = []
@@ -158,7 +172,7 @@ def subset_spectra(gram, K, threshold=None, rank=None):
             subsets = np.sort(order[subsets], axis=1)
         for start in range(0, len(subsets), _CHUNK):
             idx = subsets[start : start + _CHUNK]
-            yield idx, np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+            yield idx, np.linalg.eigvalsh(gram[..., idx[:, :, None], idx[:, None, :]])
 
     def worth_bounding(prefix, i, need):
         """True when bounding ``prefix`` + range(i, n) can pay for itself."""
@@ -209,6 +223,51 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     yield from flush()
 
 
+def _subset_count(n, K, budget):
+    """C(n, K), the subsets an order-K search over n columns covers.
+
+    Raises InvalidOrder unless 1 <= K <= n, and BudgetExceeded when the
+    count exceeds ``budget``.
+    """
+    if not (isinstance(K, (int, np.integer)) and 1 <= K <= n):
+        raise InvalidOrder(f"order {K} outside [1, {n}]")
+    total = math.comb(n, K)
+    if total > budget:
+        raise BudgetExceeded(
+            f"C({n}, {K}) = {total} subsets exceeds budget {budget}",
+            requested=total,
+        )
+    return total
+
+
+def _deltas(eigenvalues):
+    """max(1 - lambda_min, lambda_max - 1) of each block of a chunk of
+    ascending eigenvalues."""
+    return np.maximum(1.0 - eigenvalues[..., 0], eigenvalues[..., -1] - 1.0)
+
+
+def _chunk_best(subsets, eigenvalues, deltas):
+    """The largest delta of one chunk of subset_spectra, per matrix.
+
+    ``deltas`` is _deltas(eigenvalues).  Returns ``(delta, row,
+    eigenvalue)``, each with the leading axes of ``deltas`` but the last:
+    the largest delta, the row of ``subsets`` attaining it, and that
+    subset's extremal eigenvalue.  Among rows that tie, the
+    lexicographically smallest subset wins, since the walk need not be
+    lexicographic.
+    """
+    row = deltas.argmax(axis=-1)
+    delta = deltas.max(axis=-1)
+    ties = deltas == delta[..., None]
+    if np.count_nonzero(ties) > row.size:
+        rank = np.empty(len(subsets), dtype=np.intp)
+        rank[np.lexsort(subsets.T[::-1])] = np.arange(len(subsets))
+        row = np.argmin(np.where(ties, rank, len(subsets)), axis=-1)
+    at = np.indices(row.shape, sparse=True) + (row,)
+    low, high = eigenvalues[..., 0][at], eigenvalues[..., -1][at]
+    return delta, row, np.where(1.0 - low >= high - 1.0, low, high)
+
+
 def exact_ric(A, K, budget=DEFAULT_BUDGET):
     """Exact RIC of order ``K``: max over all K-subsets S of the deviation of
     the spectrum of A_S^T A_S from 1.
@@ -221,39 +280,22 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     subset is evaluated.
     """
     A = as_matrix(A)
-    n = A.shape[1]
-    if not (isinstance(K, (int, np.integer)) and 1 <= K <= n):
-        raise InvalidOrder(f"order {K} outside [1, {n}]")
-    total = math.comb(n, K)
-    if total > budget:
-        raise BudgetExceeded(
-            f"C({n}, {K}) = {total} subsets exceeds budget {budget}",
-            requested=total,
-        )
-
+    total = _subset_count(A.shape[1], K, budget)
     best_delta = -math.inf
     best_subset = None
     best_eigenvalue = None
     evaluated = 0
     for subsets, eigenvalues in subset_spectra(A.T @ A, K, lambda: best_delta, A.shape[0]):
         evaluated += len(subsets)
-        low = 1.0 - eigenvalues[:, 0]
-        high = eigenvalues[:, -1] - 1.0
-        deltas = np.maximum(low, high)
-        j = int(np.argmax(deltas))
-        if deltas[j] < best_delta:
+        deltas = _deltas(eigenvalues)
+        if deltas.max() < best_delta:
             continue
-        # the walk need not be lexicographic: among ties take the smallest subset
-        ties = np.flatnonzero(deltas == deltas[j])
-        if len(ties) > 1:
-            j = ties[np.lexsort(subsets[ties].T[::-1])[0]]
-        subset = tuple(int(i) + 1 for i in subsets[j])
-        if deltas[j] > best_delta or subset < best_subset:
-            best_delta = float(deltas[j])
+        delta, row, eigenvalue = _chunk_best(subsets, eigenvalues, deltas)
+        subset = tuple(int(i) + 1 for i in subsets[row])
+        if delta > best_delta or subset < best_subset:
+            best_delta = float(delta)
             best_subset = subset
-            best_eigenvalue = float(
-                eigenvalues[j, 0] if low[j] >= high[j] else eigenvalues[j, -1]
-            )
+            best_eigenvalue = float(eigenvalue)
 
     return RicReport(
         order=int(K),
@@ -263,6 +305,51 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
         subsets_evaluated=evaluated,
         subsets_pruned=total - evaluated,
     )
+
+
+def stack_size(n, K):
+    """How many matrices of n columns exact_rics can stack while each of its
+    eigensolves at order K holds at most _CHUNK subset blocks; at least 1."""
+    return max(1, _CHUNK // math.comb(n, K))
+
+
+def exact_rics(A, K, budget=DEFAULT_BUDGET):
+    """exact_ric of every matrix of the stack ``A`` (matrices on the leading
+    axis), as a list of reports each ``==`` to exact_ric's.
+
+    When the walk over the K-subsets computes no bound (see _may_bound), it
+    runs once for the whole stack, unpruned, with one eigensolve per chunk
+    over every matrix, and each matrix is reduced with exact_ric's tie rule.
+    Otherwise exact_ric runs on each matrix.  Size the stack with
+    stack_size so that an eigensolve stays within _CHUNK subset blocks.
+    Raises what exact_ric raises, before any subset is evaluated.
+    """
+    A = as_matrix_stack(A)
+    n = A.shape[2]
+    total = _subset_count(n, K, budget)
+    if _may_bound(n, K):
+        return [exact_ric(a, K, budget) for a in A]
+    best_delta = np.full(len(A), -math.inf)
+    best_subset = np.zeros((len(A), K), dtype=np.intp)
+    best_eigenvalue = np.zeros(len(A))
+    for subsets, eigenvalues in subset_spectra(np.swapaxes(A, 1, 2) @ A, K):
+        delta, row, eigenvalue = _chunk_best(subsets, eigenvalues, _deltas(eigenvalues))
+        # chunks come in lexicographic order: a tie keeps the earlier subset
+        better = delta > best_delta
+        best_delta[better] = delta[better]
+        best_subset[better] = subsets[row[better]]
+        best_eigenvalue[better] = eigenvalue[better]
+    return [
+        RicReport(
+            order=int(K),
+            delta=float(d),
+            witness_subset=tuple(int(i) + 1 for i in subset),
+            witness_eigenvalue=float(w),
+            subsets_evaluated=total,
+            subsets_pruned=0,
+        )
+        for d, subset, w in zip(best_delta, best_subset, best_eigenvalue)
+    ]
 
 
 def in_sharp_region(K, delta):

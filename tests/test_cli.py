@@ -253,6 +253,7 @@ def test_experiment_config_missing_experiment_exit_3(tmp_path):
         ({"experiment": "Theorem1Sweep", "seed": -1, "trials": 1}, "seed"),
         ({"experiment": "Lemma1Suite", "k_values": [9], "trials": 1}, "k_values"),
         ({"experiment": "Theorem2Sweep", "k_values": [1, 8], "trials": 1}, "k_values"),
+        ({"experiment": "Theorem1Sweep", "m": 5, "n": 8, "trials": 1}, "n <= m"),
     ],
 )
 def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,22 @@ from omp_sharp.experiments import (
     run_experiment,
     write_experiment_outputs,
 )
+from omp_sharp.instances import (
+    NOISE_L2,
+    NOISE_LINF,
+    random_matrix_with_ric,
+    sample_l2_noise,
+    sample_linf_noise,
+)
+from omp_sharp.omp import (
+    CorrelationLInf,
+    ResidualL2,
+    linf_stopping_threshold,
+    min_magnitude_threshold_l2,
+    min_magnitude_threshold_linf,
+    run_omp,
+)
+from omp_sharp.rip import exact_ric
 
 
 def test_config_validation():
@@ -34,8 +51,12 @@ def test_config_validation():
         with pytest.raises(ParameterOutOfRange):
             ExperimentConfig(experiment=name, k_values=[1, 8], n=8)
         ExperimentConfig(experiment=name, k_values=[1, 7], n=8)
+        with pytest.raises(ParameterOutOfRange, match="n <= m"):
+            ExperimentConfig(experiment=name, m=5, n=8)
+        ExperimentConfig(experiment=name, m=8, n=8)
     # the failure demos size their matrices from K alone
     ExperimentConfig(experiment="Theorem3Demo", k_values=[9], n=8)
+    ExperimentConfig(experiment="Theorem3Demo", m=5, n=8)
 
 
 def test_config_from_json_accepts_every_field():
@@ -170,7 +191,8 @@ def test_example_experiments_pass(name):
     assert records
 
 
-# Solver outputs frozen from the per-iteration least-squares solver.  The
+# Outputs frozen from the per-iteration least-squares solver, compared first
+# on the solver columns, for a readable failure, then byte for byte.  The
 # stress configs use margin 0.03 so that about half the trials miss the
 # support.  Regenerate a file only when a change to the results is intended:
 #     write_experiment_outputs(ExperimentConfig(**GOLDEN[name]), DATA / name)
@@ -210,3 +232,104 @@ def test_solver_outputs_match_golden(name, tmp_path):
             return [[row[c] for c in SOLVER_COLUMNS] for row in csv.DictReader(fh)]
 
     assert solver_columns(tmp_path / name) == solver_columns(DATA / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf):
+    """One sufficiency trial as it ran before a cell's trials were batched:
+    its own matrix build and exact_ric calls, then the noise, signal and OMP."""
+    rng = experiments._rng(config, cell_index, trial_index)
+    m, n = config.m, config.n
+    A = random_matrix_with_ric(m, n, delta, rng)
+    delta_exact = exact_ric(A, K + 1).delta
+    if linf:
+        delta2 = min(exact_ric(A, 2).delta, delta_exact)
+        bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
+        rule = CorrelationLInf(linf_stopping_threshold(K, delta2, delta_exact, epsilon))
+        v = sample_linf_noise(A, epsilon, rng)
+        noise_model = NOISE_LINF
+        rule_name = f"linf:{epsilon}"
+    else:
+        delta2 = None
+        bound = min_magnitude_threshold_l2(K, delta_exact, epsilon)
+        rule = ResidualL2(epsilon)
+        v = sample_l2_noise(m, epsilon, rng)
+        noise_model = NOISE_L2
+        rule_name = f"l2:{epsilon}"
+    x = experiments._random_signal(rng, n, K, config.margin * bound)
+    trace = run_omp(A @ x.values + v, A, rule)
+    fields = experiments._trace_fields(trace, x.support)
+    return experiments._record(
+        config, cell_index=cell_index, trial_index=trial_index, K=K, m=m, n=n,
+        delta_nominal=delta, delta_exact=delta_exact, delta2_exact=delta2,
+        epsilon=epsilon, min_magnitude=x.min_magnitude(), min_magnitude_bound=bound,
+        noise_model=noise_model, rule=rule_name,
+        correlation_gap_iter1=experiments._correlation_gap(trace, x.support, n),
+        passed=fields["support_recovered"] and fields["iterations"] == K,
+        **fields,
+    )
+
+
+def reference_sufficiency(config):
+    """The records of a sufficiency sweep, one trial at a time."""
+    linf = config.experiment == "Theorem2Sweep"
+    cells = [
+        (K, delta, epsilon)
+        for K in config.k_values
+        for delta in config.resolved_deltas(K)
+        for epsilon in config.epsilons
+    ]
+    return [
+        experiments._captured(
+            config,
+            lambda: reference_sufficiency_trial(
+                config, cell_index, trial_index, K, delta, epsilon, linf
+            ),
+            cell_index=cell_index, trial_index=trial_index, K=K, m=config.m,
+            n=config.n, delta_nominal=delta, epsilon=epsilon,
+        )
+        for cell_index, (K, delta, epsilon) in enumerate(cells)
+        for trial_index in range(config.trials)
+    ]
+
+
+def test_theorem2_clamps_delta2_to_delta_k1(monkeypatch):
+    stacked = experiments.exact_rics
+
+    def inflated(A, K):
+        reports = stacked(A, K)
+        if K == 2:
+            reports = [dataclasses.replace(r, delta=r.delta + 0.5) for r in reports]
+        return reports
+
+    monkeypatch.setattr(experiments, "exact_rics", inflated)
+    cfg = ExperimentConfig(experiment="Theorem2Sweep", seed=1, k_values=[2, 3], trials=2)
+    _, records, _ = run_experiment(cfg)
+    assert all(r["delta2_exact"] == r["delta_exact"] is not None for r in records)
+
+
+SUFFICIENCY_CASES = [
+    (dict(experiment=experiment, seed=seed, trials=trials), None)
+    for experiment in ("Theorem1Sweep", "Theorem2Sweep")
+    for seed in range(5)
+    for trials in (1, 2, 3)
+] + [
+    # raw delta 0.9 is outside the sharp region at K = 3: each trial's tail fails
+    (dict(experiment=experiment, seed=3, k_values=[3], deltas=[0.9], trials=3),
+     "OutOfSharpRegion")
+    for experiment in ("Theorem1Sweep", "Theorem2Sweep")
+] + [
+    # C(24, 12) exceeds the RIC budget: every trial fails before its tail
+    (dict(experiment=experiment, seed=3, k_values=[11], m=24, n=24, trials=2),
+     "BudgetExceeded")
+    for experiment in ("Theorem1Sweep", "Theorem2Sweep")
+]
+
+
+@pytest.mark.parametrize("fields, error", SUFFICIENCY_CASES)
+def test_batched_sufficiency_matches_per_trial_reference(fields, error):
+    config = ExperimentConfig(**fields)
+    _, records, _ = run_experiment(config)
+    assert records == reference_sufficiency(config)
+    if error is not None:
+        assert all(r["error"].startswith(error + ":") for r in records)

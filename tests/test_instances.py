@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from omp_sharp.errors import (
     DegenerateMatrix,
+    DimensionMismatch,
     GammaOutOfRange,
     NotProperSubset,
     OutOfSharpRegion,
@@ -30,6 +31,7 @@ from omp_sharp.instances import (
     linf_gamma_bound,
     orthonormal_complement_of_ones,
     random_frame_with_ric,
+    random_matrices_with_ric,
     random_matrix_with_ric,
     sample_l2_noise,
     sample_linf_noise,
@@ -259,6 +261,41 @@ def test_random_matrix_with_ric_caps_every_order(seed, cap):
     for K in (1, 2, 5):
         assert exact_ric(A, K).delta <= cap + 1e-10
     assert exact_ric(A, 5).delta == pytest.approx(cap, abs=1e-10)
+
+
+def reference_random_matrix_with_ric(m, n, delta_cap, rng):
+    """The generator as it was before it was stacked: one QR per factor."""
+    squared = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
+    squared[0] = 1.0 - delta_cap
+    if n > 1:
+        squared[-1] = 1.0 + delta_cap
+    W1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    W2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    B = (W1 * np.sqrt(squared)) @ W2.T
+    Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    return Q @ B
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (14, 8), (24, 24), (7, 2), (2, 2)])
+def test_stacked_matrices_equal_one_at_a_time(m, n):
+    seeds = [[m, n, t] for t in range(9)]
+    stacked = [np.random.default_rng(s) for s in seeds]
+    alone = [np.random.default_rng(s) for s in seeds]
+    reference = [np.random.default_rng(s) for s in seeds]
+    A = random_matrices_with_ric(m, n, 0.4, stacked)
+    assert A.shape == (len(seeds), m, n)
+    assert np.array_equal(A, [random_matrix_with_ric(m, n, 0.4, g) for g in alone])
+    assert np.array_equal(A, [reference_random_matrix_with_ric(m, n, 0.4, g) for g in reference])
+    # each generator is left where a lone build leaves it
+    after = [[g.random() for g in gens] for gens in (stacked, alone, reference)]
+    assert after[0] == after[1] == after[2]
+
+
+def test_stacked_matrices_reject_what_one_matrix_rejects():
+    with pytest.raises(DimensionMismatch):
+        random_matrices_with_ric(5, 8, 0.4, [0, 1])
+    with pytest.raises(ParameterOutOfRange):
+        random_matrices_with_ric(8, 5, 1.0, [0, 1])
 
 
 def test_random_frame_with_ric_overcomplete():

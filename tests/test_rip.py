@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omp_sharp.errors import BudgetExceeded, InvalidOrder
+from omp_sharp import rip
+from omp_sharp.errors import BudgetExceeded, DimensionMismatch, InvalidOrder
 from omp_sharp.instances import counterexample_operator
 from omp_sharp.rip import (
     _CHUNK,
     check_rip_inequality,
     exact_ric,
+    exact_rics,
     in_sharp_region,
+    stack_size,
     subset_spectra,
 )
 
@@ -114,6 +117,62 @@ def test_pruned_search_matches_unpruned_reference(A):
         ) == reference_ric(A, K)
         assert report.subsets_evaluated + report.subsets_pruned == math.comb(n, K)
         assert report.subsets_evaluated >= 1 and report.subsets_pruned >= 0
+
+
+@st.composite
+def ric_stacks(draw):
+    """Stacks of 2 to 30 Gaussian matrices on 6 to 12 columns, some with
+    duplicate columns or a scaled-identity block (exact ties)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 12))
+    m = draw(st.integers(3, n + 3))
+    A = rng.standard_normal((draw(st.integers(2, 30)), m, n)) / math.sqrt(m)
+    for a in A:
+        kind = rng.integers(3)
+        if kind == 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            a[:, j] = a[:, i]
+        elif kind == 2:
+            size = rng.integers(2, min(m, n) + 1)
+            a[:, :size] = 0.0
+            a[:size, :size] = rng.uniform(0.3, 1.5) * np.eye(size)
+    return A
+
+
+@settings(max_examples=25)
+@given(ric_stacks())
+def test_stacked_search_matches_exact_ric_per_matrix(A):
+    for K in range(1, A.shape[2] + 1):
+        assert exact_rics(A, K) == [exact_ric(a, K) for a in A]
+
+
+def test_stacked_search_is_one_eigensolve_unless_the_walk_bounds(monkeypatch):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((stack_size(8, 4), 14, 8))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+    reports = exact_rics(A, 4)
+    assert solves == [(len(A), 70, 4, 4)] and _CHUNK - 70 < len(A) * 70 <= _CHUNK
+    assert [(r.subsets_evaluated, r.subsets_pruned) for r in reports] == [(70, 0)] * len(A)
+    # on 10 columns the order-4 walk bounds: each matrix gets exact_ric's own search
+    A = rng.standard_normal((3, 10, 10)) / math.sqrt(10)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    reports = exact_rics(A, 4)
+    assert reports == [exact_ric(a, 4) for a in A]
+    assert all(r.subsets_pruned > 0 for r in reports)
+
+
+def test_stacked_search_keeps_the_first_tie_across_chunks(monkeypatch):
+    """Every order-2 subset holding the scaled column ties; with two subsets
+    a chunk, the ties span several of the eight chunks."""
+    A = np.stack([np.eye(6), np.eye(6)])
+    A[0, :, 3] *= 1.5
+    A[1, :, 5] *= 0.5
+    monkeypatch.setattr(rip, "_CHUNK", 2)
+    reports = exact_rics(A, 2)
+    assert [r.witness_subset for r in reports] == [(1, 4), (1, 6)]
+    assert reports == [exact_ric(a, 2) for a in A]
 
 
 def test_structured_block_prunes_nearly_everything():
@@ -283,6 +342,12 @@ def test_invalid_order_and_budget():
     with pytest.raises(BudgetExceeded) as info:
         exact_ric(np.ones((2, 30)) / math.sqrt(2), 10, budget=100)
     assert info.value.requested == math.comb(30, 10)
+    with pytest.raises(InvalidOrder):
+        exact_rics(np.stack([A, A]), 5)
+    with pytest.raises(BudgetExceeded):
+        exact_rics(np.ones((3, 2, 30)), 10, budget=100)
+    with pytest.raises(DimensionMismatch):
+        exact_rics(A, 2)
 
 
 @settings(max_examples=40, deadline=None)
