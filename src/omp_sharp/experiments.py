@@ -29,7 +29,7 @@ from .omp import (
     prior_art_thresholds,
     run_omp,
 )
-from .rip import exact_ric, exact_rics, stack_size
+from .rip import exact_ric, exact_rics
 from .serialize import dumps_json, write_csv
 
 TRIAL_SCHEMA = "omp-sharp-trials-1"
@@ -234,41 +234,34 @@ def _captured(config, trial, **fields):
         return _failed(config, exc, **fields)
 
 
-def _cell_records(config, cell_index, orders, fields, stacked, trial):
-    """The records of one cell, worked through a block of trials at a time.
+def _cell_records(config, cell_index, fields, stacked, trial):
+    """The records of one cell, its trials worked through as one stack.
 
     ``stacked(rngs)`` draws from each trial's generator what the trial
     draws first and returns sequences with one entry per trial, such as the
-    matrices and their RICs, computed for the whole block at once; an
-    OmpSharpError there fails every trial of the block, as it would fail
-    each alone.  ``trial(trial_index, rng, *entries)`` then finishes each
-    trial.  Blocks are small enough that exact_rics on their matrices stays
-    within one eigensolve per chunk at every order of ``orders``.
+    matrices and their RICs, computed for the whole cell at once; an
+    OmpSharpError there fails every trial, as it would fail each alone.
+    ``trial(trial_index, rng, *entries)`` then finishes each trial.
     """
-    size = min(stack_size(config.n, order) for order in orders)
-    records = []
-    for first in range(0, config.trials, size):
-        trials = range(first, min(first + size, config.trials))
-        rngs = [_rng(config, cell_index, t) for t in trials]
-        try:
-            entries = stacked(rngs)
-        except OmpSharpError as exc:
-            records += [
-                _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
-                for t in trials
-            ]
-            continue
-        records += [
-            _captured(
-                config,
-                lambda: trial(t, rng, *entry),
-                cell_index=cell_index,
-                trial_index=t,
-                **fields,
-            )
-            for t, rng, *entry in zip(trials, rngs, *entries)
+    trials = range(config.trials)
+    rngs = [_rng(config, cell_index, t) for t in trials]
+    try:
+        entries = stacked(rngs)
+    except OmpSharpError as exc:
+        return [
+            _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
+            for t in trials
         ]
-    return records
+    return [
+        _captured(
+            config,
+            lambda: trial(t, rng, *entry),
+            cell_index=cell_index,
+            trial_index=t,
+            **fields,
+        )
+        for t, rng, *entry in zip(trials, rngs, *entries)
+    ]
 
 
 def _support_string(support):
@@ -357,7 +350,7 @@ def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, del
 
 
 def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
-    """The records of one cell: the block's matrices and their RICs
+    """The records of one cell: the cell's matrices and their RICs
     (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
     each trial's noise, signal and OMP."""
 
@@ -370,7 +363,7 @@ def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
         return A, deltas, deltas2
 
     return _cell_records(
-        config, cell_index, (K + 1, 2) if linf else (K + 1,),
+        config, cell_index,
         dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon),
         stacked,
         lambda t, rng, A, delta_exact, delta2: _sufficiency_trial(
@@ -501,14 +494,14 @@ def run_lemma1_suite(config):
     """Random instances satisfying the selection-gap premises; a trial passes
     when lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
 
-    A cell's matrices are built a block of trials at a time, as in the
-    sufficiency sweeps; each trial then draws its signal and subset from
-    its own generator."""
+    A cell's matrices are built as one stack, as in the sufficiency
+    sweeps; each trial then draws its signal and subset from its own
+    generator."""
     records = []
     for cell_index, omega_size in enumerate(config.k_values):
         cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
         records += _cell_records(
-            config, cell_index, (omega_size + 1,),
+            config, cell_index,
             dict(K=omega_size, m=config.m, n=config.n),
             lambda rngs: (inst.random_matrices_with_ric(config.m, config.n, cap, rngs),),
             lambda t, rng, A: _lemma1_trial(config, cell_index, t, omega_size, rng, A),

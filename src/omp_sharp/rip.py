@@ -122,7 +122,8 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     K x K block of ``gram``.  Without ``threshold`` every subset is yielded,
     in lexicographic order, and ``gram`` may be a stack of Gram matrices on
     leading axes; ``eigenvalues`` then carries the same leading axes, and
-    each chunk is one eigensolve over every matrix of the stack.
+    each chunk is one eigensolve over every matrix of the stack, holding at
+    most _CHUNK blocks in all (at least one subset a chunk).
 
     With ``threshold``, a callable returning the largest delta found so far
     (-inf before any), the walk is a depth-first branch-and-bound over the
@@ -157,6 +158,7 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     """
     n = gram.shape[-1]
     rank = n if rank is None else rank
+    chunk = max(1, _CHUNK // max(1, math.prod(gram.shape[:-2])))
     order = None
     pending = []
     pending_count = 0
@@ -170,8 +172,8 @@ def subset_spectra(gram, K, threshold=None, rank=None):
         pending_count = 0
         if order is not None:
             subsets = np.sort(order[subsets], axis=1)
-        for start in range(0, len(subsets), _CHUNK):
-            idx = subsets[start : start + _CHUNK]
+        for start in range(0, len(subsets), chunk):
+            idx = subsets[start : start + chunk]
             yield idx, np.linalg.eigvalsh(gram[..., idx[:, :, None], idx[:, None, :]])
 
     def worth_bounding(prefix, i, need):
@@ -307,28 +309,21 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     )
 
 
-def stack_size(n, K):
-    """How many matrices of n columns exact_rics can stack while each of its
-    eigensolves at order K holds at most _CHUNK subset blocks; at least 1."""
-    return max(1, _CHUNK // math.comb(n, K))
-
-
-def exact_rics(A, K, budget=DEFAULT_BUDGET):
+def exact_rics(A, K):
     """exact_ric of every matrix of the stack ``A`` (matrices on the leading
     axis), as a list of reports each ``==`` to exact_ric's.
 
     When the walk over the K-subsets computes no bound (see _may_bound), it
-    runs once for the whole stack, unpruned, with one eigensolve per chunk
-    over every matrix, and each matrix is reduced with exact_ric's tie rule.
-    Otherwise exact_ric runs on each matrix.  Size the stack with
-    stack_size so that an eigensolve stays within _CHUNK subset blocks.
-    Raises what exact_ric raises, before any subset is evaluated.
+    runs once for the whole stack, unpruned, each eigensolve covering every
+    matrix, and each matrix is reduced with exact_ric's tie rule.  Otherwise
+    exact_ric runs on each matrix.  Raises what exact_ric raises, before
+    any subset is evaluated.
     """
     A = as_matrix_stack(A)
     n = A.shape[2]
-    total = _subset_count(n, K, budget)
+    total = _subset_count(n, K, DEFAULT_BUDGET)
     if _may_bound(n, K):
-        return [exact_ric(a, K, budget) for a in A]
+        return [exact_ric(a, K) for a in A]
     best_delta = np.full(len(A), -math.inf)
     best_subset = np.zeros((len(A), K), dtype=np.intp)
     best_eigenvalue = np.zeros(len(A))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from omp_sharp import experiments
+from omp_sharp import experiments, rip
 from omp_sharp.errors import DegenerateMatrix, ParameterOutOfRange
 from omp_sharp.experiments import (
     COMPARISON_COLUMNS,
@@ -323,6 +323,10 @@ SUFFICIENCY_CASES = [
     (dict(experiment=experiment, seed=3, k_values=[11], m=24, n=24, trials=2),
      "BudgetExceeded")
     for experiment in ("Theorem1Sweep", "Theorem2Sweep")
+] + [
+    # 60 matrices of 70 order-4 subsets: the stacked search takes two eigensolves
+    (dict(experiment=experiment, seed=5, k_values=[3], trials=60), None)
+    for experiment in ("Theorem1Sweep", "Theorem2Sweep")
 ]
 
 
@@ -333,3 +337,41 @@ def test_batched_sufficiency_matches_per_trial_reference(fields, error):
     assert records == reference_sufficiency(config)
     if error is not None:
         assert all(r["error"].startswith(error + ":") for r in records)
+
+
+@pytest.mark.parametrize("experiment", ["Theorem1Sweep", "Theorem2Sweep"])
+def test_batched_sufficiency_matches_reference_across_many_chunks(experiment, monkeypatch):
+    # two subset blocks an eigensolve: every stacked search spans many chunks
+    monkeypatch.setattr(rip, "_CHUNK", 2)
+    config = ExperimentConfig(experiment=experiment, seed=8, trials=5)
+    _, records, _ = run_experiment(config)
+    assert records == reference_sufficiency(config)
+
+
+def reference_lemma1(config):
+    """The records of a Lemma1Suite run, one trial at a time: each trial
+    builds its own matrix before drawing its signal and subset."""
+    records = []
+    for cell_index, omega_size in enumerate(config.k_values):
+        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+        for trial_index in range(config.trials):
+            rng = experiments._rng(config, cell_index, trial_index)
+            records.append(experiments._captured(
+                config,
+                lambda: experiments._lemma1_trial(
+                    config, cell_index, trial_index, omega_size, rng,
+                    random_matrix_with_ric(config.m, config.n, cap, rng),
+                ),
+                cell_index=cell_index, trial_index=trial_index, K=omega_size,
+                m=config.m, n=config.n,
+            ))
+    return records
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 1), (1, 2), (2, 3), (3, 40)])
+def test_batched_lemma1_matches_per_trial_reference(seed, trials):
+    config = ExperimentConfig(
+        experiment="Lemma1Suite", seed=seed, k_values=[2, 3], m=10, n=7, trials=trials
+    )
+    _, records, _ = run_experiment(config)
+    assert records == reference_lemma1(config)

@@ -15,7 +15,6 @@ from omp_sharp.rip import (
     exact_ric,
     exact_rics,
     in_sharp_region,
-    stack_size,
     subset_spectra,
 )
 
@@ -148,13 +147,20 @@ def test_stacked_search_matches_exact_ric_per_matrix(A):
 
 def test_stacked_search_is_one_eigensolve_unless_the_walk_bounds(monkeypatch):
     rng = np.random.default_rng(7)
-    A = rng.standard_normal((stack_size(8, 4), 14, 8))
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+    # 58 matrices of 70 order-4 subsets fit one eigensolve of at most _CHUNK blocks
+    A = rng.standard_normal((_CHUNK // 70, 14, 8))
     reports = exact_rics(A, 4)
-    assert solves == [(len(A), 70, 4, 4)] and _CHUNK - 70 < len(A) * 70 <= _CHUNK
-    assert [(r.subsets_evaluated, r.subsets_pruned) for r in reports] == [(70, 0)] * len(A)
+    assert solves == [(58, 70, 4, 4)]
+    assert [(r.subsets_evaluated, r.subsets_pruned) for r in reports] == [(70, 0)] * 58
+    # one matrix more and the subsets split so that each eigensolve still fits
+    A = rng.standard_normal((59, 14, 8))
+    solves.clear()
+    reports = exact_rics(A, 4)
+    assert solves == [(59, 69, 4, 4), (59, 1, 4, 4)]
+    assert reports == [exact_ric(a, 4) for a in A]
     # on 10 columns the order-4 walk bounds: each matrix gets exact_ric's own search
     A = rng.standard_normal((3, 10, 10)) / math.sqrt(10)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
@@ -345,7 +351,7 @@ def test_invalid_order_and_budget():
     with pytest.raises(InvalidOrder):
         exact_rics(np.stack([A, A]), 5)
     with pytest.raises(BudgetExceeded):
-        exact_rics(np.ones((3, 2, 30)), 10, budget=100)
+        exact_rics(np.ones((2, 2, 30)), 15)
     with pytest.raises(DimensionMismatch):
         exact_rics(A, 2)
 
