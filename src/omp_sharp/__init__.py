@@ -53,6 +53,7 @@ from .omp import (
     min_magnitude_threshold_linf,
     prior_art_thresholds,
     run_omp,
+    run_omps,
 )
 from .rip import RicReport, check_rip_inequality, exact_ric, in_sharp_region
 from .serialize import (

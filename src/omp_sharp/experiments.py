@@ -8,6 +8,7 @@ independent set comparison, never trusted from the solver.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,11 +24,13 @@ from .omp import (
     FixedIterations,
     ResidualL2,
     SparseSignal,
+    StoppingRule,
     linf_stopping_threshold,
     min_magnitude_threshold_l2,
     min_magnitude_threshold_linf,
     prior_art_thresholds,
     run_omp,
+    run_omps,
 )
 from .rip import exact_ric, exact_rics
 from .serialize import dumps_json, write_csv
@@ -234,6 +237,16 @@ def _captured(config, trial, **fields):
         return _failed(config, exc, **fields)
 
 
+class _OmpTrial(NamedTuple):
+    """A trial that ends in OMP: its problem, and ``finish(trace)``, which
+    makes its record from the trace."""
+
+    A: np.ndarray
+    y: np.ndarray
+    rule: StoppingRule
+    finish: Callable
+
+
 def _cell_records(config, cell_index, fields, stacked, trial):
     """The records of one cell, its trials worked through as one stack.
 
@@ -241,18 +254,22 @@ def _cell_records(config, cell_index, fields, stacked, trial):
     draws first and returns sequences with one entry per trial, such as the
     matrices and their RICs, computed for the whole cell at once; an
     OmpSharpError there fails every trial, as it would fail each alone.
-    ``trial(trial_index, rng, *entries)`` then finishes each trial.
+    ``trial(trial_index, rng, *entries)`` then draws the rest of each trial
+    and returns its record, or an _OmpTrial.  The cell's OMP problems are
+    solved in one run_omps call, and an OmpSharpError there fails each of
+    them.
     """
     trials = range(config.trials)
     rngs = [_rng(config, cell_index, t) for t in trials]
+
+    def failed(exc, t):
+        return _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
+
     try:
         entries = stacked(rngs)
     except OmpSharpError as exc:
-        return [
-            _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
-            for t in trials
-        ]
-    return [
+        return [failed(exc, t) for t in trials]
+    records = [
         _captured(
             config,
             lambda: trial(t, rng, *entry),
@@ -262,6 +279,22 @@ def _cell_records(config, cell_index, fields, stacked, trial):
         )
         for t, rng, *entry in zip(trials, rngs, *entries)
     ]
+    solving = [t for t in trials if isinstance(records[t], _OmpTrial)]
+    if solving:
+        problems = [records[t] for t in solving]
+        try:
+            traces = run_omps(
+                np.array([p.y for p in problems]),
+                np.array([p.A for p in problems]),
+                [p.rule for p in problems],
+            )
+        except OmpSharpError as exc:
+            for t in solving:
+                records[t] = failed(exc, t)
+        else:
+            for t, problem, trace in zip(solving, problems, traces):
+                records[t] = problem.finish(trace)
+    return records
 
 
 def _support_string(support):
@@ -293,22 +326,25 @@ def _correlation_gap(trace, true_support, n):
     return float(max(on) - max(off))
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _random_signal(rng, n, K, magnitude):
     """Random K-sparse signal whose min magnitude is exactly ``magnitude``."""
-    support = sorted(int(i) + 1 for i in rng.choice(n, size=K, replace=False))
+    support = np.sort(rng.choice(n, size=K, replace=False))
     values = np.zeros(n)
     scales = rng.uniform(1.0, 2.0, size=K)
     scales[rng.integers(0, K)] = 1.0
-    signs = rng.choice([-1.0, 1.0], size=K)
-    for i, scale, sign in zip(support, scales, signs):
-        values[i - 1] = sign * scale * magnitude
+    # the draw of rng.choice([-1.0, 1.0], size=K), without its argument handling
+    signs = _SIGNS[rng.integers(0, 2, size=K)]
+    values[support] = signs * scales * magnitude
     return SparseSignal(values, sparsity=K)
 
 
 def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, delta2,
                        K, delta, epsilon, linf):
     """One trial once its matrix ``A`` and its constants are known: the
-    noise and the signal drawn from ``rng``, then OMP."""
+    noise and the signal drawn from ``rng``, as an _OmpTrial."""
     m, n = config.m, config.n
     if linf:
         bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
@@ -325,34 +361,36 @@ def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, del
         noise_model = inst.NOISE_L2
         rule_name = f"l2:{epsilon}"
     x = _random_signal(rng, n, K, config.margin * bound)
-    trace = run_omp(A @ x.values + v, A, rule)
-    fields = _trace_fields(trace, x.support)
-    passed = fields["support_recovered"] and fields["iterations"] == K
-    return _record(
-        config,
-        cell_index=cell_index,
-        trial_index=trial_index,
-        K=K,
-        m=m,
-        n=n,
-        delta_nominal=delta,
-        delta_exact=delta_exact,
-        delta2_exact=delta2,
-        epsilon=epsilon,
-        min_magnitude=x.min_magnitude(),
-        min_magnitude_bound=bound,
-        noise_model=noise_model,
-        rule=rule_name,
-        correlation_gap_iter1=_correlation_gap(trace, x.support, n),
-        passed=passed,
-        **fields,
-    )
+
+    def finish(trace):
+        fields = _trace_fields(trace, x.support)
+        return _record(
+            config,
+            cell_index=cell_index,
+            trial_index=trial_index,
+            K=K,
+            m=m,
+            n=n,
+            delta_nominal=delta,
+            delta_exact=delta_exact,
+            delta2_exact=delta2,
+            epsilon=epsilon,
+            min_magnitude=x.min_magnitude(),
+            min_magnitude_bound=bound,
+            noise_model=noise_model,
+            rule=rule_name,
+            correlation_gap_iter1=_correlation_gap(trace, x.support, n),
+            passed=fields["support_recovered"] and fields["iterations"] == K,
+            **fields,
+        )
+
+    return _OmpTrial(A, A @ x.values + v, rule, finish)
 
 
 def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
     """The records of one cell: the cell's matrices and their RICs
     (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
-    each trial's noise, signal and OMP."""
+    each trial's noise and signal, then OMP on the whole cell."""
 
     def stacked(rngs):
         A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
@@ -460,7 +498,7 @@ def run_theorem4_demo(config):
     return _run_failure_demo(config, linf=True)
 
 
-def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A):
+def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A, delta):
     support = sorted(
         int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
     )
@@ -474,7 +512,7 @@ def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A):
             support, size=int(rng.integers(0, omega_size)), replace=False
         )
     ]
-    gap = inst.lemma1_gap(A, x, subset)
+    gap = inst.lemma1_gap(A, x, subset, delta)
     return _record(
         config,
         cell_index=cell_index,
@@ -482,7 +520,7 @@ def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A):
         K=omega_size,
         m=config.m,
         n=config.n,
-        delta_exact=gap["delta"],
+        delta_exact=delta,
         support_true=_support_string(support),
         lhs_gap=gap["lhs_gap"],
         rhs_bound=gap["rhs_bound"],
@@ -494,17 +532,24 @@ def run_lemma1_suite(config):
     """Random instances satisfying the selection-gap premises; a trial passes
     when lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
 
-    A cell's matrices are built as one stack, as in the sufficiency
-    sweeps; each trial then draws its signal and subset from its own
-    generator."""
+    A cell's matrices and their RICs of order |Omega| + 1 are computed as
+    one stack, as in the sufficiency sweeps; each trial then draws its
+    signal and subset from its own generator."""
+
+    def stacked(rngs, omega_size):
+        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+        A = inst.random_matrices_with_ric(config.m, config.n, cap, rngs)
+        return A, [report.delta for report in exact_rics(A, omega_size + 1)]
+
     records = []
     for cell_index, omega_size in enumerate(config.k_values):
-        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
         records += _cell_records(
             config, cell_index,
             dict(K=omega_size, m=config.m, n=config.n),
-            lambda rngs: (inst.random_matrices_with_ric(config.m, config.n, cap, rngs),),
-            lambda t, rng, A: _lemma1_trial(config, cell_index, t, omega_size, rng, A),
+            lambda rngs: stacked(rngs, omega_size),
+            lambda t, rng, A, delta: _lemma1_trial(
+                config, cell_index, t, omega_size, rng, A, delta
+            ),
         )
     return records
 

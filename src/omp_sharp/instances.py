@@ -21,13 +21,17 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector, columns_submatrix, project_complement
 from .omp import SparseSignal
-from .rip import exact_ric, in_sharp_region, subset_spectra
+from .rip import in_sharp_region, subset_spectra
 
 NOISE_L2 = "l2_bounded"
 NOISE_LINF = "linf_bounded"
 
 #: Absolute slack allowed when checking a noise vector against its bound.
 BOUND_SLACK = 1e-12
+
+#: Draws sample_linf_noise makes before giving up on a matrix whose A^T v
+#: keeps vanishing.
+NOISE_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -263,14 +267,14 @@ def build_example3(delta, a):
     )
 
 
-def lemma1_gap(A, x, subset):
+def lemma1_gap(A, x, subset, delta):
     """Selection-gap bound for one partially-completed recovery state.
 
-    ``subset`` (1-based) must be a proper subset of the support of ``x``.
-    Returns lhs_gap, the difference of the max absolute correlations of
-    on-support and off-support columns against the projected residual
-    direction, rhs_bound, the closed-form lower bound, and delta, the exactly
-    enumerated RIC of order |support|+1 that rhs_bound uses.
+    ``subset`` (1-based) must be a proper subset of the support of ``x``,
+    and ``delta`` is the RIC of ``A`` of order |support|+1, such as
+    exact_ric's.  Returns lhs_gap, the difference of the max absolute
+    correlations of on-support and off-support columns against the projected
+    residual direction, and rhs_bound, the closed-form lower bound.
     """
     A = as_matrix(A)
     support = x.support
@@ -281,14 +285,14 @@ def lemma1_gap(A, x, subset):
     remaining = sorted(support - subset)
     off_support = sorted(set(range(1, n + 1)) - support)
     A_S = A[:, [i - 1 for i in sorted(subset)]]
+    A_remaining = columns_submatrix(A, remaining)
     x_remaining = np.array([x.values[i - 1] for i in remaining])
-    direction = project_complement(A_S, columns_submatrix(A, remaining) @ x_remaining)
-    lhs_on = float(np.max(np.abs(columns_submatrix(A, remaining).T @ direction)))
+    direction = project_complement(A_S, A_remaining @ x_remaining)
+    lhs_on = float(np.max(np.abs(A_remaining.T @ direction)))
     lhs_off = float(np.max(np.abs(columns_submatrix(A, off_support).T @ direction)))
-    delta = exact_ric(A, len(support) + 1).delta
     r = len(remaining)
     rhs = (1.0 - math.sqrt(r + 1) * delta) * float(np.linalg.norm(x_remaining)) / math.sqrt(r)
-    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs, "delta": delta}
+    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs}
 
 
 def sample_l2_noise(m, epsilon, seed):
@@ -305,22 +309,23 @@ def sample_l2_noise(m, epsilon, seed):
     return direction * (radius / norm)
 
 
-def sample_linf_noise(A, epsilon, seed, max_attempts=100):
+def sample_linf_noise(A, epsilon, seed):
     """Noise vector with ||A^T v||_inf <= epsilon, the level drawn uniformly.
 
-    Raises DegenerateMatrix when A^T v vanishes for 100 consecutive draws.
+    Raises DegenerateMatrix when A^T v vanishes for NOISE_ATTEMPTS
+    consecutive draws.
     """
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
     A = as_matrix(A)
     rng = _as_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(NOISE_ATTEMPTS):
         v = rng.standard_normal(A.shape[0])
         level = float(np.max(np.abs(A.T @ v)))
         if level > 0.0:
             c = 1.0 - rng.uniform(0.0, 1.0)  # uniform on (0, 1]
             return v * (c * epsilon / level)
-    raise DegenerateMatrix(f"A^T v vanished for {max_attempts} consecutive draws")
+    raise DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
 
 
 def _as_rng(seed):

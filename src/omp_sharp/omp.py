@@ -17,7 +17,7 @@ from .errors import (
     InvalidOrder,
     OutOfSharpRegion,
 )
-from .linalg import RANK_TOLERANCE, as_matrix, as_vector
+from .linalg import RANK_TOLERANCE, as_matrix, as_matrix_stack, as_vector
 from .rip import in_sharp_region
 
 #: Relative gap below which two correlation magnitudes count as tied.
@@ -44,7 +44,7 @@ class SparseSignal:
     def __post_init__(self):
         values = as_vector(self.values)
         object.__setattr__(self, "values", values)
-        support = frozenset(int(i) + 1 for i in np.nonzero(values)[0])
+        support = frozenset((np.flatnonzero(values) + 1).tolist())
         object.__setattr__(self, "support", support)
         if self.sparsity is not None and len(support) > self.sparsity:
             raise InvalidOrder(
@@ -149,24 +149,191 @@ class OmpTrace:
         }
 
 
-def _select(correlations, rng):
-    """Index (1-based) of the largest |correlation|; ties within TIE_TOLERANCE
-    relative go to the smallest index, or are drawn at random when an ``rng``
-    is supplied."""
-    magnitudes = np.abs(correlations)
-    top = float(magnitudes.max())
-    tied = np.nonzero(top - magnitudes <= TIE_TOLERANCE * top)[0]
-    if rng is not None and len(tied) > 1:
-        return int(rng.choice(tied)) + 1
-    return int(tied[0]) + 1
-
-
 def _back_substitute(R, b):
     """Solve R x = b for a nonsingular upper-triangular ``R``."""
     x = np.empty(len(b))
     for i in range(len(b) - 1, -1, -1):
         x[i] = (b[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
     return x
+
+
+def _norms(V):
+    """||V[i]||_2 for each column vector V[i], shaped 1 x 1, from the same
+    dot product as np.linalg.norm takes on a vector."""
+    return np.sqrt(np.swapaxes(V, 1, 2) @ V)
+
+
+def _kept(keep, *arrays):
+    """Each of ``arrays`` reduced to the rows of the mask ``keep``."""
+    return tuple(a[keep] for a in arrays)
+
+
+def _solve(Y, A, rules, max_iterations, tie_break_rng):
+    """The OMP loop of run_omp and run_omps, on validated inputs: problem i
+    is ``Y[i]``, ``A[i]`` and ``rules[i]``.
+
+    The problems run in lockstep, so each has made k selections at step k.
+    The state of those still running sits on a leading axis that shrinks as
+    problems stop; ``problem`` maps its rows back to the stack.  Vectors are
+    kept as m x 1 columns, so every product is one stacked matmul, and each
+    one makes the same BLAS call, with the same strides, as its one-problem
+    form: the bits do not depend on the stack.
+    """
+    count, m, n = A.shape
+    cap = min(m, n)
+    if max_iterations is None:
+        max_iterations = cap
+    if not (1 <= max_iterations <= cap):
+        raise InvalidOrder(f"max_iterations {max_iterations} outside [1, {cap}]")
+    for rule in rules:
+        if isinstance(rule, FixedIterations) and rule.count > max_iterations:
+            raise InvalidOrder(
+                f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
+            )
+
+    # A[i][:, selected[i, :k]] = Q[i, :k].T @ R[i, :k, :k]: the rows of Q[i]
+    # are q_1..q_k.  The buffers are left untouched when allocated, so their
+    # pages take memory only as the run fills them.
+    Q = np.empty((count, max_iterations, m))
+    R = np.zeros((count, max_iterations, max_iterations))
+    qty = np.empty((count, max_iterations, 1))  # Q[i, :k] @ Y[i]
+    selected = np.empty((count, max_iterations), dtype=np.intp)  # 0-based
+    largest_diagonal = np.zeros((count, 1, 1))
+    # BLAS sums a dot product in another order when a vector has a non-unit
+    # stride, as a column of a row-major A[i] has.  The selected columns are
+    # gathered into a buffer that keeps the unit or non-unit stride of A's
+    # columns, so that q_1 . a_s has the bits it has on the column itself.
+    column_buffer = np.empty((count, m, 1 if A.strides[1] == A.itemsize else 2))
+    A_t = np.swapaxes(A, 1, 2)
+    problem = np.arange(count)
+    iterations = [[] for _ in range(count)]
+    traces = [None] * count
+
+    def stop(reasons, k):
+        """Finish each row with a reason; returns the mask of the rows left."""
+        keep = np.ones(len(problem), dtype=bool)
+        for i, reason in reasons:
+            chosen = selected[i, :k]
+            values = np.zeros(n)
+            values[chosen] = _back_substitute(R[i, :k, :k], qty[i, :k, 0])
+            traces[problem[i]] = OmpTrace(
+                iterations=tuple(iterations[problem[i]]),
+                final_support=frozenset((chosen + 1).tolist()),
+                final_estimate=SparseSignal(values),
+                stop_reason=reason,
+            )
+            keep[i] = False
+        return keep
+
+    Y = Y[:, :, None]
+    residual_l2 = _norms(Y)
+    correlations = (A_t @ Y)[:, :, 0]
+    magnitudes = np.abs(correlations)
+    correlation_linf = magnitudes.max(axis=1, keepdims=True)
+    for k in range(max_iterations + 1):
+        # Rules are checked on r^k.  Before the first selection only ||r^0||
+        # counts, so no correlation rule fires on r^0 unless A^T r^0 = 0.
+        reasons = []
+        for i, (p, l2, linf) in enumerate(zip(
+            problem.tolist(), residual_l2.ravel().tolist(), correlation_linf.ravel().tolist(),
+        )):
+            if rules[p].met(k, l2, linf if k or linf == 0.0 else math.inf):
+                reasons.append((i, STOP_RULE_MET))
+            elif k == max_iterations:
+                reasons.append((i, STOP_MAX_ITERATIONS))
+            elif linf == 0.0:
+                reasons.append((i, STOP_STALLED))
+        if reasons:
+            (A_t, Y, Q, R, qty, selected, largest_diagonal, problem,
+             correlations, magnitudes, correlation_linf) = _kept(
+                stop(reasons, k), A_t, Y, Q, R, qty, selected, largest_diagonal,
+                problem, correlations, magnitudes, correlation_linf,
+            )
+            if not len(problem):
+                break
+
+        # Selection: the largest |correlation|, ties within TIE_TOLERANCE
+        # relative to the smallest index, or drawn at random with an rng.
+        tied = correlation_linf - magnitudes <= TIE_TOLERANCE * correlation_linf
+        s = tied.argmax(axis=1)
+        if tie_break_rng is not None:
+            for i in np.flatnonzero(tied.sum(axis=1) > 1):
+                s[i] = tie_break_rng.choice(np.flatnonzero(tied[i]))
+
+        # Gram-Schmidt with one re-orthogonalization pass.
+        column = column_buffer[: len(problem), :, :1]
+        column[:, :, 0] = A_t[np.arange(len(problem)), s]
+        basis = Q[:, :k]
+        basis_t = np.swapaxes(basis, 1, 2)
+        coefficients = basis @ column
+        w = column - basis_t @ coefficients
+        correction = basis @ w
+        w -= basis_t @ correction
+        diagonal = _norms(w)
+        largest_diagonal = np.maximum(largest_diagonal, diagonal)
+        repeated = selected[:, :k] == s[:, None]
+        deficient = diagonal <= RANK_TOLERANCE * largest_diagonal
+        if np.count_nonzero(repeated) or np.count_nonzero(deficient):
+            stalled = repeated.any(axis=1)
+            reasons = [
+                (i, STOP_STALLED if stalled[i] else STOP_RANK_DEFICIENT)
+                for i in np.flatnonzero(stalled | deficient.ravel())
+            ]
+            (A_t, Y, Q, R, qty, selected, largest_diagonal, problem,
+             correlations, s, w, diagonal, coefficients, correction) = _kept(
+                stop(reasons, k), A_t, Y, Q, R, qty, selected, largest_diagonal,
+                problem, correlations, s, w, diagonal, coefficients, correction,
+            )
+            if not len(problem):
+                break
+        np.divide(w, diagonal, out=np.swapaxes(Q[:, k:k + 1], 1, 2))
+        np.add(coefficients, correction, out=R[:, :k, k:k + 1])
+        R[:, k:k + 1, k:k + 1] = diagonal
+        np.matmul(Q[:, k:k + 1], Y, out=qty[:, k:k + 1])
+        selected[:, k] = s
+
+        residual = Y - np.swapaxes(Q[:, :k + 1], 1, 2) @ qty[:, :k + 1]
+        residual_l2 = _norms(residual)
+        next_correlations = (A_t @ residual)[:, :, 0]
+        magnitudes = np.abs(next_correlations)
+        correlation_linf = magnitudes.max(axis=1, keepdims=True)
+        for p, index, values, l2, linf in zip(
+            problem.tolist(), s.tolist(), correlations,
+            residual_l2.ravel().tolist(), correlation_linf.ravel().tolist(),
+        ):
+            iterations[p].append(
+                OmpIteration(
+                    selected_index=index + 1,
+                    correlations=values,
+                    residual_l2=l2,
+                    correlation_linf=linf,
+                )
+            )
+        correlations = next_correlations
+    return traces
+
+
+def run_omps(Y, A, rules, max_iterations=None, tie_break_rng=None):
+    """run_omp on each problem of a stack, all in one loop.
+
+    Problem i has measurements ``Y[i]``, matrix ``A[i]`` and stopping rule
+    ``rules[i]``; ``A`` is a stack of m x n matrices and ``Y`` holds one
+    row per matrix.  Each iteration forms every running problem's A^T r,
+    Gram-Schmidt step and residual as one stacked product, and a problem
+    leaves the loop as soon as it stops.  Returns one OmpTrace per problem,
+    each ``==`` to run_omp's on that problem.  With ``tie_break_rng``, ties
+    are drawn from it in problem order.
+    """
+    A = as_matrix_stack(A)
+    Y = as_matrix(Y)
+    if Y.shape != A.shape[:2]:
+        raise DimensionMismatch(
+            f"stack of {A.shape[0]} matrices with {A.shape[1]} rows, "
+            f"but measurements of shape {Y.shape}"
+        )
+    if len(rules) != len(A):
+        raise DimensionMismatch(f"{len(rules)} rules for {len(A)} problems")
+    return _solve(Y, A, rules, max_iterations, tie_break_rng)
 
 
 def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
@@ -179,12 +346,13 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     q_k and the next column of R.  The residual r^k is y minus its projection
     onto q_1..q_k, and the single product A^T r^k gives both ||A^T r^k||_inf
     and the next iteration's correlations.  The estimate is solved once, at
-    the end, by back-substitution on R.
+    the end, by back-substitution on R.  This is run_omps on a stack of one.
 
     Rules are evaluated after each residual update; ResidualL2 is also
     evaluated on r^0 = y, so a rule already met at the start runs zero
     iterations.  A residual that is exactly uncorrelated with every column
-    also stops the loop (covering y = 0).
+    (as y = 0 is) also ends the loop: with "rule_met" when the rule holds
+    for it with ||A^T r||_inf = 0, and "stalled" otherwise.
 
     Returns an OmpTrace.  Rather than raising, the run stops with
     ``stop_reason`` "rank_deficient" when the new column's component
@@ -194,86 +362,11 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     """
     A = as_matrix(A)
     y = as_vector(y)
-    m, n = A.shape
-    if m != y.shape[0]:
-        raise DimensionMismatch(f"matrix has {m} rows but y has length {y.shape[0]}")
-    cap = min(m, n)
-    if max_iterations is None:
-        max_iterations = cap
-    if not (1 <= max_iterations <= cap):
-        raise InvalidOrder(f"max_iterations {max_iterations} outside [1, {cap}]")
-    if isinstance(rule, FixedIterations) and rule.count > max_iterations:
-        raise InvalidOrder(
-            f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
+    if A.shape[0] != y.shape[0]:
+        raise DimensionMismatch(
+            f"matrix has {A.shape[0]} rows but y has length {y.shape[0]}"
         )
-
-    # A[:, selected] = Q[:k].T @ R[:k, :k]: the rows of Q are q_1..q_k.  The
-    # buffers are left untouched when allocated, so their pages take memory
-    # only as the run fills them.
-    Q = np.empty((max_iterations, m))
-    R = np.zeros((max_iterations, max_iterations))
-    qty = np.empty(max_iterations)  # Q[:k] @ y
-    largest_diagonal = 0.0
-    iterations = []
-    selected = []
-
-    def finish(reason):
-        k = len(selected)
-        values = np.zeros(n)
-        values[[i - 1 for i in selected]] = _back_substitute(R[:k, :k], qty[:k])
-        return OmpTrace(
-            iterations=tuple(iterations),
-            final_support=frozenset(selected),
-            final_estimate=SparseSignal(values),
-            stop_reason=reason,
-        )
-
-    # only ||r^0|| is known before the first selection; no correlation rule
-    # fires on r^0
-    if rule.met(0, float(np.linalg.norm(y)), math.inf):
-        return finish(STOP_RULE_MET)
-
-    correlations = A.T @ y
-    correlation_linf = float(np.max(np.abs(correlations)))
-    for k in range(max_iterations):
-        if correlation_linf == 0.0:
-            return finish(STOP_RULE_MET)
-        s = _select(correlations, tie_break_rng)
-        if s in selected:
-            return finish(STOP_STALLED)
-        column = A[:, s - 1]
-        basis = Q[:k]
-        coefficients = basis @ column
-        w = column - basis.T @ coefficients
-        correction = basis @ w
-        w -= basis.T @ correction
-        diagonal = float(np.linalg.norm(w))
-        largest_diagonal = max(largest_diagonal, diagonal)
-        if diagonal <= RANK_TOLERANCE * largest_diagonal:
-            return finish(STOP_RANK_DEFICIENT)
-        Q[k] = w / diagonal
-        R[:k, k] = coefficients + correction
-        R[k, k] = diagonal
-        qty[k] = Q[k] @ y
-        selected.append(s)
-
-        residual = y - Q[:k + 1].T @ qty[:k + 1]
-        residual_l2 = float(np.linalg.norm(residual))
-        next_correlations = A.T @ residual
-        correlation_linf = float(np.max(np.abs(next_correlations)))
-        iterations.append(
-            OmpIteration(
-                selected_index=s,
-                correlations=correlations,
-                residual_l2=residual_l2,
-                correlation_linf=correlation_linf,
-            )
-        )
-        if rule.met(k + 1, residual_l2, correlation_linf):
-            return finish(STOP_RULE_MET)
-        correlations = next_correlations
-
-    return finish(STOP_MAX_ITERATIONS)
+    return _solve(y[None], A[None], [rule], max_iterations, tie_break_rng)[0]
 
 
 def min_magnitude_threshold_l2(K, delta, epsilon):

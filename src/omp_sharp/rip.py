@@ -24,6 +24,12 @@ PRUNE_TOLERANCE = 1e-10
 #: Relative slack of check_rip_inequality, in units of ||x||^2.
 RIP_CHECK_TOLERANCE = 1e-10
 
+#: Distance from 1 within which in_sharp_region compares delta^2 (K+1) with 1
+#: on exact rationals.  Outside it the float product decides: its roundings
+#: (the square, the product, and K + 1 when it exceeds 2**53) move it by at
+#: most about 3.4e-16 relative, far less than this.
+SHARP_REGION_BAND = 1e-12
+
 # Subsets are processed in lexicographic chunks of at most this size; the
 # chunking only batches the eigensolves and never changes the reported witness.
 _CHUNK = 4096
@@ -350,14 +356,19 @@ def exact_rics(A, K):
 def in_sharp_region(K, delta):
     """True iff delta < 1/sqrt(K+1), with the boundary strictly excluded.
 
-    The comparison is done on exact rationals (delta^2 * (K+1) < 1) so
+    The answer is that of delta^2 * (K+1) < 1 on exact rationals, so
     boundary values such as delta = 0.5 with K = 3 are never misclassified
-    by floating-point rounding.
+    by floating-point rounding.  The float product, off by at most a few
+    units of round-off, decides every case outside SHARP_REGION_BAND of 1;
+    only the cases inside it are compared as rationals.
     """
     if K < 1:
         raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
     if not (0.0 <= delta < 1.0):
         raise InvalidOrder(f"delta must lie in [0, 1), got {delta}")
+    product = delta * delta * (K + 1)
+    if abs(product - 1.0) > SHARP_REGION_BAND:
+        return product < 1.0
     return Fraction(delta) ** 2 * (K + 1) < 1
 
 

@@ -167,6 +167,9 @@ def failing_once(monkeypatch, module, name, call):
         ("Lemma1Suite", "lemma1_gap", 3, {"k_values": [2, 3], "trials": 3, "n": 7}),
         ("Theorem3Demo", "build_counterexample_l2", 2, {"k_values": [1, 2]}),
         ("Theorem4Demo", "build_counterexample_linf", 1, {"k_values": [1, 2]}),
+        # a trial that fails before OMP leaves the rest of its cell's stack
+        ("Theorem1Sweep", "sample_l2_noise", 4, {"k_values": [1, 2], "trials": 3}),
+        ("Theorem2Sweep", "sample_linf_noise", 2, {"k_values": [2], "trials": 3}),
     ],
 )
 def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, call, fields):
@@ -182,6 +185,31 @@ def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, ca
         assert failed[column] == expected[call][column]
     assert records[:call] + records[call + 1 :] == expected[:call] + expected[call + 1 :]
     assert summary["failures"] == 1
+
+
+def test_error_in_the_stacked_solve_fails_each_trial_of_the_cell(monkeypatch):
+    solve = experiments.run_omps
+    calls = []
+
+    def failing_second(Y, A, rules):
+        calls.append(len(rules))
+        if len(calls) == 2:
+            raise DegenerateMatrix("injected failure")
+        return solve(Y, A, rules)
+
+    cfg = ExperimentConfig(experiment="Theorem1Sweep", seed=4, k_values=[1, 2], trials=3)
+    _, expected, _ = run_experiment(cfg)
+    monkeypatch.setattr(experiments, "run_omps", failing_second)
+    _, records, summary = run_experiment(cfg)
+    # one stacked solve per cell, of all its trials
+    assert calls == [3, 3, 3, 3]
+    for record, reference in zip(records[3:6], expected[3:6]):
+        assert record["error"] == "DegenerateMatrix: injected failure"
+        assert record["passed"] is False
+        for column in ("cell_index", "trial_index", "K", "m", "n", "delta_nominal", "epsilon"):
+            assert record[column] == reference[column]
+    assert records[:3] + records[6:] == expected[:3] + expected[6:]
+    assert summary["failures"] == 3
 
 
 @pytest.mark.parametrize("name", ["Example1", "Example2", "Example3"])
@@ -348,20 +376,27 @@ def test_batched_sufficiency_matches_reference_across_many_chunks(experiment, mo
     assert records == reference_sufficiency(config)
 
 
+def reference_lemma1_trial(config, cell_index, trial_index, omega_size):
+    """One Lemma1Suite trial with its own matrix build and exact_ric call."""
+    rng = experiments._rng(config, cell_index, trial_index)
+    cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+    A = random_matrix_with_ric(config.m, config.n, cap, rng)
+    return experiments._lemma1_trial(
+        config, cell_index, trial_index, omega_size, rng, A,
+        exact_ric(A, omega_size + 1).delta,
+    )
+
+
 def reference_lemma1(config):
     """The records of a Lemma1Suite run, one trial at a time: each trial
-    builds its own matrix before drawing its signal and subset."""
+    builds its own matrix and computes its RIC before drawing its signal
+    and subset."""
     records = []
     for cell_index, omega_size in enumerate(config.k_values):
-        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
         for trial_index in range(config.trials):
-            rng = experiments._rng(config, cell_index, trial_index)
             records.append(experiments._captured(
                 config,
-                lambda: experiments._lemma1_trial(
-                    config, cell_index, trial_index, omega_size, rng,
-                    random_matrix_with_ric(config.m, config.n, cap, rng),
-                ),
+                lambda: reference_lemma1_trial(config, cell_index, trial_index, omega_size),
                 cell_index=cell_index, trial_index=trial_index, K=omega_size,
                 m=config.m, n=config.n,
             ))

@@ -15,6 +15,7 @@ from omp_sharp.errors import (
 )
 from omp_sharp.instances import (
     NOISE_L2,
+    NOISE_ATTEMPTS,
     NOISE_LINF,
     Instance,
     build_counterexample_l2,
@@ -219,21 +220,26 @@ def test_lemma1_gap_requires_proper_subset():
     A = np.eye(3)
     x = SparseSignal(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(NotProperSubset):
-        lemma1_gap(A, x, [1, 2])
+        lemma1_gap(A, x, [1, 2], 0.0)
     with pytest.raises(NotProperSubset):
-        lemma1_gap(A, x, [3])
+        lemma1_gap(A, x, [3], 0.0)
 
 
 def test_lemma1_gap_identity():
     x = SparseSignal(np.array([2.0, -1.0, 0.0, 0.0]))
-    out = lemma1_gap(np.eye(4), x, [])
+    delta = exact_ric(np.eye(4), 3).delta
+    assert delta == 0.0
+    out = lemma1_gap(np.eye(4), x, [], delta)
     # off-support correlations vanish for an orthonormal matrix
     assert out["lhs_gap"] == pytest.approx(2.0)
     assert out["rhs_bound"] == pytest.approx(
         math.sqrt(5.0) / math.sqrt(2.0) * (1 - math.sqrt(3) * 0.0), rel=1e-12
     )
     assert out["lhs_gap"] >= out["rhs_bound"] - 1e-10
-    assert out["delta"] == exact_ric(np.eye(4), 3).delta
+    # the bound shrinks with the delta it is given: (1 - sqrt(3) * 0.25) times
+    assert lemma1_gap(np.eye(4), x, [], 0.25)["rhs_bound"] == pytest.approx(
+        out["rhs_bound"] * (1 - math.sqrt(3) * 0.25), rel=1e-12
+    )
 
 
 # ------------------------------------------------------------ random draws
@@ -244,6 +250,11 @@ def test_lemma1_gap_identity():
 def test_sample_l2_noise_inside_ball(seed, eps):
     v = sample_l2_noise(6, eps, seed)
     assert np.linalg.norm(v) <= eps + 1e-12
+
+
+def test_sample_linf_noise_gives_up_on_a_zero_matrix():
+    with pytest.raises(DegenerateMatrix, match=f"{NOISE_ATTEMPTS} consecutive draws"):
+        sample_linf_noise(np.zeros((3, 2)), 1.0, 0)
 
 
 @settings(max_examples=25, deadline=None)

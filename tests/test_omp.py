@@ -13,14 +13,16 @@ from omp_sharp.errors import (
     OutOfSharpRegion,
     RankDeficient,
 )
-from omp_sharp.linalg import least_squares
+from omp_sharp.linalg import RANK_TOLERANCE, least_squares
 from omp_sharp.omp import (
     STOP_MAX_ITERATIONS,
     STOP_RANK_DEFICIENT,
     STOP_RULE_MET,
     STOP_STALLED,
+    TIE_TOLERANCE,
     CorrelationLInf,
     FixedIterations,
+    OmpIteration,
     OmpTrace,
     ResidualL2,
     SparseSignal,
@@ -29,6 +31,7 @@ from omp_sharp.omp import (
     min_magnitude_threshold_linf,
     prior_art_thresholds,
     run_omp,
+    run_omps,
 )
 
 
@@ -88,10 +91,22 @@ def test_zero_measurements_zero_iterations():
 
 def test_zero_measurements_correlation_rule():
     # no pre-check for correlation rules, but a fully uncorrelated residual
-    # still stops the loop with an empty support
+    # meets one, ||A^T r||_inf = 0 being below every threshold
     trace = run_omp(np.zeros(3), np.eye(3), CorrelationLInf(1.0))
     assert trace.iterations == ()
     assert trace.stop_reason == STOP_RULE_MET
+
+
+def test_uncorrelated_residual_stalls_unless_the_rule_holds():
+    # y is orthogonal to every column but ||y|| = 1 > 0.1: the rule is not met
+    trace = run_omp(np.array([0.0, 0.0, 1.0]), np.eye(3)[:, :2], ResidualL2(0.1))
+    assert trace.iterations == ()
+    assert trace.final_support == frozenset()
+    assert trace.stop_reason == STOP_STALLED
+    # no iteration has run, so two fixed iterations are not done
+    trace = run_omp(np.zeros(3), np.eye(3), FixedIterations(2))
+    assert trace.iterations == ()
+    assert trace.stop_reason == STOP_STALLED
 
 
 def test_fixed_iterations_ignores_residual():
@@ -218,10 +233,12 @@ def reference_omp(y, A, rule, max_iterations=None):
     if isinstance(rule, ResidualL2) and np.linalg.norm(y) <= rule.epsilon:
         return finish(STOP_RULE_MET)
     residual = y
+    residual_l2 = float(np.linalg.norm(y))
     for k in range(1, max_iterations + 1):
         correlations = A.T @ residual
         if np.max(np.abs(correlations)) == 0.0:
-            return finish(STOP_RULE_MET)
+            met = rule.met(k - 1, residual_l2, 0.0)
+            return finish(STOP_RULE_MET if met else STOP_STALLED)
         magnitudes = np.abs(correlations)
         top = magnitudes.max()
         s = int(np.nonzero(top - magnitudes <= 1e-12 * top)[0][0]) + 1
@@ -358,6 +375,189 @@ def test_stop_reason_matches_iteration_count(seed, m, n, K, epsilon):
         assert len(trace.iterations) < cap
     else:
         assert trace.stop_reason == STOP_RULE_MET
+
+
+# -------------------------------------- stacked solver, incremental reference
+
+
+def incremental_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
+    """run_omp as it was before it became the one-problem case of run_omps:
+    the same incremental QR, one problem at a time, with the same stop
+    reasons.  The stacked solver must match it bit for bit, so it is kept
+    here as the reference for that."""
+    m, n = A.shape
+    if max_iterations is None:
+        max_iterations = min(m, n)
+    Q = np.empty((max_iterations, m))
+    R = np.zeros((max_iterations, max_iterations))
+    qty = np.empty(max_iterations)
+    largest_diagonal = 0.0
+    iterations = []
+    selected = []
+
+    def finish(reason):
+        k = len(selected)
+        values = np.zeros(n)
+        x = np.empty(k)
+        for i in range(k - 1, -1, -1):
+            x[i] = (qty[i] - R[i, i + 1:k] @ x[i + 1:]) / R[i, i]
+        values[[i - 1 for i in selected]] = x
+        return OmpTrace(tuple(iterations), frozenset(selected), SparseSignal(values), reason)
+
+    residual_l2 = float(np.linalg.norm(y))
+    if rule.met(0, residual_l2, math.inf):
+        return finish(STOP_RULE_MET)
+    correlations = A.T @ y
+    correlation_linf = float(np.max(np.abs(correlations)))
+    for k in range(max_iterations):
+        if correlation_linf == 0.0:
+            met = rule.met(k, residual_l2, 0.0)
+            return finish(STOP_RULE_MET if met else STOP_STALLED)
+        magnitudes = np.abs(correlations)
+        top = float(magnitudes.max())
+        tied = np.nonzero(top - magnitudes <= TIE_TOLERANCE * top)[0]
+        if tie_break_rng is not None and len(tied) > 1:
+            s = int(tie_break_rng.choice(tied)) + 1
+        else:
+            s = int(tied[0]) + 1
+        if s in selected:
+            return finish(STOP_STALLED)
+        column = A[:, s - 1]
+        basis = Q[:k]
+        coefficients = basis @ column
+        w = column - basis.T @ coefficients
+        correction = basis @ w
+        w -= basis.T @ correction
+        diagonal = float(np.linalg.norm(w))
+        largest_diagonal = max(largest_diagonal, diagonal)
+        if diagonal <= RANK_TOLERANCE * largest_diagonal:
+            return finish(STOP_RANK_DEFICIENT)
+        Q[k] = w / diagonal
+        R[:k, k] = coefficients + correction
+        R[k, k] = diagonal
+        qty[k] = Q[k] @ y
+        selected.append(s)
+        residual = y - Q[:k + 1].T @ qty[:k + 1]
+        residual_l2 = float(np.linalg.norm(residual))
+        next_correlations = A.T @ residual
+        correlation_linf = float(np.max(np.abs(next_correlations)))
+        iterations.append(OmpIteration(s, correlations, residual_l2, correlation_linf))
+        if rule.met(k + 1, residual_l2, correlation_linf):
+            return finish(STOP_RULE_MET)
+        correlations = next_correlations
+    return finish(STOP_MAX_ITERATIONS)
+
+
+def assert_same_trace(trace, expected):
+    """Every field equal, the arrays bit for bit."""
+    assert trace.stop_reason == expected.stop_reason
+    assert trace.final_support == expected.final_support
+    assert np.array_equal(trace.final_estimate.values, expected.final_estimate.values)
+    assert len(trace.iterations) == len(expected.iterations)
+    for it, ref in zip(trace.iterations, expected.iterations):
+        assert it.selected_index == ref.selected_index
+        assert np.array_equal(it.correlations, ref.correlations)
+        assert it.residual_l2 == ref.residual_l2
+        assert it.correlation_linf == ref.correlation_linf
+
+
+PROBLEM_KINDS = ["noisy", "noiseless", "ties", "duplicate", "near_parallel", "zero", "met_at_start"]
+
+
+def stacked_problem(rng, kind, m, n, limit):
+    """One (A, y, rule) of an m x n stack; ``kind`` picks how it stops."""
+    A = rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, n)
+    if kind == "ties":
+        # columns that are exact negatives of each other tie in |A^T r|
+        half = n // 2
+        A[:, half:2 * half] = -A[:, :half]
+    elif kind == "duplicate":
+        i, j = rng.choice(n, 2, replace=False)
+        A[:, j] = A[:, i]
+    elif kind == "near_parallel":
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        i, j = rng.choice(n, 2, replace=False)
+        A = basis[:, 2:] @ rng.standard_normal((m - 2, n))
+        A[:, i] = basis[:, 0]
+        A[:, j] = basis[:, 0] + rng.uniform(1e-14, 1e-13) * basis[:, 1]
+    K = int(rng.integers(1, min(m, n) + 1))
+    x = np.zeros(n)
+    x[rng.choice(n, K, replace=False)] = rng.uniform(0.5, 2.0, K) * rng.choice([-1, 1], K)
+    y = A @ x
+    if kind == "noisy":
+        y = y + 0.1 * rng.standard_normal(m)
+    elif kind == "zero":
+        y = np.zeros(m)
+    elif kind == "near_parallel":
+        y = A[:, i] + basis[:, 1]
+    norm = float(np.linalg.norm(y))
+    if kind == "met_at_start":
+        return A, y, ResidualL2(2.0 * norm + 1e-300)
+    scale = 10.0 ** rng.uniform(-8.0, 0.0)
+    rule_kind = rng.integers(3)
+    if rule_kind == 0:
+        return A, y, FixedIterations(int(rng.integers(1, limit + 1)))
+    if rule_kind == 1:
+        return A, y, ResidualL2(scale * norm + 1e-300)
+    return A, y, CorrelationLInf(scale * float(np.max(np.abs(A.T @ y))) + 1e-300)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.integers(3, 12),
+    st.integers(2, 16),
+    st.lists(st.sampled_from(PROBLEM_KINDS), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_stacked_solver_matches_incremental_reference(seed, count, m, n, kinds, row_major):
+    """Every trace of run_omps, and of run_omp on each problem, equals the
+    incremental reference bit for bit: stacks of 1-30 problems that mix
+    rules, exact ties, duplicate columns (stalled), near-parallel columns
+    (rank_deficient), y = 0 and a ResidualL2 met on r^0, so problems leave
+    the stack at different iterations and for every reason."""
+    rng = np.random.default_rng(seed)
+    limit = int(rng.integers(1, min(m, n) + 1))
+    problems = [stacked_problem(rng, kinds[i % len(kinds)], m, n, limit) for i in range(count)]
+    A = np.array([a for a, _, _ in problems])
+    if not row_major:
+        # the same matrices with columns contiguous in memory
+        A = np.swapaxes(np.ascontiguousarray(np.swapaxes(A, 1, 2)), 1, 2)
+    Y = np.array([y for _, y, _ in problems])
+    rules = [rule for _, _, rule in problems]
+    traces = run_omps(Y, A, rules, max_iterations=limit)
+    for a, y, rule, trace in zip(A, Y, rules, traces):
+        expected = incremental_omp(y, a, rule, max_iterations=limit)
+        assert_same_trace(trace, expected)
+        assert_same_trace(run_omp(y, a, rule, max_iterations=limit), expected)
+
+
+def test_stacked_solver_draws_ties_in_problem_order():
+    # every problem ties at its first selection: the stack draws from the
+    # generator in problem order, as run_omp would one problem after another
+    A = np.array([np.eye(3)] * 5)
+    Y = np.array([[1.0, -1.0, 1.0]] * 5)
+    rules = [FixedIterations(1)] * 5
+    traces = run_omps(Y, A, rules, tie_break_rng=np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for a, y, rule, trace in zip(A, Y, rules, traces):
+        assert_same_trace(trace, incremental_omp(y, a, rule, tie_break_rng=rng))
+    assert len({t.iterations[0].selected_index for t in traces}) > 1
+
+
+def test_stacked_solver_validation():
+    A = np.array([np.eye(3)] * 2)
+    with pytest.raises(DimensionMismatch):
+        run_omps(np.ones((2, 2)), A, [ResidualL2(1.0)] * 2)
+    with pytest.raises(DimensionMismatch):
+        run_omps(np.ones((3, 3)), A, [ResidualL2(1.0)] * 3)
+    with pytest.raises(DimensionMismatch):
+        run_omps(np.ones((2, 3)), A, [ResidualL2(1.0)])
+    with pytest.raises(DimensionMismatch):
+        run_omps(np.ones((2, 3)), A[0], [ResidualL2(1.0)] * 2)
+    with pytest.raises(InvalidOrder):
+        run_omps(np.ones((2, 3)), A, [ResidualL2(1.0), FixedIterations(4)])
 
 
 # -------------------------------------------------------------- thresholds

@@ -421,16 +421,31 @@ def test_in_sharp_region_validation():
         in_sharp_region(2, -0.1)
 
 
-@given(st.integers(1, 50))
-def test_boundary_decided_by_exact_rationals(K):
+@settings(max_examples=100)
+@given(st.integers(1, 50), st.floats(0.0, 1.0, exclude_max=True))
+def test_boundary_decided_by_exact_rationals(K, random_delta):
     from fractions import Fraction
+
+    def exact(delta):
+        return Fraction(delta) ** 2 * (K + 1) < 1
 
     delta = 1.0 / math.sqrt(K + 1)
     # the float nearest the boundary lands on whichever side its exact
     # rational value falls, never misclassified by further rounding
-    assert in_sharp_region(K, delta) == (Fraction(delta) ** 2 * (K + 1) < 1)
+    assert in_sharp_region(K, delta) == exact(delta)
     if K + 1 in (4, 16):  # boundary is a dyadic rational, exactly representable
         assert not in_sharp_region(K, delta)
+    # its float neighbours, a few units of round-off either side, fall inside
+    # SHARP_REGION_BAND and are decided on rationals too
+    below, above = delta, delta
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+        assert in_sharp_region(K, below) == exact(below)
+        assert in_sharp_region(K, above) == exact(above)
+    # just outside the band the float product decides, and agrees
+    for factor in (1.0 - 1e-11, 1.0 + 1e-11):
+        assert in_sharp_region(K, delta * factor) == exact(delta * factor)
+    assert in_sharp_region(K, random_delta) == exact(random_delta)
 
 
 # ---------------------------------------------------------- RIP inequality
