@@ -248,28 +248,25 @@ class _OmpTrial(NamedTuple):
 
 
 def _cell_records(config, cell_index, fields, stacked, trial):
-    """The records of one cell, its trials worked through as one stack.
+    """The results of one cell, its trials worked through as one stack.
 
     ``stacked(rngs)`` draws from each trial's generator what the trial
     draws first and returns sequences with one entry per trial, such as the
     matrices and their RICs, computed for the whole cell at once; an
     OmpSharpError there fails every trial, as it would fail each alone.
     ``trial(trial_index, rng, *entries)`` then draws the rest of each trial
-    and returns its record, or an _OmpTrial.  The cell's OMP problems are
-    solved in one run_omps call, and an OmpSharpError there fails each of
-    them.
+    and returns its result; an OmpSharpError fails that trial alone.
     """
     trials = range(config.trials)
     rngs = [_rng(config, cell_index, t) for t in trials]
-
-    def failed(exc, t):
-        return _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
-
     try:
         entries = stacked(rngs)
     except OmpSharpError as exc:
-        return [failed(exc, t) for t in trials]
-    records = [
+        return [
+            _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
+            for t in trials
+        ]
+    return [
         _captured(
             config,
             lambda: trial(t, rng, *entry),
@@ -279,22 +276,6 @@ def _cell_records(config, cell_index, fields, stacked, trial):
         )
         for t, rng, *entry in zip(trials, rngs, *entries)
     ]
-    solving = [t for t in trials if isinstance(records[t], _OmpTrial)]
-    if solving:
-        problems = [records[t] for t in solving]
-        try:
-            traces = run_omps(
-                np.array([p.y for p in problems]),
-                np.array([p.A for p in problems]),
-                [p.rule for p in problems],
-            )
-        except OmpSharpError as exc:
-            for t in solving:
-                records[t] = failed(exc, t)
-        else:
-            for t, problem, trace in zip(solving, problems, traces):
-                records[t] = problem.finish(trace)
-    return records
 
 
 def _support_string(support):
@@ -390,7 +371,10 @@ def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, del
 def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
     """The records of one cell: the cell's matrices and their RICs
     (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
-    each trial's noise and signal, then OMP on the whole cell."""
+    each trial's noise and signal, then OMP on all the trials that got that
+    far, in one run_omps call.  The records are those of running each trial
+    alone."""
+    fields = dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon)
 
     def stacked(rngs):
         A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
@@ -400,14 +384,34 @@ def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
             deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
         return A, deltas, deltas2
 
-    return _cell_records(
-        config, cell_index,
-        dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon),
-        stacked,
+    records = _cell_records(
+        config, cell_index, fields, stacked,
         lambda t, rng, A, delta_exact, delta2: _sufficiency_trial(
             config, cell_index, t, rng, A, delta_exact, delta2, K, delta, epsilon, linf
         ),
     )
+    solving = [(t, r) for t, r in enumerate(records) if isinstance(r, _OmpTrial)]
+    if not solving:
+        return records
+    try:
+        traces = run_omps(
+            np.array([p.y for _, p in solving]),
+            np.array([p.A for _, p in solving]),
+            [p.rule for _, p in solving],
+        )
+    except OmpSharpError:
+        # One failing problem (measurements that overflowed, say) fails the
+        # whole stack; solved one at a time, it fails only its own trial.
+        for t, problem in solving:
+            records[t] = _captured(
+                config,
+                lambda: problem.finish(run_omp(problem.y, problem.A, problem.rule)),
+                cell_index=cell_index, trial_index=t, **fields,
+            )
+        return records
+    for (t, problem), trace in zip(solving, traces):
+        records[t] = problem.finish(trace)
+    return records
 
 
 def _run_sufficiency(config, linf):

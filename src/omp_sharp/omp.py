@@ -160,7 +160,7 @@ def _back_substitute(R, b):
 def _norms(V):
     """||V[i]||_2 for each column vector V[i], shaped 1 x 1, from the same
     dot product as np.linalg.norm takes on a vector."""
-    return np.sqrt(np.swapaxes(V, 1, 2) @ V)
+    return np.sqrt(V.swapaxes(1, 2) @ V)
 
 
 def _kept(keep, *arrays):
@@ -177,7 +177,8 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     problems stop; ``problem`` maps its rows back to the stack.  Vectors are
     kept as m x 1 columns, so every product is one stacked matmul, and each
     one makes the same BLAS call, with the same strides, as its one-problem
-    form: the bits do not depend on the stack.
+    form: the bits do not depend on the stack.  Only run_omp, on a stack of
+    one, passes a ``tie_break_rng``.
     """
     count, m, n = A.shape
     cap = min(m, n)
@@ -191,63 +192,69 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                 f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
             )
 
-    # A[i][:, selected[i, :k]] = Q[i, :k].T @ R[i, :k, :k]: the rows of Q[i]
-    # are q_1..q_k.  The buffers are left untouched when allocated, so their
-    # pages take memory only as the run fills them.
+    # A[i][:, selected[problem[i]]] = Q[i, :k].T @ R[i, :k, :k]: the rows of
+    # Q[i] are q_1..q_k.  The buffers are left untouched when allocated, so
+    # their pages take memory only as the run fills them.
     Q = np.empty((count, max_iterations, m))
     R = np.zeros((count, max_iterations, max_iterations))
     qty = np.empty((count, max_iterations, 1))  # Q[i, :k] @ Y[i]
-    selected = np.empty((count, max_iterations), dtype=np.intp)  # 0-based
-    largest_diagonal = np.zeros((count, 1, 1))
     # BLAS sums a dot product in another order when a vector has a non-unit
-    # stride, as a column of a row-major A[i] has.  The selected columns are
-    # gathered into a buffer that keeps the unit or non-unit stride of A's
-    # columns, so that q_1 . a_s has the bits it has on the column itself.
+    # stride, as a column of a row-major A[i] has.  With several problems
+    # running, the selected columns are gathered into a buffer that keeps
+    # the unit or non-unit stride of A's columns, so that q_1 . a_s has the
+    # bits it has on the column itself; with one, the column is a view.
     column_buffer = np.empty((count, m, 1 if A.strides[1] == A.itemsize else 2))
-    A_t = np.swapaxes(A, 1, 2)
+    A_t = A.swapaxes(1, 2)
     problem = np.arange(count)
     iterations = [[] for _ in range(count)]
+    selected = [[] for _ in range(count)]  # 0-based, in selection order
+    largest_diagonal = [0.0] * count
     traces = [None] * count
 
     def stop(reasons, k):
         """Finish each row with a reason; returns the mask of the rows left."""
         keep = np.ones(len(problem), dtype=bool)
         for i, reason in reasons:
-            chosen = selected[i, :k]
+            p = int(problem[i])
             values = np.zeros(n)
-            values[chosen] = _back_substitute(R[i, :k, :k], qty[i, :k, 0])
-            traces[problem[i]] = OmpTrace(
-                iterations=tuple(iterations[problem[i]]),
-                final_support=frozenset((chosen + 1).tolist()),
+            values[selected[p]] = _back_substitute(R[i, :k, :k], qty[i, :k, 0])
+            traces[p] = OmpTrace(
+                iterations=tuple(iterations[p]),
+                final_support=frozenset(index + 1 for index in selected[p]),
                 final_estimate=SparseSignal(values),
                 stop_reason=reason,
             )
             keep[i] = False
         return keep
 
+    def verdict(k, rule, l2, linf):
+        """Why a problem stops on r^k, or None.  Before the first selection
+        only ||r^0|| counts, so no correlation rule fires on r^0 unless
+        A^T r^0 = 0."""
+        if rule.met(k, l2, linf if k or linf == 0.0 else math.inf):
+            return STOP_RULE_MET
+        if k == max_iterations:
+            return STOP_MAX_ITERATIONS
+        if linf == 0.0:
+            return STOP_STALLED
+        return None
+
     Y = Y[:, :, None]
-    residual_l2 = _norms(Y)
     correlations = (A_t @ Y)[:, :, 0]
     magnitudes = np.abs(correlations)
     correlation_linf = magnitudes.max(axis=1, keepdims=True)
+    reasons = []
+    for i, (rule, l2, linf) in enumerate(
+        zip(rules, _norms(Y).ravel().tolist(), correlation_linf.ravel().tolist())
+    ):
+        reason = verdict(0, rule, l2, linf)
+        if reason:
+            reasons.append((i, reason))
     for k in range(max_iterations + 1):
-        # Rules are checked on r^k.  Before the first selection only ||r^0||
-        # counts, so no correlation rule fires on r^0 unless A^T r^0 = 0.
-        reasons = []
-        for i, (p, l2, linf) in enumerate(zip(
-            problem.tolist(), residual_l2.ravel().tolist(), correlation_linf.ravel().tolist(),
-        )):
-            if rules[p].met(k, l2, linf if k or linf == 0.0 else math.inf):
-                reasons.append((i, STOP_RULE_MET))
-            elif k == max_iterations:
-                reasons.append((i, STOP_MAX_ITERATIONS))
-            elif linf == 0.0:
-                reasons.append((i, STOP_STALLED))
         if reasons:
-            (A_t, Y, Q, R, qty, selected, largest_diagonal, problem,
-             correlations, magnitudes, correlation_linf) = _kept(
-                stop(reasons, k), A_t, Y, Q, R, qty, selected, largest_diagonal,
-                problem, correlations, magnitudes, correlation_linf,
+            A_t, Y, Q, R, qty, problem, correlations, magnitudes, correlation_linf = _kept(
+                stop(reasons, k), A_t, Y, Q, R, qty, problem,
+                correlations, magnitudes, correlation_linf,
             )
             if not len(problem):
                 break
@@ -261,46 +268,52 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                 s[i] = tie_break_rng.choice(np.flatnonzero(tied[i]))
 
         # Gram-Schmidt with one re-orthogonalization pass.
-        column = column_buffer[: len(problem), :, :1]
-        column[:, :, 0] = A_t[np.arange(len(problem)), s]
+        if len(problem) == 1:
+            column = A_t[:, s[0]:s[0] + 1].swapaxes(1, 2)
+        else:
+            column = column_buffer[: len(problem), :, :1]
+            column[:, :, 0] = A_t[np.arange(len(problem)), s]
         basis = Q[:, :k]
-        basis_t = np.swapaxes(basis, 1, 2)
+        basis_t = basis.swapaxes(1, 2)
         coefficients = basis @ column
         w = column - basis_t @ coefficients
         correction = basis @ w
         w -= basis_t @ correction
         diagonal = _norms(w)
-        largest_diagonal = np.maximum(largest_diagonal, diagonal)
-        repeated = selected[:, :k] == s[:, None]
-        deficient = diagonal <= RANK_TOLERANCE * largest_diagonal
-        if np.count_nonzero(repeated) or np.count_nonzero(deficient):
-            stalled = repeated.any(axis=1)
-            reasons = [
-                (i, STOP_STALLED if stalled[i] else STOP_RANK_DEFICIENT)
-                for i in np.flatnonzero(stalled | deficient.ravel())
-            ]
-            (A_t, Y, Q, R, qty, selected, largest_diagonal, problem,
-             correlations, s, w, diagonal, coefficients, correction) = _kept(
-                stop(reasons, k), A_t, Y, Q, R, qty, selected, largest_diagonal,
-                problem, correlations, s, w, diagonal, coefficients, correction,
+        reasons = []
+        for i, (p, index, d) in enumerate(zip(
+            problem.tolist(), s.tolist(), diagonal.ravel().tolist(),
+        )):
+            largest_diagonal[p] = max(largest_diagonal[p], d)
+            if index in selected[p]:
+                reasons.append((i, STOP_STALLED))
+            elif d <= RANK_TOLERANCE * largest_diagonal[p]:
+                reasons.append((i, STOP_RANK_DEFICIENT))
+        if reasons:
+            (A_t, Y, Q, R, qty, problem, correlations, s, w, diagonal,
+             coefficients, correction) = _kept(
+                stop(reasons, k), A_t, Y, Q, R, qty, problem, correlations,
+                s, w, diagonal, coefficients, correction,
             )
             if not len(problem):
                 break
-        np.divide(w, diagonal, out=np.swapaxes(Q[:, k:k + 1], 1, 2))
+        np.divide(w, diagonal, out=Q[:, k:k + 1].swapaxes(1, 2))
         np.add(coefficients, correction, out=R[:, :k, k:k + 1])
         R[:, k:k + 1, k:k + 1] = diagonal
         np.matmul(Q[:, k:k + 1], Y, out=qty[:, k:k + 1])
-        selected[:, k] = s
 
-        residual = Y - np.swapaxes(Q[:, :k + 1], 1, 2) @ qty[:, :k + 1]
-        residual_l2 = _norms(residual)
+        # The residual r^(k+1) completes iteration k + 1's record, and the
+        # rules are checked on it.
+        residual = Y - Q[:, :k + 1].swapaxes(1, 2) @ qty[:, :k + 1]
         next_correlations = (A_t @ residual)[:, :, 0]
         magnitudes = np.abs(next_correlations)
         correlation_linf = magnitudes.max(axis=1, keepdims=True)
-        for p, index, values, l2, linf in zip(
+        reasons = []
+        for i, (p, index, values, l2, linf) in enumerate(zip(
             problem.tolist(), s.tolist(), correlations,
-            residual_l2.ravel().tolist(), correlation_linf.ravel().tolist(),
-        ):
+            _norms(residual).ravel().tolist(), correlation_linf.ravel().tolist(),
+        )):
+            selected[p].append(index)
             iterations[p].append(
                 OmpIteration(
                     selected_index=index + 1,
@@ -309,11 +322,14 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                     correlation_linf=linf,
                 )
             )
+            reason = verdict(k + 1, rules[p], l2, linf)
+            if reason:
+                reasons.append((i, reason))
         correlations = next_correlations
     return traces
 
 
-def run_omps(Y, A, rules, max_iterations=None, tie_break_rng=None):
+def run_omps(Y, A, rules):
     """run_omp on each problem of a stack, all in one loop.
 
     Problem i has measurements ``Y[i]``, matrix ``A[i]`` and stopping rule
@@ -321,8 +337,7 @@ def run_omps(Y, A, rules, max_iterations=None, tie_break_rng=None):
     row per matrix.  Each iteration forms every running problem's A^T r,
     Gram-Schmidt step and residual as one stacked product, and a problem
     leaves the loop as soon as it stops.  Returns one OmpTrace per problem,
-    each ``==`` to run_omp's on that problem.  With ``tie_break_rng``, ties
-    are drawn from it in problem order.
+    each ``==`` to run_omp's on that problem.
     """
     A = as_matrix_stack(A)
     Y = as_matrix(Y)
@@ -333,7 +348,7 @@ def run_omps(Y, A, rules, max_iterations=None, tie_break_rng=None):
         )
     if len(rules) != len(A):
         raise DimensionMismatch(f"{len(rules)} rules for {len(A)} problems")
-    return _solve(Y, A, rules, max_iterations, tie_break_rng)
+    return _solve(Y, A, rules, None, None)
 
 
 def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):

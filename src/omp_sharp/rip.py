@@ -26,8 +26,9 @@ RIP_CHECK_TOLERANCE = 1e-10
 
 #: Distance from 1 within which in_sharp_region compares delta^2 (K+1) with 1
 #: on exact rationals.  Outside it the float product decides: its roundings
-#: (the square, the product, and K + 1 when it exceeds 2**53) move it by at
-#: most about 3.4e-16 relative, far less than this.
+#: (the square and the product; K + 1 is taken as a float only up to 2**53,
+#: where it is exact) move it by at most about 2.3e-16 relative, far less
+#: than this.
 SHARP_REGION_BAND = 1e-12
 
 # Subsets are processed in lexicographic chunks of at most this size; the
@@ -360,15 +361,17 @@ def in_sharp_region(K, delta):
     boundary values such as delta = 0.5 with K = 3 are never misclassified
     by floating-point rounding.  The float product, off by at most a few
     units of round-off, decides every case outside SHARP_REGION_BAND of 1;
-    only the cases inside it are compared as rationals.
+    only the cases inside it, and every K + 1 above 2**53, are compared as
+    rationals.
     """
     if K < 1:
         raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
     if not (0.0 <= delta < 1.0):
         raise InvalidOrder(f"delta must lie in [0, 1), got {delta}")
-    product = delta * delta * (K + 1)
-    if abs(product - 1.0) > SHARP_REGION_BAND:
-        return product < 1.0
+    if K + 1 <= 2**53:
+        product = delta * delta * (K + 1)
+        if abs(product - 1.0) > SHARP_REGION_BAND:
+            return product < 1.0
     return Fraction(delta) ** 2 * (K + 1) < 1
 
 

@@ -179,6 +179,12 @@ def test_construct_gate_exit_3():
     assert "ParameterOutOfRange" in result.stderr
 
 
+def test_construct_sparsity_beyond_float_range_exit_3():
+    result = run_cli("construct", "l2", "-K", str(10**400), "--delta", "0.3", "--gamma", "0.1")
+    assert result.returncode == 3
+    assert "OutOfSharpRegion" in result.stderr
+
+
 def test_experiment_command(tmp_path):
     cfg = {
         "experiment": "Example2",

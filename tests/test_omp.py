@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omp_sharp import omp
 from omp_sharp.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -518,7 +519,10 @@ def test_stacked_solver_matches_incremental_reference(seed, count, m, n, kinds, 
     (rank_deficient), y = 0 and a ResidualL2 met on r^0, so problems leave
     the stack at different iterations and for every reason."""
     rng = np.random.default_rng(seed)
-    limit = int(rng.integers(1, min(m, n) + 1))
+    cap = min(m, n)
+    # half the stacks run to the full cap through run_omps; the others stop
+    # at a lower max_iterations, which only the solver loop itself takes
+    limit = cap if rng.integers(2) else int(rng.integers(1, cap + 1))
     problems = [stacked_problem(rng, kinds[i % len(kinds)], m, n, limit) for i in range(count)]
     A = np.array([a for a, _, _ in problems])
     if not row_major:
@@ -526,24 +530,28 @@ def test_stacked_solver_matches_incremental_reference(seed, count, m, n, kinds, 
         A = np.swapaxes(np.ascontiguousarray(np.swapaxes(A, 1, 2)), 1, 2)
     Y = np.array([y for _, y, _ in problems])
     rules = [rule for _, _, rule in problems]
-    traces = run_omps(Y, A, rules, max_iterations=limit)
+    if limit == cap:
+        traces = run_omps(Y, A, rules)
+    else:
+        traces = omp._solve(Y, A, rules, limit, None)
     for a, y, rule, trace in zip(A, Y, rules, traces):
         expected = incremental_omp(y, a, rule, max_iterations=limit)
         assert_same_trace(trace, expected)
         assert_same_trace(run_omp(y, a, rule, max_iterations=limit), expected)
 
 
-def test_stacked_solver_draws_ties_in_problem_order():
-    # every problem ties at its first selection: the stack draws from the
-    # generator in problem order, as run_omp would one problem after another
-    A = np.array([np.eye(3)] * 5)
-    Y = np.array([[1.0, -1.0, 1.0]] * 5)
-    rules = [FixedIterations(1)] * 5
-    traces = run_omps(Y, A, rules, tie_break_rng=np.random.default_rng(4))
-    rng = np.random.default_rng(4)
-    for a, y, rule, trace in zip(A, Y, rules, traces):
-        assert_same_trace(trace, incremental_omp(y, a, rule, tie_break_rng=rng))
-    assert len({t.iterations[0].selected_index for t in traces}) > 1
+def test_tie_break_rng_matches_incremental_reference():
+    # columns e_i and -e_i tie at every selection, so the generator is drawn
+    # from on each of the three iterations
+    A = np.hstack([np.eye(3), -np.eye(3)])
+    y = np.array([1.0, -1.0, 1.0])
+    for seed in range(8):
+        trace = run_omp(y, A, FixedIterations(3), tie_break_rng=np.random.default_rng(seed))
+        expected = incremental_omp(
+            y, A, FixedIterations(3), tie_break_rng=np.random.default_rng(seed)
+        )
+        assert_same_trace(trace, expected)
+        assert trace.stop_reason == STOP_RULE_MET
 
 
 def test_stacked_solver_validation():

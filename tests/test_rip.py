@@ -448,6 +448,26 @@ def test_boundary_decided_by_exact_rationals(K, random_delta):
     assert in_sharp_region(K, random_delta) == exact(random_delta)
 
 
+@settings(max_examples=50)
+@given(st.integers(2**53, 2**80), st.floats(0.0, 1.0, exclude_max=True))
+def test_sparsity_beyond_float_precision_decided_by_exact_rationals(K, random_delta):
+    from fractions import Fraction
+
+    def exact(delta):
+        return Fraction(delta) ** 2 * (K + 1) < 1
+
+    delta = 1.0 / math.sqrt(K + 1)
+    for candidate in (delta, math.nextafter(delta, 0.0), math.nextafter(delta, 1.0),
+                      random_delta):
+        assert in_sharp_region(K, candidate) == exact(candidate)
+    # 2**54 + 1 is 2**54 as a float, which would put 2**-27 on the boundary
+    assert not in_sharp_region(2**54, 2.0**-27)
+    assert in_sharp_region(2**53, 2.0**-27)
+    # K + 1 beyond the float range
+    assert not in_sharp_region(10**400, 0.3)
+    assert in_sharp_region(10**400, 0.0)
+
+
 # ---------------------------------------------------------- RIP inequality
 
 
