@@ -698,21 +698,18 @@ def run_experiment(config):
 
 def summarize(config, columns, records):
     if columns is COMPARISON_COLUMNS:
-        passes = sum(
+        verdicts = [
             r["ric_inequality_holds"] and r["min_magnitude_inequality_holds"]
             for r in records
-        )
+        ]
     else:
-        passes = sum(bool(r["passed"]) for r in records)
+        verdicts = [bool(r["passed"]) for r in records]
+    passes = sum(verdicts)
     cells = {}
-    for r in records:
+    for r, ok in zip(records, verdicts):
         key = r.get("cell_index", r.get("K"))
         cell = cells.setdefault(key, {"trials": 0, "passes": 0})
         cell["trials"] += 1
-        if columns is COMPARISON_COLUMNS:
-            ok = r["ric_inequality_holds"] and r["min_magnitude_inequality_holds"]
-        else:
-            ok = bool(r["passed"])
         cell["passes"] += ok
     return {
         "experiment": config.experiment,

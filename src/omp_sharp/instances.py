@@ -33,6 +33,9 @@ BOUND_SLACK = 1e-12
 #: keeps vanishing.
 NOISE_ATTEMPTS = 100
 
+#: Gaussian draws random_frame_with_ric tries before giving up.
+FRAME_ATTEMPTS = 200
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -378,16 +381,17 @@ def random_matrices_with_ric(m, n, delta_cap, seeds):
     return Q @ B
 
 
-def random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
+def random_frame_with_ric(m, n, order, delta_bound, seed):
     """Random m x n frame (n > m allowed) with exact order-``order`` RIC
     strictly below ``delta_bound``.
 
     Each attempt tightens a Gaussian draw toward a unit-norm tight frame and
     then applies the globally optimal rescaling; draws whose best achievable
-    constant still exceeds the bound are rejected.
+    constant still exceeds the bound are rejected.  Raises DegenerateMatrix
+    after FRAME_ATTEMPTS rejected draws.
     """
     rng = _as_rng(seed)
-    for _ in range(attempts):
+    for _ in range(FRAME_ATTEMPTS):
         A = rng.standard_normal((m, n))
         for _ in range(60):
             U, _, Vt = np.linalg.svd(A, full_matrices=False)
@@ -405,5 +409,5 @@ def random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
             return A * math.sqrt(2.0 / (lam_max + lam_min))
     raise DegenerateMatrix(
         f"no {m}x{n} frame with order-{order} RIC below {delta_bound} "
-        f"found in {attempts} attempts"
+        f"found in {FRAME_ATTEMPTS} attempts"
     )

@@ -394,6 +394,8 @@ def min_magnitude_threshold_l2(K, delta, epsilon):
 
 
 def _linf_factor(K, delta2, deltaK1, unit_norm_columns):
+    if K < 1:
+        raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
     if not 0.0 <= deltaK1 < 1.0:
         raise InvalidOrder(f"delta_(K+1) must lie in [0, 1), got {deltaK1}")
     if delta2 > deltaK1:

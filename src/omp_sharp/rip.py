@@ -120,7 +120,7 @@ def _may_bound(n, K):
     return math.comb(n - 1, K) > _BOUND_MIN_SUBSETS
 
 
-def subset_spectra(gram, K, threshold=None, rank=None):
+def subset_spectra(gram, K, threshold=None):
     """Gram spectra of the K-subsets of columns.
 
     Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
@@ -156,15 +156,10 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     bounds it may still compute near the end of the root cover small blocks.
 
     A bound is computed only where it can pay off: on a set of more than
-    _BOUND_MIN_SUBSETS subsets, when the subsets walked if it fails number at
-    least the block's column count cubed over _BOUND_CUBE_RATIO, and when the
-    best delta exceeds 1 or the block has at most ``rank`` columns (an upper
-    bound on the rank of ``gram``, such as the row count of A for
-    ``gram = A.T @ A``).  A block on more columns is singular, so its bound is
-    at least 1 and cannot prune below a best delta of 1.
+    _BOUND_MIN_SUBSETS subsets, and when the subsets walked if it fails
+    number at least the block's column count cubed over _BOUND_CUBE_RATIO.
     """
     n = gram.shape[-1]
-    rank = n if rank is None else rank
     chunk = max(1, _CHUNK // max(1, math.prod(gram.shape[:-2])))
     order = None
     pending = []
@@ -192,7 +187,7 @@ def subset_spectra(gram, K, threshold=None, rank=None):
     def pruned(columns):
         """True when no K-subset of ``columns`` can beat threshold()."""
         best = threshold()
-        if best == -math.inf or (len(columns) > rank and best <= 1.0):
+        if best == -math.inf:
             return False
         if order is not None:
             columns = order[columns]
@@ -249,109 +244,101 @@ def _subset_count(n, K, budget):
     return total
 
 
-def _deltas(eigenvalues):
-    """max(1 - lambda_min, lambda_max - 1) of each block of a chunk of
-    ascending eigenvalues."""
-    return np.maximum(1.0 - eigenvalues[..., 0], eigenvalues[..., -1] - 1.0)
-
-
-def _chunk_best(subsets, eigenvalues, deltas):
+def _chunk_best(subsets, eigenvalues):
     """The largest delta of one chunk of subset_spectra, per matrix.
 
-    ``deltas`` is _deltas(eigenvalues).  Returns ``(delta, row,
-    eigenvalue)``, each with the leading axes of ``deltas`` but the last:
-    the largest delta, the row of ``subsets`` attaining it, and that
-    subset's extremal eigenvalue.  Among rows that tie, the
-    lexicographically smallest subset wins, since the walk need not be
-    lexicographic.
+    ``eigenvalues`` holds the ascending eigenvalues of each subset's block,
+    matrices on the leading axis, and a subset's delta is
+    ``max(1 - lambda_min, lambda_max - 1)`` of its block.  Returns
+    ``(delta, row, eigenvalue)``, one entry per matrix: the largest delta,
+    the row of ``subsets`` attaining it, and that subset's extremal
+    eigenvalue.  Among rows that tie, the lexicographically smallest subset
+    wins, since the walk need not be lexicographic.
     """
-    row = deltas.argmax(axis=-1)
-    delta = deltas.max(axis=-1)
-    ties = deltas == delta[..., None]
-    if np.count_nonzero(ties) > row.size:
+    low, high = eigenvalues[..., 0], eigenvalues[..., -1]
+    deltas = np.maximum(1.0 - low, high - 1.0)
+    matrices = np.arange(len(deltas))
+    row = deltas.argmax(axis=1)
+    delta = deltas[matrices, row]
+    ties = deltas == delta[:, None]
+    if np.count_nonzero(ties) > len(row):
         rank = np.empty(len(subsets), dtype=np.intp)
         rank[np.lexsort(subsets.T[::-1])] = np.arange(len(subsets))
-        row = np.argmin(np.where(ties, rank, len(subsets)), axis=-1)
-    at = np.indices(row.shape, sparse=True) + (row,)
-    low, high = eigenvalues[..., 0][at], eigenvalues[..., -1][at]
+        row = np.argmin(np.where(ties, rank, len(subsets)), axis=1)
+    low, high = low[matrices, row], high[matrices, row]
     return delta, row, np.where(1.0 - low >= high - 1.0, low, high)
+
+
+def _search(A, K, budget):
+    """The order-K report of every matrix of the validated stack ``A``.
+
+    A single matrix gets the branch-and-bound walk of subset_spectra, pruned
+    against its best delta so far.  A larger stack gets one such walk per
+    matrix when the walk may bound (see _may_bound), and otherwise one
+    unpruned walk for the whole stack, each eigensolve covering every
+    matrix.  Across chunks the larger delta wins, and of equal ones the
+    lexicographically smaller subset.  Raises InvalidOrder or
+    BudgetExceeded (see _subset_count) before any subset is evaluated.
+    """
+    count, _, n = A.shape
+    total = _subset_count(n, K, budget)
+    if count != 1 and _may_bound(n, K):
+        return [report for a in A for report in _search(a[None], K, budget)]
+    best_delta = np.full(count, -math.inf)
+    best_subset = np.zeros((count, K), dtype=np.intp)
+    best_eigenvalue = np.zeros(count)
+    evaluated = 0
+    if count == 1:  # subset_spectra bounds a single Gram matrix only
+        spectra = subset_spectra(A[0].T @ A[0], K, lambda: best_delta[0])
+    else:
+        spectra = subset_spectra(A.swapaxes(1, 2) @ A, K)
+    for subsets, eigenvalues in spectra:
+        evaluated += len(subsets)
+        delta, row, eigenvalue = _chunk_best(
+            subsets, eigenvalues.reshape(count, len(subsets), K))
+        witness = subsets[row]
+        better = delta > best_delta
+        for b in (delta == best_delta).nonzero()[0].tolist():
+            better[b] = witness[b].tolist() < best_subset[b].tolist()
+        best_delta = np.where(better, delta, best_delta)
+        best_subset = np.where(better[:, None], witness, best_subset)
+        best_eigenvalue = np.where(better, eigenvalue, best_eigenvalue)
+    return [
+        RicReport(
+            order=int(K),
+            delta=d,
+            witness_subset=tuple(i + 1 for i in subset),
+            witness_eigenvalue=w,
+            subsets_evaluated=evaluated,
+            subsets_pruned=total - evaluated,
+        )
+        for d, subset, w in zip(best_delta.tolist(), best_subset.tolist(),
+                                best_eigenvalue.tolist())
+    ]
 
 
 def exact_ric(A, K, budget=DEFAULT_BUDGET):
     """Exact RIC of order ``K``: max over all K-subsets S of the deviation of
     the spectrum of A_S^T A_S from 1.
 
-    The search is the branch-and-bound of subset_spectra, which skips only
+    The one-matrix case of the stacked search (see _search).  It skips only
     subtrees that cannot hold a subset reaching the best delta, so the
     report equals that of evaluating every subset.  Ties break toward the
     lexicographically smallest subset, so the report is deterministic.
     Raises BudgetExceeded when C(cols, K) exceeds ``budget``, before any
     subset is evaluated.
     """
-    A = as_matrix(A)
-    total = _subset_count(A.shape[1], K, budget)
-    best_delta = -math.inf
-    best_subset = None
-    best_eigenvalue = None
-    evaluated = 0
-    for subsets, eigenvalues in subset_spectra(A.T @ A, K, lambda: best_delta, A.shape[0]):
-        evaluated += len(subsets)
-        deltas = _deltas(eigenvalues)
-        if deltas.max() < best_delta:
-            continue
-        delta, row, eigenvalue = _chunk_best(subsets, eigenvalues, deltas)
-        subset = tuple(int(i) + 1 for i in subsets[row])
-        if delta > best_delta or subset < best_subset:
-            best_delta = float(delta)
-            best_subset = subset
-            best_eigenvalue = float(eigenvalue)
-
-    return RicReport(
-        order=int(K),
-        delta=best_delta,
-        witness_subset=best_subset,
-        witness_eigenvalue=best_eigenvalue,
-        subsets_evaluated=evaluated,
-        subsets_pruned=total - evaluated,
-    )
+    return _search(as_matrix(A)[None], K, budget)[0]
 
 
 def exact_rics(A, K):
     """exact_ric of every matrix of the stack ``A`` (matrices on the leading
     axis), as a list of reports each ``==`` to exact_ric's.
 
-    When the walk over the K-subsets computes no bound (see _may_bound), it
-    runs once for the whole stack, unpruned, each eigensolve covering every
-    matrix, and each matrix is reduced with exact_ric's tie rule.  Otherwise
-    exact_ric runs on each matrix.  Raises what exact_ric raises, before
-    any subset is evaluated.
+    Where the walk computes no bound, one walk covers the whole stack (see
+    _search).  Raises what exact_ric raises, before any subset is evaluated.
     """
-    A = as_matrix_stack(A)
-    n = A.shape[2]
-    total = _subset_count(n, K, DEFAULT_BUDGET)
-    if _may_bound(n, K):
-        return [exact_ric(a, K) for a in A]
-    best_delta = np.full(len(A), -math.inf)
-    best_subset = np.zeros((len(A), K), dtype=np.intp)
-    best_eigenvalue = np.zeros(len(A))
-    for subsets, eigenvalues in subset_spectra(np.swapaxes(A, 1, 2) @ A, K):
-        delta, row, eigenvalue = _chunk_best(subsets, eigenvalues, _deltas(eigenvalues))
-        # chunks come in lexicographic order: a tie keeps the earlier subset
-        better = delta > best_delta
-        best_delta[better] = delta[better]
-        best_subset[better] = subsets[row[better]]
-        best_eigenvalue[better] = eigenvalue[better]
-    return [
-        RicReport(
-            order=int(K),
-            delta=float(d),
-            witness_subset=tuple(int(i) + 1 for i in subset),
-            witness_eigenvalue=float(w),
-            subsets_evaluated=total,
-            subsets_pruned=0,
-        )
-        for d, subset, w in zip(best_delta, best_subset, best_eigenvalue)
-    ]
+    return _search(as_matrix_stack(A), K, DEFAULT_BUDGET)
 
 
 def in_sharp_region(K, delta):

@@ -1,17 +1,26 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omp_sharp
 from omp_sharp.serialize import format_matrix_text, format_vector_text
+
+# The directory this process imported omp_sharp from, put first on the child
+# process's path so that the CLI under test is the same source.
+PACKAGE_ROOT = str(Path(omp_sharp.__file__).resolve().parent.parent)
 
 
 def run_cli(*args):
     cmd = [sys.executable, "-m", "omp_sharp.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def write_identity(tmp_path, n=3):
@@ -88,6 +97,19 @@ def test_exact_ric_linf_rule_tolerates_round_off_in_delta_2(tmp_path):
     assert "InvalidDeltaOrder" in result.stderr
 
 
+@pytest.mark.parametrize("sparsity", ["0", "-1"])
+@pytest.mark.parametrize("deltas", [["--exact-ric"], ["--delta2", "0.1", "--delta-k1", "0.2"]])
+def test_linf_rule_sparsity_below_one_exit_3(tmp_path, sparsity, deltas):
+    matrix = write_identity(tmp_path)
+    y = tmp_path / "y.txt"
+    y.write_text("1\n2\n3\n")
+    result = run_cli(
+        "omp", "run", str(matrix), str(y), "linf:0.5", "--sparsity", sparsity, *deltas
+    )
+    assert result.returncode == 3, result.stderr
+    assert "InvalidOrder" in result.stderr
+
+
 def test_omp_run_dimension_mismatch_exit_3(tmp_path):
     matrix = write_identity(tmp_path)
     y = tmp_path / "y.txt"
@@ -153,6 +175,26 @@ def test_ric_budget_exceeded_exit_4(tmp_path):
     result = run_cli("ric", str(matrix), "3", "--budget", "2")
     assert result.returncode == 4
     assert "budget" in result.stderr
+
+
+# ``ric`` reports frozen from the search before it was one loop over a
+# stack, compared byte for byte, so the witness eigenvalue's bits and the
+# work counters are covered too.  The matrices are seeded draws:
+#     ric_gauss_32x16.txt   default_rng(8101).standard_normal((32, 16)) / sqrt(32)
+#     ric_unit_24x30.txt    default_rng(8102).standard_normal((24, 30)), unit columns
+DATA = Path(__file__).parent / "data"
+GOLDEN_RIC = [
+    ("ric_gauss_32x16.txt", "6", ["--all-orders"], "ric_gauss_32x16_order6_all.json"),
+    ("ric_unit_24x30.txt", "4", [], "ric_unit_24x30_order4.json"),
+]
+
+
+@pytest.mark.parametrize("matrix, order, flags, expected", GOLDEN_RIC)
+def test_ric_output_matches_golden(tmp_path, matrix, order, flags, expected):
+    out = tmp_path / expected
+    result = run_cli("ric", str(DATA / matrix), order, *flags, "-o", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (DATA / expected).read_bytes()
 
 
 def test_construct_certification_block(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omp_sharp import instances
 from omp_sharp.errors import (
     DegenerateMatrix,
     DimensionMismatch,
@@ -350,7 +351,8 @@ def test_random_frame_with_ric_matches_per_subset_reference(m, n, order, seed):
     assert np.array_equal(A, reference_random_frame_with_ric(m, n, order, 0.75, seed))
 
 
-def test_random_frame_with_ric_gives_up_after_its_attempts():
-    with pytest.raises(DegenerateMatrix):
-        random_frame_with_ric(6, 8, 3, 1e-3, seed=0, attempts=2)
+def test_random_frame_with_ric_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(instances, "FRAME_ATTEMPTS", 2)
+    with pytest.raises(DegenerateMatrix, match="found in 2 attempts"):
+        random_frame_with_ric(6, 8, 3, 1e-3, seed=0)
     assert reference_random_frame_with_ric(6, 8, 3, 1e-3, seed=0, attempts=2) is None

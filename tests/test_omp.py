@@ -606,6 +606,14 @@ def test_linf_threshold_delta_order_gate():
         linf_stopping_threshold(2, 0.4, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_linf_thresholds_reject_sparsity_below_one(K):
+    with pytest.raises(InvalidOrder, match="sparsity"):
+        linf_stopping_threshold(K, 0.1, 0.2, 0.5)
+    with pytest.raises(InvalidOrder, match="sparsity"):
+        min_magnitude_threshold_linf(K, 0.1, 0.2, 0.5)
+
+
 def test_prior_art_frozen():
     out = prior_art_thresholds(3, 0.3, 0.25)
     assert out["ric_bound"] == pytest.approx((math.sqrt(13) - 1) / 6, abs=1e-15)

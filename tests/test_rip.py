@@ -120,12 +120,12 @@ def test_pruned_search_matches_unpruned_reference(A):
 
 @st.composite
 def ric_stacks(draw):
-    """Stacks of 2 to 30 Gaussian matrices on 6 to 12 columns, some with
+    """Stacks of 1 to 30 Gaussian matrices on 6 to 12 columns, some with
     duplicate columns or a scaled-identity block (exact ties)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(6, 12))
     m = draw(st.integers(3, n + 3))
-    A = rng.standard_normal((draw(st.integers(2, 30)), m, n)) / math.sqrt(m)
+    A = rng.standard_normal((draw(st.integers(1, 30)), m, n)) / math.sqrt(m)
     for a in A:
         kind = rng.integers(3)
         if kind == 1:
@@ -262,28 +262,12 @@ def count_bound_solves(monkeypatch):
 
 def test_wide_low_order_search_computes_no_bound(monkeypatch):
     """At order 2 a bound would cost more than the subsets it could skip,
-    and on 150 rows every block of more columns is singular."""
+    so the cost cutoff alone leaves the search unbounded."""
     A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
     bounds = count_bound_solves(monkeypatch)
     report = exact_ric(A, 2)
     assert bounds == []
     assert (report.subsets_evaluated, report.subsets_pruned) == (math.comb(500, 2), 0)
-
-
-def test_singular_blocks_are_bounded_only_above_delta_one(monkeypatch):
-    """Blocks on more columns than the rank of the Gram matrix bound their
-    subsets by at least 1, so they are bounded only when the best delta
-    exceeds 1."""
-    A = unit_column_matrix(6, 4, 16)
-    gram = A.T @ A
-    bounds = count_bound_solves(monkeypatch)
-    subsets = np.concatenate([S for S, _ in subset_spectra(gram, 6, lambda: 0.9, rank=4)])
-    assert bounds == [] and len(subsets) == math.comb(16, 6)
-    list(subset_spectra(gram, 6, lambda: 0.9))
-    assert bounds and min(bounds) > 4
-    bounds.clear()
-    list(subset_spectra(gram, 6, lambda: 1.5, rank=4))
-    assert bounds
 
 
 def test_report_json_carries_the_work_counters():
