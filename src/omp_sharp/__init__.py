@@ -55,7 +55,7 @@ from .omp import (
     run_omp,
     run_omps,
 )
-from .rip import RicReport, check_rip_inequality, exact_ric, in_sharp_region
+from .rip import RicReport, exact_ric, in_sharp_region
 from .serialize import (
     format_matrix_text,
     format_vector_text,

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import instances as inst
-from .errors import BudgetExceeded, OmpSharpError, ParseError
+from .errors import BudgetExceeded, InvalidOrder, OmpSharpError, ParseError
 from .experiments import ExperimentConfig, write_experiment_outputs
 from .omp import (
     CorrelationLInf,
@@ -77,6 +77,8 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
             epsilon = float(value)
             if sparsity is None:
                 raise click.UsageError("linf rule requires --sparsity")
+            if sparsity < 1:
+                raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
             if use_exact_ric:
                 delta_k1 = exact_ric(A, min(sparsity + 1, A.shape[1])).delta
                 # round-off can put the enumerated delta_2 an ulp above
@@ -175,16 +177,8 @@ def _certification(instance, sparsity):
     }
 
 
-#: The 2x2 example kinds of ``construct``: (builder, default signal magnitude).
-_EXAMPLES = {
-    "example1": (inst.build_example1, inst.example1_default_a),
-    "example2": (inst.build_example2, inst.example2_default_a),
-    "example3": (inst.build_example3, inst.example3_default_a),
-}
-
-
 @cli.command("construct")
-@click.argument("kind", type=click.Choice(["l2", "linf", "example1", "example2", "example3"]))
+@click.argument("kind", type=click.Choice(["l2", "linf", *inst.EXAMPLES]))
 @click.option("--sparsity", "-K", "sparsity", type=int, default=1, show_default=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--epsilon", type=float, default=1.0, show_default=True)
@@ -209,7 +203,7 @@ def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value
             gamma = gamma_fraction * inst.linf_gamma_bound(K, delta, epsilon)
         instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
     else:
-        build, default_a = _EXAMPLES[kind]
+        build, default_a = inst.EXAMPLES[kind]
         instance = build(delta, default_a(delta) if a_value is None else a_value)
         K = 1
     doc = {

@@ -6,6 +6,7 @@ trial.  Support recovery is always re-derived from the trace by an
 independent set comparison, never trusted from the solver.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -214,32 +215,42 @@ def _rng(config, cell_index, trial_index):
     return np.random.default_rng([config.seed, cell_index, trial_index])
 
 
-def _record(config, **kwargs):
-    record = {column: None for column in TRIAL_COLUMNS}
-    record["schema_version"] = TRIAL_SCHEMA
-    record["experiment"] = config.experiment
-    record.update(kwargs)
-    return record
+def _grid(config, *extra):
+    """The (K, delta, epsilon, *extra) values of each cell of a sweep grid,
+    in output order; each of ``extra`` is one more list of values to
+    cross."""
+    return [
+        (K, delta, epsilon, *rest)
+        for K in config.k_values
+        for delta in config.resolved_deltas(K)
+        for epsilon in config.epsilons
+        for rest in itertools.product(*extra)
+    ]
 
 
-def _failed(config, exc, **fields):
-    """The record of a trial that raised ``exc``."""
-    return _record(config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields)
+def _records(cells, cell):
+    """The records of ``cell(cell_index, *values)`` for each cell's values,
+    in order."""
+    return [record for index, values in enumerate(cells) for record in cell(index, *values)]
 
 
-def _captured(config, trial, **fields):
-    """The record of ``trial()``; an OmpSharpError becomes a failed record
-    with ``fields`` and the error instead, so one bad trial does not sink
-    the run."""
+def _failed(exc):
+    """The fields of a trial that raised ``exc``."""
+    return {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _attempt(work):
+    """``work()``; an OmpSharpError becomes the fields of a failed trial
+    instead, so one bad trial does not sink the run."""
     try:
-        return trial()
+        return work()
     except OmpSharpError as exc:
-        return _failed(config, exc, **fields)
+        return _failed(exc)
 
 
 class _OmpTrial(NamedTuple):
     """A trial that ends in OMP: its problem, and ``finish(trace)``, which
-    makes its record from the trace."""
+    returns the trial's fields from the trace."""
 
     A: np.ndarray
     y: np.ndarray
@@ -247,34 +258,48 @@ class _OmpTrial(NamedTuple):
     finish: Callable
 
 
-def _cell_records(config, cell_index, fields, stacked, trial):
-    """The results of one cell, its trials worked through as one stack.
+def _cell(config, cell_index, count, fields, trial, shared=lambda rngs: ()):
+    """The records of one cell of ``count`` trials, each stamped with the
+    cell's ``fields`` and its cell and trial index.
 
-    ``stacked(rngs)`` draws from each trial's generator what the trial
-    draws first and returns sequences with one entry per trial, such as the
-    matrices and their RICs, computed for the whole cell at once; an
-    OmpSharpError there fails every trial, as it would fail each alone.
-    ``trial(trial_index, rng, *entries)`` then draws the rest of each trial
-    and returns its result; an OmpSharpError fails that trial alone.
+    ``shared(rngs)`` draws from each trial's generator what the trial draws
+    first, does the work the trials share, such as the sweeps' matrices and
+    their RICs computed as one stack, and returns sequences with one entry
+    per trial; an OmpSharpError there fails every trial, as it would fail
+    each alone.  ``trial(rng, *entries)`` then does the rest of one trial
+    and returns its own fields, or an _OmpTrial.  The cell's _OmpTrials are
+    solved in one run_omps call and finished from their traces.  One
+    failing problem (measurements that overflowed, say) fails that whole
+    call; each problem is then solved alone by run_omp, so it fails only
+    its own trial.  Any other OmpSharpError fails its trial alone.
     """
-    trials = range(config.trials)
-    rngs = [_rng(config, cell_index, t) for t in trials]
+    rngs = [_rng(config, cell_index, t) for t in range(count)]
     try:
-        entries = stacked(rngs)
+        entries = zip(rngs, *shared(rngs))
     except OmpSharpError as exc:
-        return [
-            _failed(config, exc, cell_index=cell_index, trial_index=t, **fields)
-            for t in trials
-        ]
+        results = [_failed(exc)] * count
+    else:
+        results = [_attempt(lambda: trial(*entry)) for entry in entries]
+    solving = [t for t, result in enumerate(results) if isinstance(result, _OmpTrial)]
+    if solving:
+        problems = [results[t] for t in solving]
+        try:
+            traces = run_omps(
+                np.array([p.y for p in problems]),
+                np.array([p.A for p in problems]),
+                [p.rule for p in problems],
+            )
+        except OmpSharpError:
+            traces = [None] * len(problems)
+        for t, problem, trace in zip(solving, problems, traces):
+            results[t] = _attempt(lambda: problem.finish(
+                run_omp(problem.y, problem.A, problem.rule) if trace is None else trace
+            ))
+    blank = dict.fromkeys(TRIAL_COLUMNS)
     return [
-        _captured(
-            config,
-            lambda: trial(t, rng, *entry),
-            cell_index=cell_index,
-            trial_index=t,
-            **fields,
-        )
-        for t, rng, *entry in zip(trials, rngs, *entries)
+        dict(blank, schema_version=TRIAL_SCHEMA, experiment=config.experiment,
+             cell_index=cell_index, trial_index=t, **fields, **result)
+        for t, result in enumerate(results)
     ]
 
 
@@ -307,6 +332,24 @@ def _correlation_gap(trace, true_support, n):
     return float(max(on) - max(off))
 
 
+def _omp_trial(A, x, y, stopping_rule, passed, **fields):
+    """The _OmpTrial that recovers ``x`` from ``y`` on ``A`` under
+    ``stopping_rule``.  Its fields are ``fields``, those of its trace, and
+    whether it passed: ``passed(trace_fields)``."""
+
+    def finish(trace):
+        found = _trace_fields(trace, x.support)
+        return dict(
+            min_magnitude=x.min_magnitude(),
+            correlation_gap_iter1=_correlation_gap(trace, x.support, x.n),
+            passed=passed(found),
+            **fields,
+            **found,
+        )
+
+    return _OmpTrial(A, y, stopping_rule, finish)
+
+
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -322,11 +365,9 @@ def _random_signal(rng, n, K, magnitude):
     return SparseSignal(values, sparsity=K)
 
 
-def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, delta2,
-                       K, delta, epsilon, linf):
-    """One trial once its matrix ``A`` and its constants are known: the
-    noise and the signal drawn from ``rng``, as an _OmpTrial."""
-    m, n = config.m, config.n
+def _sufficiency_trial(config, K, epsilon, linf, rng, A, delta_exact, delta2):
+    """One trial once its matrix ``A`` and its RICs are known: the noise and
+    the signal drawn from ``rng``, as an _OmpTrial."""
     if linf:
         bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
         rule = CorrelationLInf(
@@ -338,93 +379,45 @@ def _sufficiency_trial(config, cell_index, trial_index, rng, A, delta_exact, del
     else:
         bound = min_magnitude_threshold_l2(K, delta_exact, epsilon)
         rule = ResidualL2(epsilon)
-        v = inst.sample_l2_noise(m, epsilon, rng)
+        v = inst.sample_l2_noise(config.m, epsilon, rng)
         noise_model = inst.NOISE_L2
         rule_name = f"l2:{epsilon}"
-    x = _random_signal(rng, n, K, config.margin * bound)
-
-    def finish(trace):
-        fields = _trace_fields(trace, x.support)
-        return _record(
-            config,
-            cell_index=cell_index,
-            trial_index=trial_index,
-            K=K,
-            m=m,
-            n=n,
-            delta_nominal=delta,
-            delta_exact=delta_exact,
-            delta2_exact=delta2,
-            epsilon=epsilon,
-            min_magnitude=x.min_magnitude(),
-            min_magnitude_bound=bound,
-            noise_model=noise_model,
-            rule=rule_name,
-            correlation_gap_iter1=_correlation_gap(trace, x.support, n),
-            passed=fields["support_recovered"] and fields["iterations"] == K,
-            **fields,
-        )
-
-    return _OmpTrial(A, A @ x.values + v, rule, finish)
+    x = _random_signal(rng, config.n, K, config.margin * bound)
+    return _omp_trial(
+        A, x, A @ x.values + v, rule,
+        lambda found: found["support_recovered"] and found["iterations"] == K,
+        delta_exact=delta_exact,
+        delta2_exact=delta2,
+        min_magnitude_bound=bound,
+        noise_model=noise_model,
+        rule=rule_name,
+    )
 
 
-def _sufficiency_cell(config, cell_index, K, delta, epsilon, linf):
-    """The records of one cell: the cell's matrices and their RICs
+def _run_sufficiency(config, linf):
+    """A cell per (K, delta, epsilon): the cell's matrices and their RICs
     (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
     each trial's noise and signal, then OMP on all the trials that got that
     far, in one run_omps call.  The records are those of running each trial
     alone."""
-    fields = dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon)
 
-    def stacked(rngs):
-        A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
-        deltas = [report.delta for report in exact_rics(A, K + 1)]
-        deltas2 = [None] * len(rngs)
-        if linf:
-            deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
-        return A, deltas, deltas2
+    def cell(cell_index, K, delta, epsilon):
+        def shared(rngs):
+            A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
+            deltas = [report.delta for report in exact_rics(A, K + 1)]
+            deltas2 = [None] * len(rngs)
+            if linf:
+                deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
+            return A, deltas, deltas2
 
-    records = _cell_records(
-        config, cell_index, fields, stacked,
-        lambda t, rng, A, delta_exact, delta2: _sufficiency_trial(
-            config, cell_index, t, rng, A, delta_exact, delta2, K, delta, epsilon, linf
-        ),
-    )
-    solving = [(t, r) for t, r in enumerate(records) if isinstance(r, _OmpTrial)]
-    if not solving:
-        return records
-    try:
-        traces = run_omps(
-            np.array([p.y for _, p in solving]),
-            np.array([p.A for _, p in solving]),
-            [p.rule for _, p in solving],
+        return _cell(
+            config, cell_index, config.trials,
+            dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon),
+            lambda rng, *entry: _sufficiency_trial(config, K, epsilon, linf, rng, *entry),
+            shared,
         )
-    except OmpSharpError:
-        # One failing problem (measurements that overflowed, say) fails the
-        # whole stack; solved one at a time, it fails only its own trial.
-        for t, problem in solving:
-            records[t] = _captured(
-                config,
-                lambda: problem.finish(run_omp(problem.y, problem.A, problem.rule)),
-                cell_index=cell_index, trial_index=t, **fields,
-            )
-        return records
-    for (t, problem), trace in zip(solving, traces):
-        records[t] = problem.finish(trace)
-    return records
 
-
-def _run_sufficiency(config, linf):
-    cells = []
-    for K in config.k_values:
-        for delta in config.resolved_deltas(K):
-            for epsilon in config.epsilons:
-                cells.append((K, delta, epsilon))
-    return [
-        record
-        for cell_index, (K, delta, epsilon) in enumerate(cells)
-        for record in _sufficiency_cell(config, cell_index, K, delta, epsilon, linf)
-    ]
+    return _records(_grid(config), cell)
 
 
 def run_theorem1_sweep(config):
@@ -435,7 +428,10 @@ def run_theorem2_sweep(config):
     return _run_sufficiency(config, linf=True)
 
 
-def _failure_trial(config, cell_index, K, delta, epsilon, fraction, linf):
+def _failure_trial(K, delta, epsilon, fraction, linf):
+    """The worst-case instance at ``fraction`` of its gamma bound, as an
+    _OmpTrial of K fixed iterations that passes when OMP picks column K+1
+    first and misses the support."""
     if linf:
         gamma = fraction * inst.linf_gamma_bound(K, delta, epsilon)
         instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
@@ -444,54 +440,28 @@ def _failure_trial(config, cell_index, K, delta, epsilon, fraction, linf):
         gamma = fraction * inst.l2_gamma_bound(K, delta, epsilon)
         instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
         rule_name = "fixed-l2-demo"
-    delta_exact = exact_ric(instance.A, K + 1).delta
-    trace = run_omp(instance.measurements(), instance.A, FixedIterations(K))
-    fields = _trace_fields(trace, instance.x.support)
-    passed = (
-        not fields["support_recovered"]
-        and fields["first_selected_index"] == K + 1
-    )
-    return _record(
-        config,
-        cell_index=cell_index,
-        trial_index=0,
-        K=K,
-        m=K + 1,
-        n=K + 1,
-        delta_nominal=delta,
-        delta_exact=delta_exact,
-        epsilon=epsilon,
+    return _omp_trial(
+        instance.A, instance.x, instance.measurements(), FixedIterations(K),
+        lambda found: (
+            not found["support_recovered"] and found["first_selected_index"] == K + 1
+        ),
+        delta_exact=exact_ric(instance.A, K + 1).delta,
         gamma=gamma,
-        min_magnitude=instance.x.min_magnitude(),
         noise_model=instance.noise_model,
         rule=rule_name,
-        correlation_gap_iter1=_correlation_gap(trace, instance.x.support, K + 1),
-        passed=passed,
-        **fields,
     )
 
 
 def _run_failure_demo(config, linf):
-    cells = []
-    for K in config.k_values:
-        for delta in config.resolved_deltas(K):
-            for epsilon in config.epsilons:
-                for fraction in config.gamma_fractions:
-                    cells.append((K, delta, epsilon, fraction))
-    return [
-        _captured(
-            config,
-            lambda: _failure_trial(config, cell_index, K, delta, epsilon, fraction, linf),
-            cell_index=cell_index,
-            trial_index=0,
-            K=K,
-            m=K + 1,
-            n=K + 1,
-            delta_nominal=delta,
-            epsilon=epsilon,
-        )
-        for cell_index, (K, delta, epsilon, fraction) in enumerate(cells)
-    ]
+    """A one-trial cell per (K, delta, epsilon, gamma fraction)."""
+    return _records(
+        _grid(config, config.gamma_fractions),
+        lambda cell_index, K, delta, epsilon, fraction: _cell(
+            config, cell_index, 1,
+            dict(K=K, m=K + 1, n=K + 1, delta_nominal=delta, epsilon=epsilon),
+            lambda rng: _failure_trial(K, delta, epsilon, fraction, linf),
+        ),
+    )
 
 
 def run_theorem3_demo(config):
@@ -502,7 +472,7 @@ def run_theorem4_demo(config):
     return _run_failure_demo(config, linf=True)
 
 
-def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A, delta):
+def _lemma1_trial(config, omega_size, rng, A, delta):
     support = sorted(
         int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
     )
@@ -517,13 +487,7 @@ def _lemma1_trial(config, cell_index, trial_index, omega_size, rng, A, delta):
         )
     ]
     gap = inst.lemma1_gap(A, x, subset, delta)
-    return _record(
-        config,
-        cell_index=cell_index,
-        trial_index=trial_index,
-        K=omega_size,
-        m=config.m,
-        n=config.n,
+    return dict(
         delta_exact=delta,
         support_true=_support_string(support),
         lhs_gap=gap["lhs_gap"],
@@ -540,22 +504,20 @@ def run_lemma1_suite(config):
     one stack, as in the sufficiency sweeps; each trial then draws its
     signal and subset from its own generator."""
 
-    def stacked(rngs, omega_size):
-        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
-        A = inst.random_matrices_with_ric(config.m, config.n, cap, rngs)
-        return A, [report.delta for report in exact_rics(A, omega_size + 1)]
+    def cell(cell_index, omega_size):
+        def shared(rngs):
+            cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+            A = inst.random_matrices_with_ric(config.m, config.n, cap, rngs)
+            return A, [report.delta for report in exact_rics(A, omega_size + 1)]
 
-    records = []
-    for cell_index, omega_size in enumerate(config.k_values):
-        records += _cell_records(
-            config, cell_index,
+        return _cell(
+            config, cell_index, config.trials,
             dict(K=omega_size, m=config.m, n=config.n),
-            lambda rngs: stacked(rngs, omega_size),
-            lambda t, rng, A, delta: _lemma1_trial(
-                config, cell_index, t, omega_size, rng, A, delta
-            ),
+            lambda rng, A, delta: _lemma1_trial(config, omega_size, rng, A, delta),
+            shared,
         )
-    return records
+
+    return _records([(omega_size,) for omega_size in config.k_values], cell)
 
 
 def run_comparison_table(config):
@@ -594,85 +556,60 @@ def run_comparison_table(config):
     return rows
 
 
-def _example_record(config, cell_index, trial_index, instance, rule, rule_name, expect):
-    expected_support, expected_iterations = expect
-    trace = run_omp(instance.measurements(), instance.A, rule)
-    fields = _trace_fields(trace, instance.x.support)
-    passed = (
-        set(trace.final_support) == set(expected_support)
-        and fields["iterations"] == expected_iterations
+def _bare_linf(instance):
+    return CorrelationLInf(1.0), "naive-linf:1", "1|2", 2
+
+
+def _corrected_linf(instance):
+    delta = instance.metadata["delta"]
+    threshold = linf_stopping_threshold(1, delta, delta, instance.epsilon)
+    return CorrelationLInf(threshold), f"linf:{threshold}", "1", 1
+
+
+def _l2(instance):
+    return ResidualL2(instance.epsilon), f"l2:{instance.epsilon}", "1", 1
+
+
+#: Each example experiment's default deltas and its trials, each a function
+#: of the example's instance that gives (rule, CSV rule label, expected
+#: support, expected iteration count).  Under Example 1 the bare linf rule
+#: overshoots to {1, 2}; the corrected rule stops at {1} after one
+#: iteration.
+_EXAMPLE_TRIALS = {
+    "Example1": ([0.1, 0.5, 0.9], [_bare_linf, _corrected_linf]),
+    "Example2": ([0.2, 0.45, 0.65], [_l2]),
+    "Example3": ([0.2, 0.45, 0.65], [_corrected_linf]),
+}
+
+
+def run_example(config):
+    """Example1-3: a cell per delta, of a trial per rule of the example on
+    its 2x2 instance at the default magnitude.  A trial passes when OMP
+    stops on the expected support after the expected iterations.  The
+    instance fixes epsilon, so a trial reports it and a cell has none."""
+    default_deltas, rules = _EXAMPLE_TRIALS[config.experiment]
+    build, default_a = inst.EXAMPLES[config.experiment.lower()]
+    deltas = default_deltas if config.deltas is None else config.deltas
+
+    def trial(rng, instance, make_rule):
+        rule, rule_name, support, iterations = make_rule(instance)
+        return _omp_trial(
+            instance.A, instance.x, instance.measurements(), rule,
+            lambda found: (
+                found["support_found"] == support and found["iterations"] == iterations
+            ),
+            epsilon=instance.epsilon,
+            noise_model=instance.noise_model,
+            rule=rule_name,
+        )
+
+    return _records(
+        [(delta,) for delta in deltas],
+        lambda cell_index, delta: _cell(
+            config, cell_index, len(rules), dict(K=1, m=2, n=2, delta_nominal=delta),
+            trial, lambda rngs: ([build(delta, default_a(delta))] * len(rules), rules),
+        ),
     )
-    return _record(
-        config,
-        cell_index=cell_index,
-        trial_index=trial_index,
-        K=1,
-        m=2,
-        n=2,
-        delta_nominal=instance.metadata["delta"],
-        epsilon=instance.epsilon,
-        min_magnitude=instance.x.min_magnitude(),
-        noise_model=instance.noise_model,
-        rule=rule_name,
-        correlation_gap_iter1=_correlation_gap(trace, instance.x.support, 2),
-        passed=passed,
-        **fields,
-    )
-
-
-def run_example1(config):
-    """The bare linf rule overshoots to {1, 2}; the corrected rule stops at
-    {1} after one iteration."""
-    deltas = config.deltas if config.deltas is not None else [0.1, 0.5, 0.9]
-    records = []
-    for cell_index, delta in enumerate(deltas):
-        instance = inst.build_example1(delta, inst.example1_default_a(delta))
-        records.append(
-            _example_record(
-                config, cell_index, 0, instance, CorrelationLInf(1.0), "naive-linf:1",
-                expect=({1, 2}, 2),
-            )
-        )
-        threshold = linf_stopping_threshold(1, delta, delta, 1.0)
-        records.append(
-            _example_record(
-                config, cell_index, 1, instance,
-                CorrelationLInf(threshold), f"linf:{threshold}",
-                expect=({1}, 1),
-            )
-        )
-    return records
-
-
-def run_example2(config):
-    deltas = config.deltas if config.deltas is not None else [0.2, 0.45, 0.65]
-    records = []
-    for cell_index, delta in enumerate(deltas):
-        instance = inst.build_example2(delta, inst.example2_default_a(delta))
-        records.append(
-            _example_record(
-                config, cell_index, 0, instance,
-                ResidualL2(instance.epsilon), f"l2:{instance.epsilon}",
-                expect=({1}, 1),
-            )
-        )
-    return records
-
-
-def run_example3(config):
-    deltas = config.deltas if config.deltas is not None else [0.2, 0.45, 0.65]
-    records = []
-    for cell_index, delta in enumerate(deltas):
-        instance = inst.build_example3(delta, inst.example3_default_a(delta))
-        threshold = linf_stopping_threshold(1, delta, delta, instance.epsilon)
-        records.append(
-            _example_record(
-                config, cell_index, 0, instance,
-                CorrelationLInf(threshold), f"linf:{threshold}",
-                expect=({1}, 1),
-            )
-        )
-    return records
 
 
 EXPERIMENTS = {
@@ -682,9 +619,9 @@ EXPERIMENTS = {
     "Theorem4Demo": (run_theorem4_demo, TRIAL_COLUMNS),
     "Lemma1Suite": (run_lemma1_suite, TRIAL_COLUMNS),
     "ComparisonTable": (run_comparison_table, COMPARISON_COLUMNS),
-    "Example1": (run_example1, TRIAL_COLUMNS),
-    "Example2": (run_example2, TRIAL_COLUMNS),
-    "Example3": (run_example3, TRIAL_COLUMNS),
+    "Example1": (run_example, TRIAL_COLUMNS),
+    "Example2": (run_example, TRIAL_COLUMNS),
+    "Example3": (run_example, TRIAL_COLUMNS),
 }
 
 

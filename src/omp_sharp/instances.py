@@ -238,21 +238,6 @@ def example3_a_bound(delta):
     return 2.0 * math.sqrt(2.0) * delta / (1.0 - math.sqrt(2.0) * delta)
 
 
-def example1_default_a(delta):
-    """Default signal magnitude for Example 1: 1.5 (1+delta)/(1-delta)."""
-    return 1.5 * (1.0 + delta) / (1.0 - delta)
-
-
-def example2_default_a(delta):
-    """Default signal magnitude for Example 2: 0.9 of its open upper bound."""
-    return 0.9 * example2_a_bound(delta)
-
-
-def example3_default_a(delta):
-    """Default signal magnitude for Example 3: 0.9 of its open upper bound."""
-    return 0.9 * example3_a_bound(delta)
-
-
 def build_example2(delta, a):
     """Scaled-identity instance recovered in one iteration under the l2 rule
     even though the worst-case magnitude bound is violated."""
@@ -268,6 +253,16 @@ def build_example3(delta, a):
     return _scaled_identity_example(
         delta, a, example3_a_bound(delta), math.sqrt(2.0) * delta, NOISE_LINF
     )
+
+
+#: The 2x2 example instances by name: (builder, default signal magnitude as
+#: a function of delta).  Example 1's default is 1.5 (1+delta)/(1-delta);
+#: Examples 2 and 3 take 0.9 of their open upper bounds.
+EXAMPLES = {
+    "example1": (build_example1, lambda delta: 1.5 * (1.0 + delta) / (1.0 - delta)),
+    "example2": (build_example2, lambda delta: 0.9 * example2_a_bound(delta)),
+    "example3": (build_example3, lambda delta: 0.9 * example3_a_bound(delta)),
+}
 
 
 def lemma1_gap(A, x, subset, delta):

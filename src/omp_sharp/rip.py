@@ -8,8 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder
-from .linalg import as_matrix, as_matrix_stack, as_vector
+from .errors import BudgetExceeded, InvalidOrder
+from .linalg import as_matrix, as_matrix_stack
 
 #: Default cap on C(cols, K), the number of subsets an order-K search covers.
 DEFAULT_BUDGET = 10**6
@@ -20,9 +20,6 @@ DEFAULT_BUDGET = 10**6
 #: on the block and on every subset inside it, so a skipped subset can never
 #: have a computed delta above the best one.
 PRUNE_TOLERANCE = 1e-10
-
-#: Relative slack of check_rip_inequality, in units of ||x||^2.
-RIP_CHECK_TOLERANCE = 1e-10
 
 #: Distance from 1 within which in_sharp_region compares delta^2 (K+1) with 1
 #: on exact rationals.  Outside it the float product decides: its roundings
@@ -361,21 +358,3 @@ def in_sharp_region(K, delta):
             return product < 1.0
     return Fraction(delta) ** 2 * (K + 1) < 1
 
-
-def check_rip_inequality(A, x, delta):
-    """Check (1-delta)||x||^2 <= ||Ax||^2 <= (1+delta)||x||^2 within
-    RIP_CHECK_TOLERANCE * ||x||^2 slack.
-
-    ``x`` may have fewer entries than A has columns; missing entries are zero.
-    """
-    A = as_matrix(A)
-    x = as_vector(x)
-    n = A.shape[1]
-    if x.shape[0] > n:
-        raise DimensionMismatch(f"vector of length {x.shape[0]} against {n} columns")
-    if x.shape[0] < n:
-        x = np.concatenate([x, np.zeros(n - x.shape[0])])
-    xx = float(x @ x)
-    axax = float(np.linalg.norm(A @ x) ** 2)
-    tol = RIP_CHECK_TOLERANCE * xx
-    return (1.0 - delta) * xx - tol <= axax <= (1.0 + delta) * xx + tol

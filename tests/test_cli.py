@@ -108,6 +108,8 @@ def test_linf_rule_sparsity_below_one_exit_3(tmp_path, sparsity, deltas):
     )
     assert result.returncode == 3, result.stderr
     assert "InvalidOrder" in result.stderr
+    # the error names the sparsity given, not a RIC order derived from it
+    assert f"sparsity K must be >= 1, got {sparsity}" in result.stderr
 
 
 def test_omp_run_dimension_mismatch_exit_3(tmp_path):

@@ -4,10 +4,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from omp_sharp import experiments, rip
-from omp_sharp.errors import DegenerateMatrix, ParameterOutOfRange
+from omp_sharp.errors import DegenerateMatrix, OmpSharpError, ParameterOutOfRange
 from omp_sharp.experiments import (
     COMPARISON_COLUMNS,
     TRIAL_COLUMNS,
@@ -19,6 +20,7 @@ from omp_sharp.experiments import (
 from omp_sharp.instances import (
     NOISE_L2,
     NOISE_LINF,
+    lemma1_gap,
     random_matrix_with_ric,
     sample_l2_noise,
     sample_linf_noise,
@@ -26,6 +28,7 @@ from omp_sharp.instances import (
 from omp_sharp.omp import (
     CorrelationLInf,
     ResidualL2,
+    SparseSignal,
     linf_stopping_threshold,
     min_magnitude_threshold_l2,
     min_magnitude_threshold_linf,
@@ -219,10 +222,26 @@ def test_example_experiments_pass(name):
     assert records
 
 
-# Outputs frozen from the per-iteration least-squares solver, compared first
-# on the solver columns, for a readable failure, then byte for byte.  The
-# stress configs use margin 0.03 so that about half the trials miss the
-# support.  Regenerate a file only when a change to the results is intended:
+@pytest.mark.parametrize("name", ["Example2", "Example3"])
+def test_example_cell_out_of_range_fails_alone(name):
+    # delta 0.8 is outside (0, 1/sqrt(2)), where Examples 2 and 3 are defined
+    _, records, summary = run_experiment(ExperimentConfig(experiment=name, deltas=[0.2, 0.8]))
+    assert [r["cell_index"] for r in records] == [0, 1]
+    assert records[0]["passed"] is True and records[0]["error"] is None
+    assert records[1]["passed"] is False
+    assert records[1]["error"].startswith("ParameterOutOfRange: ")
+    assert records[1]["delta_nominal"] == 0.8
+    assert summary["failures"] == 1
+
+
+# Outputs frozen from the per-iteration least-squares solver (the sweeps and
+# Lemma1Suite) and from the per-experiment runners that came before the one
+# cell pipeline (the demos, examples and comparison table), compared first on
+# the solver columns, for a readable failure, then byte for byte.  The stress
+# configs use margin 0.03 so that about half the trials miss the support; the
+# demo grids include cells outside the sharp region or at the gamma bound,
+# which become error rows.  Regenerate a file only when a change to the
+# results is intended:
 #     write_experiment_outputs(ExperimentConfig(**GOLDEN[name]), DATA / name)
 DATA = Path(__file__).parent / "data"
 SWEEP = dict(k_values=[1, 2, 3], delta_fractions=[0.5, 0.855], epsilons=[0.5], trials=20)
@@ -238,6 +257,20 @@ GOLDEN = {
     ),
     "theorem1_stress.csv": dict(experiment="Theorem1Sweep", **STRESS),
     "theorem2_stress.csv": dict(experiment="Theorem2Sweep", **STRESS),
+    "theorem3_demo.csv": dict(
+        experiment="Theorem3Demo", k_values=[1, 2, 4], deltas=[0.3, 0.6],
+        epsilons=[0.5, 2.0], gamma_fractions=[0.5, 0.9],
+    ),
+    "theorem4_demo.csv": dict(
+        experiment="Theorem4Demo", k_values=[1, 3], delta_fractions=[0.5, 0.99],
+        epsilons=[0.5], gamma_fractions=[0.5, 0.9, 1.0],
+    ),
+    "example1.csv": dict(experiment="Example1"),
+    "example2.csv": dict(experiment="Example2", deltas=[0.1, 0.3, 0.5, 0.7]),
+    "example3.csv": dict(experiment="Example3"),
+    "comparison_table.csv": dict(
+        experiment="ComparisonTable", k_values=[1, 2, 3, 5, 10], delta_fractions=[0.5, 0.9]
+    ),
 }
 SOLVER_COLUMNS = [
     "cell_index",
@@ -257,10 +290,29 @@ def test_solver_outputs_match_golden(name, tmp_path):
 
     def solver_columns(path):
         with open(path, newline="") as fh:
-            return [[row[c] for c in SOLVER_COLUMNS] for row in csv.DictReader(fh)]
+            # the comparison table has no solver columns
+            return [[row.get(c) for c in SOLVER_COLUMNS] for row in csv.DictReader(fh)]
 
     assert solver_columns(tmp_path / name) == solver_columns(DATA / name)
     assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def reference_record(config, **fields):
+    """A trial record: every column, those not in ``fields`` None."""
+    record = dict.fromkeys(TRIAL_COLUMNS)
+    record.update(schema_version=TRIAL_SCHEMA, experiment=config.experiment, **fields)
+    return record
+
+
+def reference_captured(config, trial, **fields):
+    """``trial()``, or the failed record with ``fields`` if it raises a
+    package error."""
+    try:
+        return trial()
+    except OmpSharpError as exc:
+        return reference_record(
+            config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields
+        )
 
 
 def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf):
@@ -287,7 +339,7 @@ def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsil
     x = experiments._random_signal(rng, n, K, config.margin * bound)
     trace = run_omp(A @ x.values + v, A, rule)
     fields = experiments._trace_fields(trace, x.support)
-    return experiments._record(
+    return reference_record(
         config, cell_index=cell_index, trial_index=trial_index, K=K, m=m, n=n,
         delta_nominal=delta, delta_exact=delta_exact, delta2_exact=delta2,
         epsilon=epsilon, min_magnitude=x.min_magnitude(), min_magnitude_bound=bound,
@@ -308,7 +360,7 @@ def reference_sufficiency(config):
         for epsilon in config.epsilons
     ]
     return [
-        experiments._captured(
+        reference_captured(
             config,
             lambda: reference_sufficiency_trial(
                 config, cell_index, trial_index, K, delta, epsilon, linf
@@ -389,13 +441,26 @@ def test_batched_sufficiency_matches_reference_across_many_chunks(experiment, mo
 
 
 def reference_lemma1_trial(config, cell_index, trial_index, omega_size):
-    """One Lemma1Suite trial with its own matrix build and exact_ric call."""
+    """One Lemma1Suite trial with its own matrix build and exact_ric call,
+    then its signal and subset."""
     rng = experiments._rng(config, cell_index, trial_index)
     cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
     A = random_matrix_with_ric(config.m, config.n, cap, rng)
-    return experiments._lemma1_trial(
-        config, cell_index, trial_index, omega_size, rng, A,
-        exact_ric(A, omega_size + 1).delta,
+    delta = exact_ric(A, omega_size + 1).delta
+    support = sorted(int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False))
+    values = np.zeros(config.n)
+    for i in support:
+        values[i - 1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    subset = [
+        int(i) for i in rng.choice(support, size=int(rng.integers(0, omega_size)), replace=False)
+    ]
+    gap = lemma1_gap(A, SparseSignal(values), subset, delta)
+    return reference_record(
+        config, cell_index=cell_index, trial_index=trial_index, K=omega_size,
+        m=config.m, n=config.n, delta_exact=delta,
+        support_true="|".join(str(i) for i in support),
+        lhs_gap=gap["lhs_gap"], rhs_bound=gap["rhs_bound"],
+        passed=gap["lhs_gap"] - gap["rhs_bound"] >= -experiments.LEMMA1_TOLERANCE,
     )
 
 
@@ -406,7 +471,7 @@ def reference_lemma1(config):
     records = []
     for cell_index, omega_size in enumerate(config.k_values):
         for trial_index in range(config.trials):
-            records.append(experiments._captured(
+            records.append(reference_captured(
                 config,
                 lambda: reference_lemma1_trial(config, cell_index, trial_index, omega_size),
                 cell_index=cell_index, trial_index=trial_index, K=omega_size,

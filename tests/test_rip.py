@@ -11,7 +11,6 @@ from omp_sharp.errors import BudgetExceeded, DimensionMismatch, InvalidOrder
 from omp_sharp.instances import counterexample_operator
 from omp_sharp.rip import (
     _CHUNK,
-    check_rip_inequality,
     exact_ric,
     exact_rics,
     in_sharp_region,
@@ -451,20 +450,3 @@ def test_sparsity_beyond_float_precision_decided_by_exact_rationals(K, random_de
     assert not in_sharp_region(10**400, 0.3)
     assert in_sharp_region(10**400, 0.0)
 
-
-# ---------------------------------------------------------- RIP inequality
-
-
-def test_check_rip_inequality():
-    assert check_rip_inequality(np.eye(3), np.array([1.0, -2.0, 0.5]), 0.0)
-    delta = 0.3
-    A = np.array([[math.sqrt(1 - delta**2), 0.0], [delta, 1.0]])
-    assert check_rip_inequality(A, np.array([1.0, 0.0]), delta)
-    # top eigenvector direction violates a halved constant
-    w, V = np.linalg.eigh(A.T @ A)
-    assert not check_rip_inequality(A, V[:, -1], delta / 2)
-
-
-def test_check_rip_inequality_pads_short_vectors():
-    A = unit_column_matrix(3, 4, 5)
-    assert check_rip_inequality(A, np.array([1.0]), exact_ric(A, 1).delta)
