@@ -34,17 +34,16 @@ from .serialize import (
     instance_to_json_dict,
     parse_matrix_text,
     parse_vector_text,
+    read_text,
 )
 
 
 def _read_matrix(path):
-    with open(path) as fh:
-        return parse_matrix_text(fh.read())
+    return parse_matrix_text(read_text(path))
 
 
 def _read_vector(path):
-    with open(path) as fh:
-        return parse_vector_text(fh.read())
+    return parse_vector_text(read_text(path))
 
 
 def _emit(text, output):
@@ -224,11 +223,10 @@ def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value
               help="Override the config's JSON summary path.")
 def experiment_cmd(config_file, csv_path, summary_path):
     """Run a seeded experiment sweep from a JSON config."""
-    with open(config_file) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{config_file}: {exc}", line=exc.lineno)
+    try:
+        doc = json.loads(read_text(config_file))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{config_file}: {exc}", line=exc.lineno)
     config = ExperimentConfig.from_json_dict(doc)
     csv_path = csv_path or config.output_csv
     summary_path = summary_path or config.output_summary

@@ -137,14 +137,14 @@ class OmpTrace:
             "iterations": [
                 {
                     "selected_index": it.selected_index,
-                    "correlations": [float(c) for c in it.correlations],
+                    "correlations": it.correlations.tolist(),
                     "residual_l2": it.residual_l2,
                     "correlation_linf": it.correlation_linf,
                 }
                 for it in self.iterations
             ],
             "final_support": sorted(self.final_support),
-            "final_estimate": [float(v) for v in self.final_estimate.values],
+            "final_estimate": self.final_estimate.values.tolist(),
             "stop_reason": self.stop_reason,
         }
 

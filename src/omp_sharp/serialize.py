@@ -30,12 +30,46 @@ def format_vector_text(u):
     return "\n".join(format_float(x) for x in as_vector(u)) + "\n"
 
 
+def read_text(path):
+    """The UTF-8 text of the file at ``path``; bytes that do not decode are a
+    ParseError naming the file and line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        message = f"{path}: line {line}: not UTF-8 text ({exc.reason})"
+        raise ParseError(message, line=line) from None
+
+
 def parse_matrix_text(text):
     """Parse the matrix text format; errors carry 1-based line numbers.
 
     Entries must be finite: "nan", "inf" and overflowing literals such as
-    "1e999" are rejected.
+    "1e999" are rejected.  numpy's C text reader parses the non-blank lines
+    of ``str.splitlines``, with the same correctly rounded conversion as
+    ``float``.  Where it refuses the text, the line loop ``_parse_lines``
+    names the bad line or parses the few literals only ``float`` accepts
+    (``1_0``, non-ASCII digits), so what is accepted, its values and the
+    error messages are the line loop's alone.
     """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("no rows found", line=1)
+    if "\x1f" in text:
+        # numpy strips "\x1f" around a field as whitespace; float does not
+        matrix = _parse_lines(text)
+    else:
+        try:
+            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            matrix = _parse_lines(text)
+    if not np.isfinite(matrix).all():
+        _raise_non_finite(text)
+    return matrix
+
+
+def _parse_lines(text):
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -53,12 +87,7 @@ def parse_matrix_text(text):
                 line=lineno,
             )
         rows.append(row)
-    if not rows:
-        raise ParseError("no rows found", line=1)
-    matrix = np.array(rows)
-    if not np.isfinite(matrix).all():
-        _raise_non_finite(text)
-    return matrix
+    return np.array(rows)
 
 
 def _raise_non_finite(text):

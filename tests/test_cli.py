@@ -199,6 +199,43 @@ def test_ric_output_matches_golden(tmp_path, matrix, order, flags, expected):
     assert out.read_bytes() == (DATA / expected).read_bytes()
 
 
+# ``omp run`` traces frozen from the per-line parser, compared byte for byte.
+# The inputs are seeded draws from default_rng(8103), in this order:
+#     omp_gauss_40x16.txt   standard_normal((40, 16)), unit columns
+#     omp_y_k3.txt          A x + v, x on columns 2, 4, 8, ||v||_2 = 0.01
+#     omp_y_k2.txt          A x + v, x on columns 9, 11, ||v||_2 = 0.01
+GOLDEN_OMP = [
+    ("omp_y_k3.txt", "l2:0.01", [], "omp_l2.json"),
+    ("omp_y_k3.txt", "fixed:5", [], "omp_fixed.json"),
+    ("omp_y_k2.txt", "linf:0.01", ["--sparsity", "2", "--exact-ric"], "omp_linf_exact.json"),
+]
+
+
+@pytest.mark.parametrize("measurements, rule, flags, expected", GOLDEN_OMP)
+def test_omp_run_output_matches_golden(tmp_path, measurements, rule, flags, expected):
+    out = tmp_path / expected
+    result = run_cli(
+        "omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / measurements),
+        rule, *flags, "-o", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (DATA / expected).read_bytes()
+
+
+UNDECODABLE = b"\xff\xfe1,2\n"
+
+
+@pytest.mark.parametrize("bad", ["matrix", "measurements"])
+def test_omp_run_undecodable_file_exit_2(tmp_path, bad):
+    files = {"matrix": write_identity(tmp_path), "measurements": tmp_path / "y.txt"}
+    files["measurements"].write_text("1\n2\n3\n")
+    files[bad].write_bytes(UNDECODABLE)
+    result = run_cli("omp", "run", str(files["matrix"]), str(files["measurements"]), "l2:1")
+    assert result.returncode == 2, result.stderr
+    assert str(files[bad]) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_construct_certification_block(tmp_path):
     out = tmp_path / "inst.json"
     result = run_cli(
@@ -256,6 +293,15 @@ def test_experiment_bad_json_exit_2(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text("{not json")
     assert run_cli("experiment", str(cfg_file)).returncode == 2
+
+
+def test_experiment_undecodable_config_exit_2(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(UNDECODABLE)
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 2, result.stderr
+    assert str(cfg_file) in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("doc", [5, [{"experiment": "Example2"}], "Example2", None])

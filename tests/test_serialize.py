@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from omp_sharp.serialize import (
     instance_to_json_dict,
     parse_matrix_text,
     parse_vector_text,
+    read_text,
     write_csv,
 )
 
@@ -64,6 +66,115 @@ def test_non_finite_entries_are_parse_errors(text, line):
     with pytest.raises(ParseError) as info:
         parse_matrix_text(text)
     assert info.value.line == line
+
+
+def reference_parse(text):
+    """The matrix text format read one line at a time with ``float``: every
+    line is parsed and its width checked first, then the first line with a
+    non-finite entry is named."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip() == "":
+            continue
+        try:
+            row = list(map(float, line.split(",")))
+        except ValueError as exc:
+            raise ParseError(f"line {number}: {exc}", line=number) from None
+        if rows and len(row) != len(rows[0][1]):
+            message = f"line {number}: expected {len(rows[0][1])} entries, got {len(row)}"
+            raise ParseError(message, line=number)
+        rows.append((number, row))
+    if not rows:
+        raise ParseError("no rows found", line=1)
+    for number, row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"line {number}: non-finite entry", line=number)
+    return np.array([row for _, row in rows], dtype=np.float64)
+
+
+def outcome(parse, text):
+    """(shape, bytes) of the parsed matrix, or (message, line) of its ParseError."""
+    try:
+        A = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("matrix", A.dtype.str, A.shape, A.tobytes())
+
+
+# Every character class a line split, a field strip or a float literal can
+# treat specially: str.splitlines breaks lines at \r, \x0b, \x0c, \x1c, \x85
+# and \u2028, which a file-based reader would instead keep inside a field;
+# \x1f is whitespace to str.isspace but not to float.
+ADVERSARIAL_TOKENS = [
+    *"0123456789.,+-e_#\"'",
+    "nan", "inf", "1e999", "\u0661",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+    "\u2028", "\u3000", "\xa0", "\x00",
+]
+
+
+BLANKS = st.sampled_from(["", " ", "\t", "\xa0", "\u3000"])
+
+
+def with_separator(literal, at):
+    """``literal`` with an underscore before position ``at`` if digits flank it."""
+    if 0 < at < len(literal) and literal[at - 1].isdigit() and literal[at].isdigit():
+        return literal[:at] + "_" + literal[at:]
+    return literal
+
+
+@st.composite
+def valid_matrix_texts(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fmt = draw(st.sampled_from(["%.17g", "%r", "%.3e", "%.6f"]))
+    cell = st.tuples(BLANKS, st.floats(-1e300, 1e300), st.integers(0, 30), BLANKS).map(
+        lambda c: c[0] + with_separator(fmt % c[1], c[2]) + c[3]
+    )
+    blank_line = st.sampled_from(["", " ", "\t", "\xa0 "])
+    lines = []
+    for _ in range(m):
+        lines += draw(st.lists(blank_line, max_size=2))
+        lines.append(",".join(draw(st.lists(cell, min_size=n, max_size=n))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=250)
+@given(valid_matrix_texts())
+def test_parser_matches_line_loop_on_valid_matrices(text):
+    expected = outcome(reference_parse, text)
+    assert expected[0] == "matrix"
+    assert outcome(parse_matrix_text, text) == expected
+
+
+@st.composite
+def near_valid_texts(draw):
+    """A valid matrix text with one or two tokens inserted, most often next
+    to a comma or a line end, where a field or line split decides."""
+    text = draw(valid_matrix_texts())
+    for _ in range(draw(st.integers(1, 2))):
+        edges = [i for i, char in enumerate(text) if char in ",\r\n"] + [len(text)]
+        at = draw(st.sampled_from(edges) | st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ADVERSARIAL_TOKENS)) + text[at:]
+    return text
+
+
+@settings(max_examples=600)
+@given(
+    st.lists(st.sampled_from(ADVERSARIAL_TOKENS), max_size=24).map("".join)
+    | near_valid_texts()
+)
+def test_parser_matches_line_loop_on_adversarial_text(text):
+    assert outcome(parse_matrix_text, text) == outcome(reference_parse, text)
+
+
+def test_undecodable_file_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "A.txt"
+    path.write_bytes(b"1,2\r\n3,4\n5,\xff\n")
+    with pytest.raises(ParseError) as info:
+        read_text(path)
+    assert info.value.line == 3
+    assert str(info.value).startswith(f"{path}: line 3: ")
 
 
 def test_blank_lines_skipped():
