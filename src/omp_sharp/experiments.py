@@ -240,12 +240,12 @@ def _failed(exc):
 
 
 def _attempt(work):
-    """``work()``; an OmpSharpError becomes the fields of a failed trial
-    instead, so one bad trial does not sink the run."""
+    """``work()``, or the OmpSharpError it raises: a failed trial's outcome
+    is its error, so one bad trial does not sink the run."""
     try:
         return work()
     except OmpSharpError as exc:
-        return _failed(exc)
+        return exc
 
 
 class _OmpTrial(NamedTuple):
@@ -258,31 +258,31 @@ class _OmpTrial(NamedTuple):
     finish: Callable
 
 
-def _cell(config, cell_index, count, fields, trial, shared=lambda rngs: ()):
+def _cell(config, cell_index, count, fields, trials):
     """The records of one cell of ``count`` trials, each stamped with the
     cell's ``fields`` and its cell and trial index.
 
-    ``shared(rngs)`` draws from each trial's generator what the trial draws
-    first, does the work the trials share, such as the sweeps' matrices and
-    their RICs computed as one stack, and returns sequences with one entry
-    per trial; an OmpSharpError there fails every trial, as it would fail
-    each alone.  ``trial(rng, *entries)`` then does the rest of one trial
-    and returns its own fields, or an _OmpTrial.  The cell's _OmpTrials are
-    solved in one run_omps call and finished from their traces.  One
-    failing problem (measurements that overflowed, say) fails that whole
-    call; each problem is then solved alone by run_omp, so it fails only
-    its own trial.  Any other OmpSharpError fails its trial alone.
+    ``trials(rngs)`` runs the cell's trials, given each one's generator, and
+    returns each one's outcome: its own fields, an _OmpTrial, or the
+    OmpSharpError it failed with.  The trials only draw, each from its own
+    generator and in the order it would alone; the cell computes, once
+    over the stack of its trials, what the trials would compute one by one:
+    the sweeps' matrices, RICs, noise, signals and measurements, and
+    Lemma1Suite's gaps.  An OmpSharpError raised by ``trials`` itself, in
+    work the trials share, fails every trial, as it would fail each alone.
+    The cell's _OmpTrials are solved in one run_omps call and finished from
+    their traces.  One failing problem (measurements that overflowed, say)
+    fails that whole call; each problem is then solved alone by run_omp, so
+    it fails only its own trial.
     """
     rngs = [_rng(config, cell_index, t) for t in range(count)]
     try:
-        entries = zip(rngs, *shared(rngs))
+        outcomes = trials(rngs)
     except OmpSharpError as exc:
-        results = [_failed(exc)] * count
-    else:
-        results = [_attempt(lambda: trial(*entry)) for entry in entries]
-    solving = [t for t, result in enumerate(results) if isinstance(result, _OmpTrial)]
+        outcomes = [exc] * count
+    solving = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, _OmpTrial)]
     if solving:
-        problems = [results[t] for t in solving]
+        problems = [outcomes[t] for t in solving]
         try:
             traces = run_omps(
                 np.array([p.y for p in problems]),
@@ -292,14 +292,15 @@ def _cell(config, cell_index, count, fields, trial, shared=lambda rngs: ()):
         except OmpSharpError:
             traces = [None] * len(problems)
         for t, problem, trace in zip(solving, problems, traces):
-            results[t] = _attempt(lambda: problem.finish(
+            outcomes[t] = _attempt(lambda: problem.finish(
                 run_omp(problem.y, problem.A, problem.rule) if trace is None else trace
             ))
     blank = dict.fromkeys(TRIAL_COLUMNS)
     return [
         dict(blank, schema_version=TRIAL_SCHEMA, experiment=config.experiment,
-             cell_index=cell_index, trial_index=t, **fields, **result)
-        for t, result in enumerate(results)
+             cell_index=cell_index, trial_index=t, **fields,
+             **(_failed(outcome) if isinstance(outcome, OmpSharpError) else outcome))
+        for t, outcome in enumerate(outcomes)
     ]
 
 
@@ -353,71 +354,94 @@ def _omp_trial(A, x, y, stopping_rule, passed, **fields):
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _random_signal(rng, n, K, magnitude):
-    """Random K-sparse signal whose min magnitude is exactly ``magnitude``."""
-    support = np.sort(rng.choice(n, size=K, replace=False))
-    values = np.zeros(n)
-    scales = rng.uniform(1.0, 2.0, size=K)
-    scales[rng.integers(0, K)] = 1.0
-    # the draw of rng.choice([-1.0, 1.0], size=K), without its argument handling
-    signs = _SIGNS[rng.integers(0, 2, size=K)]
-    values[support] = signs * scales * magnitude
-    return SparseSignal(values, sparsity=K)
+def _signal_draws(rng, n, K):
+    """One trial's draws of a random K-sparse signal, in order: its support
+    (0-based), its scales in [1, 2), which scale is set to 1, and its signs
+    as indices into _SIGNS, the draw of rng.choice([-1.0, 1.0], size=K)
+    without its argument handling."""
+    return (rng.choice(n, size=K, replace=False), rng.uniform(1.0, 2.0, size=K),
+            rng.integers(0, K), rng.integers(0, 2, size=K))
 
 
-def _sufficiency_trial(config, K, epsilon, linf, rng, A, delta_exact, delta2):
-    """One trial once its matrix ``A`` and its RICs are known: the noise and
-    the signal drawn from ``rng``, as an _OmpTrial."""
+def _sufficiency_rule(K, delta_exact, delta2, epsilon, linf):
+    """A trial's minimum-magnitude bound and stopping rule, from its RICs."""
     if linf:
-        bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
-        rule = CorrelationLInf(
-            linf_stopping_threshold(K, delta2, delta_exact, epsilon)
+        return (
+            min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon),
+            CorrelationLInf(linf_stopping_threshold(K, delta2, delta_exact, epsilon)),
         )
-        v = inst.sample_linf_noise(A, epsilon, rng)
-        noise_model = inst.NOISE_LINF
-        rule_name = f"linf:{epsilon}"
-    else:
-        bound = min_magnitude_threshold_l2(K, delta_exact, epsilon)
-        rule = ResidualL2(epsilon)
-        v = inst.sample_l2_noise(config.m, epsilon, rng)
-        noise_model = inst.NOISE_L2
-        rule_name = f"l2:{epsilon}"
-    x = _random_signal(rng, config.n, K, config.margin * bound)
-    return _omp_trial(
-        A, x, A @ x.values + v, rule,
-        lambda found: found["support_recovered"] and found["iterations"] == K,
-        delta_exact=delta_exact,
-        delta2_exact=delta2,
-        min_magnitude_bound=bound,
-        noise_model=noise_model,
-        rule=rule_name,
+    return min_magnitude_threshold_l2(K, delta_exact, epsilon), ResidualL2(epsilon)
+
+
+def _sufficiency_trials(config, K, delta, epsilon, linf, rngs):
+    """The outcomes of a sufficiency cell.  Its matrices and their RICs
+    (delta_{K+1}, and delta_2 clamped to it under linf noise) are stacks.
+    Each trial then draws its noise and its signal, the signal's magnitude
+    ``margin`` times the trial's bound, and the cell scales the noise and
+    builds the signals and their measurements as stacked products.  Each
+    trial that gets that far is an _OmpTrial."""
+    m, n = config.m, config.n
+    A = inst.random_matrices_with_ric(m, n, delta, rngs)
+    deltas = [report.delta for report in exact_rics(A, K + 1)]
+    deltas2 = [None] * len(rngs)
+    if linf:
+        deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
+    rules = [
+        _attempt(lambda: _sufficiency_rule(K, d, d2, epsilon, linf))
+        for d, d2 in zip(deltas, deltas2)
+    ]
+    V, failures = inst._noises(rngs, m, epsilon, A if linf else None)
+    draws = [_attempt(lambda: _signal_draws(rng, n, K)) for rng in rngs]
+    # a trial's outcome is its first failure, if any
+    outcomes = [
+        next((o for o in (rule, failures.get(t), draw) if isinstance(o, OmpSharpError)), None)
+        for t, (rule, draw) in enumerate(zip(rules, draws))
+    ]
+    live = [t for t, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+    # each signal's support ascending, one of its scales 1, and its entries
+    # signs * scales * margin * bound
+    supports, scales, ones, signs = (np.array(d) for d in zip(*(draws[t] for t in live)))
+    rows = np.arange(len(live))[:, None]
+    scales[rows[:, 0], ones] = 1.0
+    X = np.zeros((len(live), n))
+    X[rows, np.sort(supports, axis=1)] = (
+        _SIGNS[signs] * scales * (config.margin * np.array([rules[t][0] for t in live]))[:, None]
     )
+    Y = (A[live] @ X[:, :, None])[:, :, 0] + V[live]
+    finite = np.isfinite(X).all(axis=1)
+    noise_model, rule_name = (inst.NOISE_LINF, "linf") if linf else (inst.NOISE_L2, "l2")
+    for i, t in enumerate(live):
+        if not finite[i]:
+            # a signal that overflowed fails as SparseSignal would
+            outcomes[t] = _attempt(lambda: SparseSignal(X[i], sparsity=K))
+            continue
+        bound, rule = rules[t]
+        outcomes[t] = _omp_trial(
+            A[t], SparseSignal._built(X[i], K), Y[i], rule,
+            lambda found: found["support_recovered"] and found["iterations"] == K,
+            delta_exact=deltas[t],
+            delta2_exact=deltas2[t],
+            min_magnitude_bound=bound,
+            noise_model=noise_model,
+            rule=f"{rule_name}:{epsilon}",
+        )
+    return outcomes
 
 
 def _run_sufficiency(config, linf):
-    """A cell per (K, delta, epsilon): the cell's matrices and their RICs
-    (delta_{K+1}, and delta_2 clamped to it under linf noise) stacked, then
-    each trial's noise and signal, then OMP on all the trials that got that
-    far, in one run_omps call.  The records are those of running each trial
-    alone."""
-
-    def cell(cell_index, K, delta, epsilon):
-        def shared(rngs):
-            A = inst.random_matrices_with_ric(config.m, config.n, delta, rngs)
-            deltas = [report.delta for report in exact_rics(A, K + 1)]
-            deltas2 = [None] * len(rngs)
-            if linf:
-                deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
-            return A, deltas, deltas2
-
-        return _cell(
+    """A cell per (K, delta, epsilon), of ``trials`` trials; OMP runs on all
+    the trials that get that far in one run_omps call.  The records are
+    those of running each trial alone."""
+    return _records(
+        _grid(config),
+        lambda cell_index, K, delta, epsilon: _cell(
             config, cell_index, config.trials,
             dict(K=K, m=config.m, n=config.n, delta_nominal=delta, epsilon=epsilon),
-            lambda rng, *entry: _sufficiency_trial(config, K, epsilon, linf, rng, *entry),
-            shared,
-        )
-
-    return _records(_grid(config), cell)
+            lambda rngs: _sufficiency_trials(config, K, delta, epsilon, linf, rngs),
+        ),
+    )
 
 
 def run_theorem1_sweep(config):
@@ -459,7 +483,7 @@ def _run_failure_demo(config, linf):
         lambda cell_index, K, delta, epsilon, fraction: _cell(
             config, cell_index, 1,
             dict(K=K, m=K + 1, n=K + 1, delta_nominal=delta, epsilon=epsilon),
-            lambda rng: _failure_trial(K, delta, epsilon, fraction, linf),
+            lambda rngs: [_failure_trial(K, delta, epsilon, fraction, linf)],
         ),
     )
 
@@ -472,28 +496,20 @@ def run_theorem4_demo(config):
     return _run_failure_demo(config, linf=True)
 
 
-def _lemma1_trial(config, omega_size, rng, A, delta):
-    support = sorted(
-        int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False)
-    )
-    values = np.zeros(config.n)
+def _lemma1_draws(rng, n, omega_size):
+    """One Lemma1Suite trial's draws: a signal on ``omega_size`` random
+    entries, each of magnitude in [0.5, 2) and of random sign, and a random
+    proper subset of its support."""
+    support = sorted(int(i) + 1 for i in rng.choice(n, size=omega_size, replace=False))
+    values = np.zeros(n)
     for i in support:
-        values[i - 1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-    x = SparseSignal(values)
+        # the draw of rng.choice([-1.0, 1.0]), without its argument handling
+        values[i - 1] = rng.uniform(0.5, 2.0) * _SIGNS[rng.integers(0, 2)]
     subset = [
         int(i)
-        for i in rng.choice(
-            support, size=int(rng.integers(0, omega_size)), replace=False
-        )
+        for i in rng.choice(support, size=int(rng.integers(0, omega_size)), replace=False)
     ]
-    gap = inst.lemma1_gap(A, x, subset, delta)
-    return dict(
-        delta_exact=delta,
-        support_true=_support_string(support),
-        lhs_gap=gap["lhs_gap"],
-        rhs_bound=gap["rhs_bound"],
-        passed=gap["lhs_gap"] - gap["rhs_bound"] >= -LEMMA1_TOLERANCE,
-    )
+    return SparseSignal._built(values), subset
 
 
 def run_lemma1_suite(config):
@@ -502,22 +518,36 @@ def run_lemma1_suite(config):
 
     A cell's matrices and their RICs of order |Omega| + 1 are computed as
     one stack, as in the sufficiency sweeps; each trial then draws its
-    signal and subset from its own generator."""
+    signal and subset from its own generator, and the cell computes their
+    gaps in one _lemma1_gaps call."""
 
-    def cell(cell_index, omega_size):
-        def shared(rngs):
-            cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
-            A = inst.random_matrices_with_ric(config.m, config.n, cap, rngs)
-            return A, [report.delta for report in exact_rics(A, omega_size + 1)]
-
-        return _cell(
-            config, cell_index, config.trials,
-            dict(K=omega_size, m=config.m, n=config.n),
-            lambda rng, A, delta: _lemma1_trial(config, omega_size, rng, A, delta),
-            shared,
+    def trials(omega_size, rngs):
+        cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
+        A = inst.random_matrices_with_ric(config.m, config.n, cap, rngs)
+        deltas = [report.delta for report in exact_rics(A, omega_size + 1)]
+        outcomes = [_attempt(lambda: _lemma1_draws(rng, config.n, omega_size)) for rng in rngs]
+        live = [t for t, outcome in enumerate(outcomes) if not isinstance(outcome, OmpSharpError)]
+        gaps = inst._lemma1_gaps(
+            A[live], [outcomes[t][0] for t in live], [outcomes[t][1] for t in live],
+            [deltas[t] for t in live],
         )
+        for t, gap in zip(live, gaps):
+            outcomes[t] = gap if isinstance(gap, OmpSharpError) else dict(
+                delta_exact=deltas[t],
+                support_true=_support_string(outcomes[t][0].support),
+                lhs_gap=gap["lhs_gap"],
+                rhs_bound=gap["rhs_bound"],
+                passed=gap["lhs_gap"] - gap["rhs_bound"] >= -LEMMA1_TOLERANCE,
+            )
+        return outcomes
 
-    return _records([(omega_size,) for omega_size in config.k_values], cell)
+    return _records(
+        [(omega_size,) for omega_size in config.k_values],
+        lambda cell_index, omega_size: _cell(
+            config, cell_index, config.trials, dict(K=omega_size, m=config.m, n=config.n),
+            lambda rngs: trials(omega_size, rngs),
+        ),
+    )
 
 
 def run_comparison_table(config):
@@ -591,7 +621,7 @@ def run_example(config):
     build, default_a = inst.EXAMPLES[config.experiment.lower()]
     deltas = default_deltas if config.deltas is None else config.deltas
 
-    def trial(rng, instance, make_rule):
+    def trial(instance, make_rule):
         rule, rule_name, support, iterations = make_rule(instance)
         return _omp_trial(
             instance.A, instance.x, instance.measurements(), rule,
@@ -603,11 +633,15 @@ def run_example(config):
             rule=rule_name,
         )
 
+    def trials(delta):
+        instance = build(delta, default_a(delta))
+        return [_attempt(lambda: trial(instance, make_rule)) for make_rule in rules]
+
     return _records(
         [(delta,) for delta in deltas],
         lambda cell_index, delta: _cell(
             config, cell_index, len(rules), dict(K=1, m=2, n=2, delta_nominal=delta),
-            trial, lambda rngs: ([build(delta, default_a(delta))] * len(rules), rules),
+            lambda rngs: trials(delta),
         ),
     )
 

@@ -18,8 +18,9 @@ from .errors import (
     NotProperSubset,
     OutOfSharpRegion,
     ParameterOutOfRange,
+    RankDeficient,
 )
-from .linalg import as_matrix, as_vector, columns_submatrix, project_complement
+from .linalg import RANK_TOLERANCE, as_matrix, as_vector, columns_submatrix, norms
 from .omp import SparseSignal
 from .rip import in_sharp_region, subset_spectra
 
@@ -271,40 +272,75 @@ def lemma1_gap(A, x, subset, delta):
     ``subset`` (1-based) must be a proper subset of the support of ``x``,
     and ``delta`` is the RIC of ``A`` of order |support|+1, such as
     exact_ric's.  Returns lhs_gap, the difference of the max absolute
-    correlations of on-support and off-support columns against the projected
-    residual direction, and rhs_bound, the closed-form lower bound.
+    correlations of on-support and off-support columns against the residual
+    direction projected off the columns of ``subset``, and rhs_bound, the
+    closed-form lower bound.  Raises RankDeficient when those columns are
+    numerically dependent.  This is _lemma1_gaps on a stack of one.
     """
     A = as_matrix(A)
-    support = x.support
     subset = frozenset(int(i) for i in subset)
-    if not (subset < support):
-        raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(support)}")
-    n = A.shape[1]
-    remaining = sorted(support - subset)
-    off_support = sorted(set(range(1, n + 1)) - support)
-    A_S = A[:, [i - 1 for i in sorted(subset)]]
-    A_remaining = columns_submatrix(A, remaining)
-    x_remaining = np.array([x.values[i - 1] for i in remaining])
-    direction = project_complement(A_S, A_remaining @ x_remaining)
-    lhs_on = float(np.max(np.abs(A_remaining.T @ direction)))
-    lhs_off = float(np.max(np.abs(columns_submatrix(A, off_support).T @ direction)))
-    r = len(remaining)
-    rhs = (1.0 - math.sqrt(r + 1) * delta) * float(np.linalg.norm(x_remaining)) / math.sqrt(r)
-    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs}
+    if not (subset < x.support):
+        raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(x.support)}")
+    columns_submatrix(A, x.support)  # the support names columns of A
+    if len(subset) > A.shape[0]:
+        raise RankDeficient(f"{A.shape[0]}x{len(subset)} system has more columns than rows")
+    gap = _lemma1_gaps(A[None], [x], [subset], [delta])[0]
+    if isinstance(gap, RankDeficient):
+        raise gap
+    return gap
+
+
+def _lemma1_gaps(A, signals, subsets, deltas):
+    """lemma1_gap for each matrix of the stack ``A`` with its signal, subset
+    and delta, each subset a proper subset of its signal's support and no
+    larger than A is tall.  Trials whose subsets and supports have the same
+    sizes share each step, as one stacked QR, solve or product that is
+    bit-identical to its one-trial form.  Returns each trial's gap, or the
+    RankDeficient its subset's columns fail with."""
+    gaps, groups = [None] * len(A), {}
+    for t, (x, subset) in enumerate(zip(signals, subsets)):
+        groups.setdefault((len(subset), len(x.support)), []).append(t)
+    for (s, size), group in groups.items():
+        # each trial's subset, remaining and off-support columns, gathered
+        # column-major as A[:, columns] is: BLAS sums a product of a
+        # row-major gather in another order
+        columns = np.array([
+            sorted(i - 1 for i in subsets[t])
+            + sorted(i - 1 for i in signals[t].support.difference(subsets[t]))
+            + [j for j in range(A.shape[2]) if j + 1 not in signals[t].support]
+            for t in group
+        ])
+        A_S, A_r, A_off = (
+            A[np.array(group)[:, None, None], np.arange(A.shape[1]), c[:, :, None]].swapaxes(1, 2)
+            for c in np.split(columns, [s, size], axis=1)
+        )
+        x_r = np.array([signals[t].values for t in group])[
+            np.arange(len(group))[:, None], columns[:, s:size], None]
+        direction, dependent = A_r @ x_r, np.zeros(len(group), dtype=bool)
+        if s:
+            Q, R = np.linalg.qr(A_S)
+            diagonal = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            low, high = diagonal.min(axis=1), diagonal.max(axis=1)
+            dependent = low <= RANK_TOLERANCE * high
+            R[dependent] = np.eye(s)  # their trials fail; the others still solve
+            direction = direction - A_S @ np.linalg.solve(R, Q.swapaxes(1, 2) @ direction)
+        on, off = (np.abs(B.swapaxes(1, 2) @ direction).max(axis=(1, 2)) for B in (A_r, A_off))
+        r = size - s
+        rhs = ((1.0 - math.sqrt(r + 1) * np.array([deltas[t] for t in group]))
+               * norms(x_r)[:, 0, 0] / math.sqrt(r))
+        for i, (t, gap, bound) in enumerate(zip(group, (on - off).tolist(), rhs.tolist())):
+            gaps[t] = {"lhs_gap": gap, "rhs_bound": bound}
+            if dependent[i]:
+                gaps[t] = RankDeficient(f"column set numerically rank deficient "
+                                        f"(diagonal ratio {low[i]:.3e} / {high[i]:.3e})")
+    return gaps
 
 
 def sample_l2_noise(m, epsilon, seed):
     """Noise vector uniform on the epsilon-ball: ||v||_2 <= epsilon."""
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
-    rng = _as_rng(seed)
-    direction = rng.standard_normal(m)
-    norm = np.linalg.norm(direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(m)
-        norm = np.linalg.norm(direction)
-    radius = epsilon * rng.uniform() ** (1.0 / m)
-    return direction * (radius / norm)
+    return _noises([_as_rng(seed)], m, epsilon)[0][0]
 
 
 def sample_linf_noise(A, epsilon, seed):
@@ -316,14 +352,39 @@ def sample_linf_noise(A, epsilon, seed):
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
     A = as_matrix(A)
-    rng = _as_rng(seed)
-    for _ in range(NOISE_ATTEMPTS):
-        v = rng.standard_normal(A.shape[0])
-        level = float(np.max(np.abs(A.T @ v)))
-        if level > 0.0:
-            c = 1.0 - rng.uniform(0.0, 1.0)  # uniform on (0, 1]
-            return v * (c * epsilon / level)
-    raise DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
+    V, failures = _noises([_as_rng(seed)], A.shape[0], epsilon, A[None])
+    if failures:
+        raise failures[0]
+    return V[0]
+
+
+def _noises(rngs, m, epsilon, A=None):
+    """sample_l2_noise for each generator of ``rngs`` or, given a stack of
+    matrices ``A``, sample_linf_noise for each matrix and its generator: the
+    noise vectors as rows, and the DegenerateMatrix of each trial that
+    fails, by position (its row is zero).  Each generator draws what the
+    one-trial sampler draws, in its order: the direction, drawn again alone
+    while its level, ||v||_2 or max|A^T v|, is zero, then the scale.  The
+    levels and the scaling are stacked products."""
+    V = np.empty((len(rngs), m, 1))
+    for rng, v in zip(rngs, V):
+        rng.standard_normal(out=v[:, 0])
+    level = norms(V) if A is None else np.abs(A.swapaxes(1, 2) @ V).max(1, keepdims=True)
+    level = level[:, 0, 0].tolist()
+    scales, failures = np.zeros(len(rngs)), {}
+    for t, rng in enumerate(rngs):
+        draws = 1
+        while level[t] == 0.0 and (A is None or draws < NOISE_ATTEMPTS):
+            v = rng.standard_normal(out=V[t, :, 0])
+            level[t] = float(np.linalg.norm(v) if A is None else np.max(np.abs(A[t].T @ v)))
+            draws += 1
+        if level[t] == 0.0:
+            failures[t] = DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
+        elif A is None:
+            scales[t] = epsilon * rng.uniform() ** (1.0 / m) / level[t]
+        else:
+            scales[t] = (1.0 - rng.uniform(0.0, 1.0)) * epsilon / level[t]  # c on (0, 1]
+    return V[:, :, 0] * scales[:, None], failures
 
 
 def _as_rng(seed):

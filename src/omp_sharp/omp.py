@@ -17,7 +17,7 @@ from .errors import (
     InvalidOrder,
     OutOfSharpRegion,
 )
-from .linalg import RANK_TOLERANCE, as_matrix, as_matrix_stack, as_vector
+from .linalg import RANK_TOLERANCE, as_matrix, as_matrix_stack, as_vector, norms
 from .rip import in_sharp_region
 
 #: Relative gap below which two correlation magnitudes count as tied.
@@ -50,6 +50,15 @@ class SparseSignal:
             raise InvalidOrder(
                 f"support size {len(support)} exceeds declared sparsity {self.sparsity}"
             )
+
+    @classmethod
+    def _built(cls, values, sparsity=None):
+        """The signal of ``values`` the package built itself: a finite 1-D
+        float array with at most ``sparsity`` nonzeros, not validated again."""
+        signal = object.__new__(cls)
+        support = frozenset((values.nonzero()[0] + 1).tolist())
+        signal.__dict__.update(values=values, sparsity=sparsity, support=support)
+        return signal
 
     @property
     def n(self):
@@ -157,12 +166,6 @@ def _back_substitute(R, b):
     return x
 
 
-def _norms(V):
-    """||V[i]||_2 for each column vector V[i], shaped 1 x 1, from the same
-    dot product as np.linalg.norm takes on a vector."""
-    return np.sqrt(V.swapaxes(1, 2) @ V)
-
-
 def _kept(keep, *arrays):
     """Each of ``arrays`` reduced to the rows of the mask ``keep``."""
     return tuple(a[keep] for a in arrays)
@@ -210,18 +213,18 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     selected = [[] for _ in range(count)]  # 0-based, in selection order
     largest_diagonal = [0.0] * count
     traces = [None] * count
+    estimates = np.zeros((count, n))
 
     def stop(reasons, k):
         """Finish each row with a reason; returns the mask of the rows left."""
         keep = np.ones(len(problem), dtype=bool)
         for i, reason in reasons:
             p = int(problem[i])
-            values = np.zeros(n)
-            values[selected[p]] = _back_substitute(R[i, :k, :k], qty[i, :k, 0])
+            estimates[p, selected[p]] = _back_substitute(R[i, :k, :k], qty[i, :k, 0])
             traces[p] = OmpTrace(
                 iterations=tuple(iterations[p]),
                 final_support=frozenset(index + 1 for index in selected[p]),
-                final_estimate=SparseSignal(values),
+                final_estimate=SparseSignal._built(estimates[p]),
                 stop_reason=reason,
             )
             keep[i] = False
@@ -245,7 +248,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     correlation_linf = magnitudes.max(axis=1, keepdims=True)
     reasons = []
     for i, (rule, l2, linf) in enumerate(
-        zip(rules, _norms(Y).ravel().tolist(), correlation_linf.ravel().tolist())
+        zip(rules, norms(Y).ravel().tolist(), correlation_linf.ravel().tolist())
     ):
         reason = verdict(0, rule, l2, linf)
         if reason:
@@ -279,7 +282,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         w = column - basis_t @ coefficients
         correction = basis @ w
         w -= basis_t @ correction
-        diagonal = _norms(w)
+        diagonal = norms(w)
         reasons = []
         for i, (p, index, d) in enumerate(zip(
             problem.tolist(), s.tolist(), diagonal.ravel().tolist(),
@@ -311,7 +314,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         reasons = []
         for i, (p, index, values, l2, linf) in enumerate(zip(
             problem.tolist(), s.tolist(), correlations,
-            _norms(residual).ravel().tolist(), correlation_linf.ravel().tolist(),
+            norms(residual).ravel().tolist(), correlation_linf.ravel().tolist(),
         )):
             selected[p].append(index)
             iterations[p].append(
@@ -326,6 +329,8 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
             if reason:
                 reasons.append((i, reason))
         correlations = next_correlations
+    # an estimate that overflowed fails the run, as a signal of it would
+    as_vector(estimates.ravel())
     return traces
 
 

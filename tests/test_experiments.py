@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omp_sharp import experiments, rip
 from omp_sharp.errors import DegenerateMatrix, OmpSharpError, ParameterOutOfRange
@@ -17,14 +19,7 @@ from omp_sharp.experiments import (
     run_experiment,
     write_experiment_outputs,
 )
-from omp_sharp.instances import (
-    NOISE_L2,
-    NOISE_LINF,
-    lemma1_gap,
-    random_matrix_with_ric,
-    sample_l2_noise,
-    sample_linf_noise,
-)
+from omp_sharp.instances import NOISE_ATTEMPTS, NOISE_L2, NOISE_LINF, random_matrix_with_ric
 from omp_sharp.omp import (
     CorrelationLInf,
     ResidualL2,
@@ -167,18 +162,20 @@ def failing_once(monkeypatch, module, name, call):
 @pytest.mark.parametrize(
     "experiment, function, call, fields",
     [
-        ("Lemma1Suite", "lemma1_gap", 3, {"k_values": [2, 3], "trials": 3, "n": 7}),
+        # the stacked trials fail in a trial's own draws, the demos in their builders
+        ("Lemma1Suite", "_lemma1_draws", 3, {"k_values": [2, 3], "trials": 3, "n": 7}),
         ("Theorem3Demo", "build_counterexample_l2", 2, {"k_values": [1, 2]}),
         ("Theorem4Demo", "build_counterexample_linf", 1, {"k_values": [1, 2]}),
         # a trial that fails before OMP leaves the rest of its cell's stack
-        ("Theorem1Sweep", "sample_l2_noise", 4, {"k_values": [1, 2], "trials": 3}),
-        ("Theorem2Sweep", "sample_linf_noise", 2, {"k_values": [2], "trials": 3}),
+        ("Theorem1Sweep", "_signal_draws", 4, {"k_values": [1, 2], "trials": 3}),
+        ("Theorem2Sweep", "_signal_draws", 2, {"k_values": [2], "trials": 3}),
     ],
 )
 def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, call, fields):
     cfg = ExperimentConfig(experiment=experiment, seed=3, **fields)
     _, expected, _ = run_experiment(cfg)
-    failing_once(monkeypatch, experiments.inst, function, call)
+    module = experiments if function.startswith("_") else experiments.inst
+    failing_once(monkeypatch, module, function, call)
     _, records, summary = run_experiment(cfg)
     assert len(records) == len(expected)
     failed = records[call]
@@ -188,6 +185,27 @@ def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, ca
         assert failed[column] == expected[call][column]
     assert records[:call] + records[call + 1 :] == expected[:call] + expected[call + 1 :]
     assert summary["failures"] == 1
+
+
+@pytest.mark.parametrize("experiment", ["Theorem1Sweep", "Theorem2Sweep"])
+def test_trial_whose_noise_fails_fails_alone(monkeypatch, experiment):
+    stacked = experiments.inst._noises
+
+    def failing_second_trial(*args):
+        V, failures = stacked(*args)
+        failures[1] = DegenerateMatrix("injected failure")
+        return V, failures
+
+    cfg = ExperimentConfig(experiment=experiment, seed=6, k_values=[2], trials=3)
+    _, expected, _ = run_experiment(cfg)
+    monkeypatch.setattr(experiments.inst, "_noises", failing_second_trial)
+    _, records, _ = run_experiment(cfg)
+    failed = [r for r in records if r["error"] is not None]
+    assert [(r["cell_index"], r["trial_index"]) for r in failed] == [(0, 1), (1, 1)]
+    assert all(r["error"] == "DegenerateMatrix: injected failure" for r in failed)
+    assert [r for r in records if r["error"] is None] == [
+        r for r in expected if r["trial_index"] != 1
+    ]
 
 
 def test_failed_stacked_solve_falls_back_to_one_trial_at_a_time(monkeypatch):
@@ -315,6 +333,39 @@ def reference_captured(config, trial, **fields):
         )
 
 
+def reference_l2_noise(m, epsilon, rng):
+    """sample_l2_noise as it drew one vector alone."""
+    direction = rng.standard_normal(m)
+    norm = np.linalg.norm(direction)
+    while norm == 0.0:
+        direction = rng.standard_normal(m)
+        norm = np.linalg.norm(direction)
+    radius = epsilon * rng.uniform() ** (1.0 / m)
+    return direction * (radius / norm)
+
+
+def reference_linf_noise(A, epsilon, rng):
+    """sample_linf_noise as it drew one vector alone."""
+    for _ in range(NOISE_ATTEMPTS):
+        v = rng.standard_normal(A.shape[0])
+        level = float(np.max(np.abs(A.T @ v)))
+        if level > 0.0:
+            c = 1.0 - rng.uniform(0.0, 1.0)
+            return v * (c * epsilon / level)
+    raise DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
+
+
+def reference_signal(rng, n, K, magnitude):
+    """A random K-sparse signal whose min magnitude is exactly ``magnitude``,
+    drawn and built one at a time."""
+    support = np.sort(rng.choice(n, size=K, replace=False))
+    values = np.zeros(n)
+    scales = rng.uniform(1.0, 2.0, size=K)
+    scales[rng.integers(0, K)] = 1.0
+    values[support] = rng.choice([-1.0, 1.0], size=K) * scales * magnitude
+    return SparseSignal(values, sparsity=K)
+
+
 def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsilon, linf):
     """One sufficiency trial as it ran before a cell's trials were batched:
     its own matrix build and exact_ric calls, then the noise, signal and OMP."""
@@ -326,17 +377,17 @@ def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsil
         delta2 = min(exact_ric(A, 2).delta, delta_exact)
         bound = min_magnitude_threshold_linf(K, delta2, delta_exact, epsilon)
         rule = CorrelationLInf(linf_stopping_threshold(K, delta2, delta_exact, epsilon))
-        v = sample_linf_noise(A, epsilon, rng)
+        v = reference_linf_noise(A, epsilon, rng)
         noise_model = NOISE_LINF
         rule_name = f"linf:{epsilon}"
     else:
         delta2 = None
         bound = min_magnitude_threshold_l2(K, delta_exact, epsilon)
         rule = ResidualL2(epsilon)
-        v = sample_l2_noise(m, epsilon, rng)
+        v = reference_l2_noise(m, epsilon, rng)
         noise_model = NOISE_L2
         rule_name = f"l2:{epsilon}"
-    x = experiments._random_signal(rng, n, K, config.margin * bound)
+    x = reference_signal(rng, n, K, config.margin * bound)
     trace = run_omp(A @ x.values + v, A, rule)
     fields = experiments._trace_fields(trace, x.support)
     return reference_record(
@@ -440,6 +491,26 @@ def test_batched_sufficiency_matches_reference_across_many_chunks(experiment, mo
     assert records == reference_sufficiency(config)
 
 
+def reference_lemma1_gap(A, x, subset, delta):
+    """lemma1_gap as it ran one trial at a time: the part of the signal off
+    the subset, projected off the subset's columns by a least-squares solve
+    through a Householder QR."""
+    remaining = sorted(x.support - set(subset))
+    off_support = sorted(set(range(1, A.shape[1] + 1)) - x.support)
+    A_S = A[:, [i - 1 for i in sorted(subset)]]
+    A_remaining = A[:, [i - 1 for i in remaining]]
+    x_remaining = np.array([x.values[i - 1] for i in remaining])
+    direction = A_remaining @ x_remaining
+    if subset:
+        Q, R = np.linalg.qr(A_S)
+        direction = direction - A_S @ np.linalg.solve(R, Q.T @ direction)
+    lhs_on = float(np.max(np.abs(A_remaining.T @ direction)))
+    lhs_off = float(np.max(np.abs(A[:, [i - 1 for i in off_support]].T @ direction)))
+    r = len(remaining)
+    rhs = (1.0 - math.sqrt(r + 1) * delta) * float(np.linalg.norm(x_remaining)) / math.sqrt(r)
+    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs}
+
+
 def reference_lemma1_trial(config, cell_index, trial_index, omega_size):
     """One Lemma1Suite trial with its own matrix build and exact_ric call,
     then its signal and subset."""
@@ -454,7 +525,7 @@ def reference_lemma1_trial(config, cell_index, trial_index, omega_size):
     subset = [
         int(i) for i in rng.choice(support, size=int(rng.integers(0, omega_size)), replace=False)
     ]
-    gap = lemma1_gap(A, SparseSignal(values), subset, delta)
+    gap = reference_lemma1_gap(A, SparseSignal(values), subset, delta)
     return reference_record(
         config, cell_index=cell_index, trial_index=trial_index, K=omega_size,
         m=config.m, n=config.n, delta_exact=delta,
@@ -487,3 +558,27 @@ def test_batched_lemma1_matches_per_trial_reference(seed, trials):
     )
     _, records, _ = run_experiment(config)
     assert records == reference_lemma1(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    experiment=st.sampled_from(["Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite"]),
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 4),
+    trials=st.integers(1, 6),
+    epsilon=st.sampled_from([0.05, 0.5, 3.0]),
+    margin=st.one_of(st.floats(0.01, 3.0), st.just(1e307)),
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_stacked_trials_equal_one_trial_at_a_time(experiment, seed, K, trials, epsilon, margin):
+    """Every record of a stacked cell, failed ones too, is the record of its
+    trial run alone."""
+    config = ExperimentConfig(
+        experiment=experiment, seed=seed, k_values=[K], trials=trials, epsilons=[epsilon],
+        margin=margin,
+    )
+    _, records, _ = run_experiment(config)
+    if experiment == "Lemma1Suite":
+        assert records == reference_lemma1(config)
+    else:
+        assert records == reference_sufficiency(config)

@@ -10,9 +10,11 @@ from omp_sharp.errors import (
     DegenerateMatrix,
     DimensionMismatch,
     GammaOutOfRange,
+    IndexOutOfRange,
     NotProperSubset,
     OutOfSharpRegion,
     ParameterOutOfRange,
+    RankDeficient,
 )
 from omp_sharp.instances import (
     NOISE_L2,
@@ -243,7 +245,120 @@ def test_lemma1_gap_identity():
     )
 
 
+def test_lemma1_gap_empty_subset_projects_nothing():
+    # with no columns to project off, the direction is A_r x_r itself
+    A = np.random.default_rng(3).standard_normal((6, 5))
+    x = SparseSignal(np.array([0.0, 1.5, 0.0, -0.7, 0.0]))
+    u = A[:, [1, 3]] @ np.array([1.5, -0.7])
+    out = lemma1_gap(A, x, [], 0.1)
+    on = np.max(np.abs(A[:, [1, 3]].T @ u))
+    off = np.max(np.abs(A[:, [0, 2, 4]].T @ u))
+    assert out["lhs_gap"] == on - off
+    assert out["rhs_bound"] == (1.0 - math.sqrt(3) * 0.1) * np.linalg.norm([1.5, -0.7]) / math.sqrt(2)
+
+
+def test_lemma1_gap_rank_deficient_subset():
+    # columns 1 and 2 are identical, so the subset {1, 2} spans one direction
+    A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    x = SparseSignal(np.array([1.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(RankDeficient, match="numerically rank deficient"):
+        lemma1_gap(A, x, [1, 2], 0.1)
+    # a subset wider than A is tall
+    wide = np.ones((2, 4))
+    with pytest.raises(RankDeficient, match="2x3 system has more columns than rows"):
+        lemma1_gap(wide, SparseSignal(np.ones(4)), [1, 2, 3], 0.1)
+
+
+def test_lemma1_gap_rejects_what_its_inputs_cannot_mean():
+    x = SparseSignal(np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        lemma1_gap(np.array([[1.0, np.nan, 0.0]]), x, [], 0.1)
+    with pytest.raises(IndexOutOfRange):
+        lemma1_gap(np.eye(2), x, [1], 0.1)  # x is longer than A is wide
+
+
+def reference_projection_gap(A, x, subset, delta):
+    """lemma1_gap from an SVD least-squares projection: the gap the stacked
+    QR must agree with up to round-off."""
+    support = sorted(x.support)
+    remaining = [i - 1 for i in support if i not in subset]
+    off = [j for j in range(A.shape[1]) if j + 1 not in x.support]
+    u = A[:, remaining] @ x.values[remaining]
+    if subset:
+        A_S = A[:, [i - 1 for i in sorted(subset)]]
+        u = u - A_S @ np.linalg.lstsq(A_S, u, rcond=None)[0]
+    r = len(remaining)
+    return (
+        np.max(np.abs(A[:, remaining].T @ u)) - np.max(np.abs(A[:, off].T @ u)),
+        (1.0 - math.sqrt(r + 1) * delta) * np.linalg.norm(x.values[remaining]) / math.sqrt(r),
+    )
+
+
+@st.composite
+def gap_stacks(draw):
+    """Random matrices, each with a signal and a proper subset of its
+    support, of assorted sizes so that a stack holds several groups."""
+    count = draw(st.integers(1, 8))
+    m, n = draw(st.integers(3, 9)), draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((count, m, n))
+    signals, subsets = [], []
+    for _ in range(count):
+        size = int(rng.integers(1, n))  # at least one off-support column
+        support = rng.choice(n, size=size, replace=False)
+        values = np.zeros(n)
+        values[support] = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
+        subsets.append(
+            [int(i) + 1 for i in rng.choice(support, size=int(rng.integers(0, min(size, m + 1))),
+                                            replace=False)])
+        signals.append(SparseSignal(values))
+    return A, signals, subsets, rng.uniform(0.0, 0.5, count).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_stacks())
+def test_stacked_gaps_equal_one_trial_at_a_time(stack):
+    A, signals, subsets, deltas = stack
+    gaps = instances._lemma1_gaps(A, signals, subsets, deltas)
+    for a, x, subset, delta, gap in zip(A, signals, subsets, deltas, gaps):
+        assert gap == lemma1_gap(a, x, subset, delta)
+        lhs, rhs = reference_projection_gap(a, x, subset, delta)
+        assert gap["lhs_gap"] == pytest.approx(lhs, abs=1e-9)
+        assert gap["rhs_bound"] == pytest.approx(rhs, abs=1e-12)
+
+
+def test_stacked_gap_fails_only_the_rank_deficient_trial():
+    A = np.stack([np.eye(4)[:, :3], np.eye(4)[:, :3], np.eye(4)[:, 1:]])
+    A[1, :, 0] = 0.0  # the subset's one column vanishes
+    x = SparseSignal(np.array([1.0, -2.0, 0.0]))
+    gaps = instances._lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
+    assert isinstance(gaps[1], RankDeficient)
+    assert gaps[0] == lemma1_gap(A[0], x, [1], 0.0)
+    assert gaps[2] == lemma1_gap(A[2], x, [1], 0.0)
+
+
 # ------------------------------------------------------------ random draws
+
+
+@pytest.mark.parametrize("linf", [False, True])
+def test_stacked_noise_equals_one_trial_at_a_time(linf):
+    A = np.random.default_rng(1).standard_normal((7, 6, 4))
+    A[3] = 0.0  # A^T v vanishes on every draw: only this trial fails
+    stacked = [np.random.default_rng([9, t]) for t in range(len(A))]
+    alone = [np.random.default_rng([9, t]) for t in range(len(A))]
+    V, failures = instances._noises(stacked, 6, 0.7, A if linf else None)
+    for t, (a, rng) in enumerate(zip(A, alone)):
+        if linf and t == 3:
+            with pytest.raises(DegenerateMatrix):
+                sample_linf_noise(a, 0.7, rng)
+            assert str(failures[t]) == f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws"
+            assert not V[t].any()
+            continue
+        v = sample_linf_noise(a, 0.7, rng) if linf else sample_l2_noise(6, 0.7, rng)
+        assert np.array_equal(V[t], v)
+    assert list(failures) == ([3] if linf else [])
+    # each generator is left where a lone draw leaves it
+    assert [g.random() for g in stacked] == [g.random() for g in alone]
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from omp_sharp.errors import (
     OutOfSharpRegion,
     RankDeficient,
 )
-from omp_sharp.linalg import RANK_TOLERANCE, least_squares
+from omp_sharp.linalg import RANK_TOLERANCE
 from omp_sharp.omp import (
     STOP_MAX_ITERATIONS,
     STOP_RANK_DEFICIENT,
@@ -61,6 +61,17 @@ def test_sparse_signal_zero():
 def test_sparse_signal_sparsity_gate():
     with pytest.raises(InvalidOrder):
         SparseSignal(np.array([1.0, 1.0]), sparsity=1)
+
+
+@pytest.mark.parametrize("values, sparsity", [
+    ([0.0, 1e-300, 0.0, -2.0], 2), ([0.0, 0.0], None), ([3.5], 1), ([-0.0, 5e-324, 1.0], None),
+])
+def test_built_signal_equals_the_validated_one(values, sparsity):
+    values = np.array(values)
+    built, checked = SparseSignal._built(values, sparsity), SparseSignal(values, sparsity)
+    assert (built.sparsity, built.support, built.n) == (checked.sparsity, checked.support, checked.n)
+    assert np.array_equal(built.values, checked.values)
+    assert built.min_magnitude() == checked.min_magnitude()
 
 
 def test_rule_validation():
@@ -123,6 +134,16 @@ def test_fixed_iterations_cap_check():
         run_omp(np.ones(3), np.eye(3), FixedIterations(4))
     with pytest.raises(InvalidOrder):
         run_omp(np.ones(3), np.eye(3), ResidualL2(0.1), max_iterations=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_estimate_fails_the_run():
+    # y and A are finite, but the estimate y / 1e-150 is not
+    A, y = np.array([[1e-150]]), np.array([1e200])
+    with pytest.raises(DimensionMismatch, match="vector contains non-finite entries"):
+        run_omp(y, A, FixedIterations(1))
+    with pytest.raises(DimensionMismatch, match="vector contains non-finite entries"):
+        run_omps(np.array([[1.0], y]), np.array([[[1.0]], A]), [FixedIterations(1)] * 2)
 
 
 def test_dimension_mismatch():
@@ -215,6 +236,17 @@ def test_residual_monotone_and_orthogonal(seed, k):
 # ------------------------------------------- reference solver, equivalence
 
 
+def reference_least_squares(A_S, y):
+    """min_x ||y - A_S x||_2 by a Householder QR of the whole column set;
+    raises RankDeficient when the smallest R diagonal is at most
+    RANK_TOLERANCE times the largest."""
+    Q, R = np.linalg.qr(A_S)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= RANK_TOLERANCE * diag.max():
+        raise RankDeficient("column set numerically rank deficient")
+    return np.linalg.solve(R, Q.T @ y)
+
+
 def reference_omp(y, A, rule, max_iterations=None):
     """OMP re-solving least squares on the whole selected set every
     iteration: the straightforward O(m k^2)-per-step form of run_omp, kept
@@ -247,7 +279,7 @@ def reference_omp(y, A, rule, max_iterations=None):
             return finish(STOP_STALLED)
         columns = A[:, [i - 1 for i in sorted(selected + [s])]]
         try:
-            estimate = least_squares(columns, y)
+            estimate = reference_least_squares(columns, y)
         except RankDeficient:
             return finish(STOP_RANK_DEFICIENT)
         selected.append(s)
