@@ -39,7 +39,7 @@ from .instances import (
     sample_l2_noise,
     sample_linf_noise,
 )
-from .linalg import columns_submatrix
+from .linalg import columns_submatrix, least_squares, project_complement
 from .omp import (
     CorrelationLInf,
     FixedIterations,

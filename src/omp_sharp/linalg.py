@@ -1,12 +1,13 @@
 """Dense linear-algebra substrate.
 
-Input validation, column selection and stacked vector norms.  All index sets
-handled here are 1-based, matching the serialized formats used by the CLI.
+Input validation, column selection, least squares, orthogonal-complement
+projection and stacked vector norms.  All index sets handled here are
+1-based, matching the serialized formats used by the CLI.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateIndex, IndexOutOfRange
+from .errors import DimensionMismatch, DuplicateIndex, IndexOutOfRange, RankDeficient
 
 #: Relative magnitude below which an R-factor diagonal entry marks rank deficiency.
 RANK_TOLERANCE = 1e-12
@@ -51,6 +52,48 @@ def columns_submatrix(A, subset):
     if len(set(indices)) != len(indices):
         raise DuplicateIndex(f"duplicate column indices in {indices}")
     return A[:, [i - 1 for i in sorted(indices)]]
+
+
+def least_squares(A_S, y):
+    """Solve min_x ||y - A_S x||_2 for a full-column-rank ``A_S``.
+
+    Uses a Householder QR factorization rather than the normal equations,
+    which stays accurate when the column set is poorly conditioned.
+    Raises RankDeficient when the smallest R diagonal is below
+    RANK_TOLERANCE times the largest.
+    """
+    A_S = as_matrix(A_S)
+    y = as_vector(y)
+    if A_S.shape[0] != y.shape[0]:
+        raise DimensionMismatch(
+            f"matrix has {A_S.shape[0]} rows but vector has length {y.shape[0]}"
+        )
+    if A_S.shape[1] == 0:
+        return np.zeros(0)
+    if A_S.shape[0] < A_S.shape[1]:
+        raise RankDeficient(
+            f"{A_S.shape[0]}x{A_S.shape[1]} system has more columns than rows"
+        )
+    Q, R = np.linalg.qr(A_S)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= RANK_TOLERANCE * diag.max():
+        raise RankDeficient(
+            f"column set numerically rank deficient (diagonal ratio "
+            f"{diag.min():.3e} / {diag.max():.3e})"
+        )
+    return np.linalg.solve(R, Q.T @ y)
+
+
+def project_complement(A_S, u):
+    """Project ``u`` onto the orthogonal complement of the span of ``A_S``.
+
+    An empty column set leaves ``u`` unchanged.
+    """
+    A_S = as_matrix(A_S)
+    u = as_vector(u)
+    if A_S.shape[1] == 0:
+        return u.copy()
+    return u - A_S @ least_squares(A_S, u)
 
 
 def norms(V):
