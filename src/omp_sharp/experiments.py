@@ -390,7 +390,10 @@ def _sufficiency_trials(config, K, delta, epsilon, linf, rngs):
         _attempt(lambda: _sufficiency_rule(K, d, d2, epsilon, linf))
         for d, d2 in zip(deltas, deltas2)
     ]
-    V, failures = inst._noises(rngs, m, epsilon, A if linf else None)
+    if linf:
+        V, failures = inst._linf_noises(rngs, A, epsilon)
+    else:
+        V, failures = inst._l2_noises(rngs, m, epsilon), {}
     draws = [_attempt(lambda: _signal_draws(rng, n, K)) for rng in rngs]
     # a trial's outcome is its first failure, if any
     outcomes = [

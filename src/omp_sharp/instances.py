@@ -20,7 +20,7 @@ from .errors import (
     ParameterOutOfRange,
     RankDeficient,
 )
-from .linalg import RANK_TOLERANCE, as_matrix, as_vector, columns_submatrix, norms
+from .linalg import as_matrix, as_vector, columns_submatrix, least_squares_stack, norms
 from .omp import SparseSignal
 from .rip import in_sharp_region, subset_spectra
 
@@ -282,8 +282,6 @@ def lemma1_gap(A, x, subset, delta):
     if not (subset < x.support):
         raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(x.support)}")
     columns_submatrix(A, x.support)  # the support names columns of A
-    if len(subset) > A.shape[0]:
-        raise RankDeficient(f"{A.shape[0]}x{len(subset)} system has more columns than rows")
     gap = _lemma1_gaps(A[None], [x], [subset], [delta])[0]
     if isinstance(gap, RankDeficient):
         raise gap
@@ -292,11 +290,12 @@ def lemma1_gap(A, x, subset, delta):
 
 def _lemma1_gaps(A, signals, subsets, deltas):
     """lemma1_gap for each matrix of the stack ``A`` with its signal, subset
-    and delta, each subset a proper subset of its signal's support and no
-    larger than A is tall.  Trials whose subsets and supports have the same
-    sizes share each step, as one stacked QR, solve or product that is
-    bit-identical to its one-trial form.  Returns each trial's gap, or the
-    RankDeficient its subset's columns fail with."""
+    and delta, each subset a proper subset of its signal's support.  Trials
+    whose subsets and supports have the same sizes share each step, as one
+    stacked least_squares_stack or product that is bit-identical to its
+    one-trial form.  Returns each trial's gap, or the RankDeficient its
+    subset's columns fail with; raises the RankDeficient of a subset larger
+    than A is tall."""
     gaps, groups = [None] * len(A), {}
     for t, (x, subset) in enumerate(zip(signals, subsets)):
         groups.setdefault((len(subset), len(x.support)), []).append(t)
@@ -316,23 +315,15 @@ def _lemma1_gaps(A, signals, subsets, deltas):
         )
         x_r = np.array([signals[t].values for t in group])[
             np.arange(len(group))[:, None], columns[:, s:size], None]
-        direction, dependent = A_r @ x_r, np.zeros(len(group), dtype=bool)
-        if s:
-            Q, R = np.linalg.qr(A_S)
-            diagonal = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            low, high = diagonal.min(axis=1), diagonal.max(axis=1)
-            dependent = low <= RANK_TOLERANCE * high
-            R[dependent] = np.eye(s)  # their trials fail; the others still solve
-            direction = direction - A_S @ np.linalg.solve(R, Q.swapaxes(1, 2) @ direction)
+        direction = A_r @ x_r
+        solutions, failures = least_squares_stack(A_S, direction)
+        direction = direction - A_S @ solutions
         on, off = (np.abs(B.swapaxes(1, 2) @ direction).max(axis=(1, 2)) for B in (A_r, A_off))
         r = size - s
         rhs = ((1.0 - math.sqrt(r + 1) * np.array([deltas[t] for t in group]))
                * norms(x_r)[:, 0, 0] / math.sqrt(r))
         for i, (t, gap, bound) in enumerate(zip(group, (on - off).tolist(), rhs.tolist())):
-            gaps[t] = {"lhs_gap": gap, "rhs_bound": bound}
-            if dependent[i]:
-                gaps[t] = RankDeficient(f"column set numerically rank deficient "
-                                        f"(diagonal ratio {low[i]:.3e} / {high[i]:.3e})")
+            gaps[t] = failures.get(i, {"lhs_gap": gap, "rhs_bound": bound})
     return gaps
 
 
@@ -340,7 +331,9 @@ def sample_l2_noise(m, epsilon, seed):
     """Noise vector uniform on the epsilon-ball: ||v||_2 <= epsilon."""
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
-    return _noises([_as_rng(seed)], m, epsilon)[0][0]
+    if not m >= 1:
+        raise ParameterOutOfRange(f"noise length must be >= 1, got {m}")
+    return _l2_noises([_as_rng(seed)], m, epsilon)[0]
 
 
 def sample_linf_noise(A, epsilon, seed):
@@ -352,39 +345,56 @@ def sample_linf_noise(A, epsilon, seed):
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
     A = as_matrix(A)
-    V, failures = _noises([_as_rng(seed)], A.shape[0], epsilon, A[None])
+    V, failures = _linf_noises([_as_rng(seed)], A[None], epsilon)
     if failures:
         raise failures[0]
     return V[0]
 
 
-def _noises(rngs, m, epsilon, A=None):
-    """sample_l2_noise for each generator of ``rngs`` or, given a stack of
-    matrices ``A``, sample_linf_noise for each matrix and its generator: the
-    noise vectors as rows, and the DegenerateMatrix of each trial that
-    fails, by position (its row is zero).  Each generator draws what the
-    one-trial sampler draws, in its order: the direction, drawn again alone
-    while its level, ||v||_2 or max|A^T v|, is zero, then the scale.  The
-    levels and the scaling are stacked products."""
+def _l2_noises(rngs, m, epsilon):
+    """sample_l2_noise for each generator of ``rngs``: the noise vectors as
+    rows."""
+    V, level = _directions(rngs, m, lambda V, trials: norms(V), math.inf)
+    scales = [epsilon * rng.uniform() ** (1.0 / m) / lv for rng, lv in zip(rngs, level)]
+    return V[:, :, 0] * np.array(scales)[:, None]
+
+
+def _linf_noises(rngs, A, epsilon):
+    """sample_linf_noise for each matrix of the stack ``A`` and its
+    generator: the noise vectors as rows, and the DegenerateMatrix of each
+    trial that fails, by position (its row is zero)."""
+    V, level = _directions(
+        rngs, A.shape[1],
+        lambda V, trials: np.abs(A[trials].swapaxes(1, 2) @ V).max(1, keepdims=True),
+        NOISE_ATTEMPTS,
+    )
+    scales, failures = np.zeros(len(rngs)), {}
+    for t, (rng, lv) in enumerate(zip(rngs, level)):
+        if lv == 0.0:
+            failures[t] = DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
+        else:
+            scales[t] = (1.0 - rng.uniform(0.0, 1.0)) * epsilon / lv  # c on (0, 1]
+    return V[:, :, 0] * scales[:, None], failures
+
+
+def _directions(rngs, m, levels, attempts):
+    """Each generator's noise direction, a stack of m x 1 columns, and its
+    level, as each one-trial sampler draws them: the direction, drawn again
+    alone while its level is zero, up to ``attempts`` draws in all.
+    ``levels(V, trials)`` gives the levels of the directions ``V`` of the
+    trials ``trials`` (a slice), 1 x 1 each; the first levels are one
+    stacked call.  A direction whose level stays zero keeps level 0."""
     V = np.empty((len(rngs), m, 1))
     for rng, v in zip(rngs, V):
         rng.standard_normal(out=v[:, 0])
-    level = norms(V) if A is None else np.abs(A.swapaxes(1, 2) @ V).max(1, keepdims=True)
-    level = level[:, 0, 0].tolist()
-    scales, failures = np.zeros(len(rngs)), {}
+    level = levels(V, slice(None))[:, 0, 0].tolist()
     for t, rng in enumerate(rngs):
         draws = 1
-        while level[t] == 0.0 and (A is None or draws < NOISE_ATTEMPTS):
-            v = rng.standard_normal(out=V[t, :, 0])
-            level[t] = float(np.linalg.norm(v) if A is None else np.max(np.abs(A[t].T @ v)))
+        while level[t] == 0.0 and draws < attempts:
+            rng.standard_normal(out=V[t, :, 0])
+            level[t] = float(levels(V[t : t + 1], slice(t, t + 1))[0, 0, 0])
             draws += 1
-        if level[t] == 0.0:
-            failures[t] = DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
-        elif A is None:
-            scales[t] = epsilon * rng.uniform() ** (1.0 / m) / level[t]
-        else:
-            scales[t] = (1.0 - rng.uniform(0.0, 1.0)) * epsilon / level[t]  # c on (0, 1]
-    return V[:, :, 0] * scales[:, None], failures
+    return V, level
 
 
 def _as_rng(seed):

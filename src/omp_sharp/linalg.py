@@ -1,8 +1,9 @@
 """Dense linear-algebra substrate.
 
-Input validation, column selection, least squares, orthogonal-complement
-projection and stacked vector norms.  All index sets handled here are
-1-based, matching the serialized formats used by the CLI.
+Input validation, column selection, least squares (one system or a
+stack), orthogonal-complement projection and stacked vector norms.  All
+index sets handled here are 1-based, matching the serialized formats used
+by the CLI.
 """
 
 import numpy as np
@@ -60,7 +61,8 @@ def least_squares(A_S, y):
     Uses a Householder QR factorization rather than the normal equations,
     which stays accurate when the column set is poorly conditioned.
     Raises RankDeficient when the smallest R diagonal is below
-    RANK_TOLERANCE times the largest.
+    RANK_TOLERANCE times the largest.  This is least_squares_stack on a
+    stack of one.
     """
     A_S = as_matrix(A_S)
     y = as_vector(y)
@@ -68,20 +70,38 @@ def least_squares(A_S, y):
         raise DimensionMismatch(
             f"matrix has {A_S.shape[0]} rows but vector has length {y.shape[0]}"
         )
-    if A_S.shape[1] == 0:
-        return np.zeros(0)
-    if A_S.shape[0] < A_S.shape[1]:
-        raise RankDeficient(
-            f"{A_S.shape[0]}x{A_S.shape[1]} system has more columns than rows"
-        )
+    X, failures = least_squares_stack(A_S[None], y[None, :, None])
+    if failures:
+        raise failures[0]
+    return X[0, :, 0]
+
+
+def least_squares_stack(A_S, Y):
+    """least_squares for each matrix of the stack ``A_S`` and its right-hand
+    sides, the columns of the matching matrix of ``Y``, as one stacked QR
+    and solve, each bit-identical to its one-matrix form.  Returns the
+    solutions, stacked as ``Y`` is, and the RankDeficient of each matrix
+    whose columns are numerically dependent, by position (its solution is
+    meaningless).  Inputs are not validated.  Raises RankDeficient when the
+    matrices are wider than tall.
+    """
+    count, m, s = A_S.shape
+    if s == 0:
+        return np.zeros((count, 0, Y.shape[2])), {}
+    if m < s:
+        raise RankDeficient(f"{m}x{s} system has more columns than rows")
     Q, R = np.linalg.qr(A_S)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= RANK_TOLERANCE * diag.max():
-        raise RankDeficient(
+    diagonal = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    low, high = diagonal.min(axis=1), diagonal.max(axis=1)
+    failures = {
+        t: RankDeficient(
             f"column set numerically rank deficient (diagonal ratio "
-            f"{diag.min():.3e} / {diag.max():.3e})"
+            f"{low[t]:.3e} / {high[t]:.3e})"
         )
-    return np.linalg.solve(R, Q.T @ y)
+        for t in np.flatnonzero(low <= RANK_TOLERANCE * high).tolist()
+    }
+    R[list(failures)] = np.eye(s)  # their solutions are dropped; the others still solve
+    return np.linalg.solve(R, Q.swapaxes(1, 2) @ Y), failures
 
 
 def project_complement(A_S, u):

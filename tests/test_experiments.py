@@ -19,7 +19,7 @@ from omp_sharp.experiments import (
     run_experiment,
     write_experiment_outputs,
 )
-from omp_sharp.instances import NOISE_ATTEMPTS, NOISE_L2, NOISE_LINF, random_matrix_with_ric
+from omp_sharp.instances import NOISE_L2, NOISE_LINF, random_matrix_with_ric
 from omp_sharp.omp import (
     CorrelationLInf,
     ResidualL2,
@@ -30,6 +30,8 @@ from omp_sharp.omp import (
     run_omp,
 )
 from omp_sharp.rip import exact_ric
+
+from references import reference_l2_noise, reference_lemma1_gap, reference_linf_noise
 
 
 def test_config_validation():
@@ -187,18 +189,19 @@ def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, ca
     assert summary["failures"] == 1
 
 
-@pytest.mark.parametrize("experiment", ["Theorem1Sweep", "Theorem2Sweep"])
-def test_trial_whose_noise_fails_fails_alone(monkeypatch, experiment):
-    stacked = experiments.inst._noises
+def test_trial_whose_noise_fails_fails_alone(monkeypatch):
+    # only linf noise can fail: an l2 direction of m >= 1 entries has a
+    # nonzero norm
+    stacked = experiments.inst._linf_noises
 
     def failing_second_trial(*args):
         V, failures = stacked(*args)
         failures[1] = DegenerateMatrix("injected failure")
         return V, failures
 
-    cfg = ExperimentConfig(experiment=experiment, seed=6, k_values=[2], trials=3)
+    cfg = ExperimentConfig(experiment="Theorem2Sweep", seed=6, k_values=[2], trials=3)
     _, expected, _ = run_experiment(cfg)
-    monkeypatch.setattr(experiments.inst, "_noises", failing_second_trial)
+    monkeypatch.setattr(experiments.inst, "_linf_noises", failing_second_trial)
     _, records, _ = run_experiment(cfg)
     failed = [r for r in records if r["error"] is not None]
     assert [(r["cell_index"], r["trial_index"]) for r in failed] == [(0, 1), (1, 1)]
@@ -331,28 +334,6 @@ def reference_captured(config, trial, **fields):
         return reference_record(
             config, passed=False, error=f"{type(exc).__name__}: {exc}", **fields
         )
-
-
-def reference_l2_noise(m, epsilon, rng):
-    """sample_l2_noise as it drew one vector alone."""
-    direction = rng.standard_normal(m)
-    norm = np.linalg.norm(direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(m)
-        norm = np.linalg.norm(direction)
-    radius = epsilon * rng.uniform() ** (1.0 / m)
-    return direction * (radius / norm)
-
-
-def reference_linf_noise(A, epsilon, rng):
-    """sample_linf_noise as it drew one vector alone."""
-    for _ in range(NOISE_ATTEMPTS):
-        v = rng.standard_normal(A.shape[0])
-        level = float(np.max(np.abs(A.T @ v)))
-        if level > 0.0:
-            c = 1.0 - rng.uniform(0.0, 1.0)
-            return v * (c * epsilon / level)
-    raise DegenerateMatrix(f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws")
 
 
 def reference_signal(rng, n, K, magnitude):
@@ -489,26 +470,6 @@ def test_batched_sufficiency_matches_reference_across_many_chunks(experiment, mo
     config = ExperimentConfig(experiment=experiment, seed=8, trials=5)
     _, records, _ = run_experiment(config)
     assert records == reference_sufficiency(config)
-
-
-def reference_lemma1_gap(A, x, subset, delta):
-    """lemma1_gap as it ran one trial at a time: the part of the signal off
-    the subset, projected off the subset's columns by a least-squares solve
-    through a Householder QR."""
-    remaining = sorted(x.support - set(subset))
-    off_support = sorted(set(range(1, A.shape[1] + 1)) - x.support)
-    A_S = A[:, [i - 1 for i in sorted(subset)]]
-    A_remaining = A[:, [i - 1 for i in remaining]]
-    x_remaining = np.array([x.values[i - 1] for i in remaining])
-    direction = A_remaining @ x_remaining
-    if subset:
-        Q, R = np.linalg.qr(A_S)
-        direction = direction - A_S @ np.linalg.solve(R, Q.T @ direction)
-    lhs_on = float(np.max(np.abs(A_remaining.T @ direction)))
-    lhs_off = float(np.max(np.abs(A[:, [i - 1 for i in off_support]].T @ direction)))
-    r = len(remaining)
-    rhs = (1.0 - math.sqrt(r + 1) * delta) * float(np.linalg.norm(x_remaining)) / math.sqrt(r)
-    return {"lhs_gap": lhs_on - lhs_off, "rhs_bound": rhs}
 
 
 def reference_lemma1_trial(config, cell_index, trial_index, omega_size):

@@ -43,6 +43,8 @@ from omp_sharp.instances import (
 from omp_sharp.omp import FixedIterations, SparseSignal, run_omp
 from omp_sharp.rip import exact_ric
 
+from references import reference_l2_noise, reference_lemma1_gap, reference_linf_noise
+
 GRID = [(K, f / math.sqrt(K + 1)) for K in (1, 2, 3, 5) for f in (0.3, 0.9)]
 
 
@@ -321,6 +323,7 @@ def test_stacked_gaps_equal_one_trial_at_a_time(stack):
     A, signals, subsets, deltas = stack
     gaps = instances._lemma1_gaps(A, signals, subsets, deltas)
     for a, x, subset, delta, gap in zip(A, signals, subsets, deltas, gaps):
+        assert gap == reference_lemma1_gap(a, x, subset, delta)
         assert gap == lemma1_gap(a, x, subset, delta)
         lhs, rhs = reference_projection_gap(a, x, subset, delta)
         assert gap["lhs_gap"] == pytest.approx(lhs, abs=1e-9)
@@ -333,8 +336,8 @@ def test_stacked_gap_fails_only_the_rank_deficient_trial():
     x = SparseSignal(np.array([1.0, -2.0, 0.0]))
     gaps = instances._lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
     assert isinstance(gaps[1], RankDeficient)
-    assert gaps[0] == lemma1_gap(A[0], x, [1], 0.0)
-    assert gaps[2] == lemma1_gap(A[2], x, [1], 0.0)
+    assert gaps[0] == reference_lemma1_gap(A[0], x, [1], 0.0)
+    assert gaps[2] == reference_lemma1_gap(A[2], x, [1], 0.0)
 
 
 # ------------------------------------------------------------ random draws
@@ -346,19 +349,37 @@ def test_stacked_noise_equals_one_trial_at_a_time(linf):
     A[3] = 0.0  # A^T v vanishes on every draw: only this trial fails
     stacked = [np.random.default_rng([9, t]) for t in range(len(A))]
     alone = [np.random.default_rng([9, t]) for t in range(len(A))]
-    V, failures = instances._noises(stacked, 6, 0.7, A if linf else None)
+    if linf:
+        V, failures = instances._linf_noises(stacked, A, 0.7)
+    else:
+        V, failures = instances._l2_noises(stacked, 6, 0.7), {}
     for t, (a, rng) in enumerate(zip(A, alone)):
         if linf and t == 3:
             with pytest.raises(DegenerateMatrix):
-                sample_linf_noise(a, 0.7, rng)
+                reference_linf_noise(a, 0.7, rng)
             assert str(failures[t]) == f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws"
             assert not V[t].any()
             continue
-        v = sample_linf_noise(a, 0.7, rng) if linf else sample_l2_noise(6, 0.7, rng)
+        v = reference_linf_noise(a, 0.7, rng) if linf else reference_l2_noise(6, 0.7, rng)
         assert np.array_equal(V[t], v)
     assert list(failures) == ([3] if linf else [])
     # each generator is left where a lone draw leaves it
     assert [g.random() for g in stacked] == [g.random() for g in alone]
+
+
+@pytest.mark.parametrize("linf", [False, True])
+def test_one_trial_noise_is_the_stack_of_one(linf):
+    A = np.random.default_rng(2).standard_normal((6, 4))
+    v = sample_linf_noise(A, 0.7, 5) if linf else sample_l2_noise(6, 0.7, 5)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(v, reference_linf_noise(A, 0.7, rng) if linf
+                          else reference_l2_noise(6, 0.7, rng))
+
+
+def test_sample_l2_noise_rejects_an_empty_vector():
+    # a length-0 direction has norm 0 on every draw
+    with pytest.raises(ParameterOutOfRange, match="noise length must be >= 1, got 0"):
+        sample_l2_noise(0, 1.0, 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,13 @@ from omp_sharp.errors import (
     IndexOutOfRange,
     RankDeficient,
 )
-from omp_sharp.linalg import columns_submatrix, least_squares, norms, project_complement
+from omp_sharp.linalg import (
+    columns_submatrix,
+    least_squares,
+    least_squares_stack,
+    norms,
+    project_complement,
+)
 
 
 def random_matrix(seed, m, n, unit_columns=False):
@@ -104,6 +112,35 @@ def test_least_squares_residual_orthogonality(seed, k, m):
     r = y - A @ sol
     scale = max(np.linalg.norm(y), 1.0)
     assert np.max(np.abs(A.T @ r)) <= 1e-10 * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4), st.integers(4, 9))
+def test_stacked_least_squares_equals_one_matrix_at_a_time(seed, count, k, m):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((count, m, k))
+    Y = rng.standard_normal((count, m, 1))
+    if k:
+        A[0, :, -1] = A[0, :, 0]  # the first matrix's columns are dependent
+    X, failures = least_squares_stack(A, Y)
+    assert list(failures) == ([0] if k > 1 else [])
+    for t in range(count):
+        if t in failures:
+            with pytest.raises(RankDeficient, match=re.escape(str(failures[t]))):
+                least_squares(A[t], Y[t, :, 0])
+            continue
+        # a Householder QR solve on the matrix alone, bit for bit
+        expected = np.zeros(0)
+        if k:
+            Q, R = np.linalg.qr(A[t])
+            expected = np.linalg.solve(R, Q.T @ Y[t, :, 0])
+        assert np.array_equal(X[t, :, 0], expected)
+        assert np.array_equal(least_squares(A[t], Y[t, :, 0]), expected)
+
+
+def test_stacked_least_squares_rejects_a_wide_stack():
+    with pytest.raises(RankDeficient, match="2x3 system has more columns than rows"):
+        least_squares_stack(np.ones((4, 2, 3)), np.ones((4, 2, 1)))
 
 
 # --------------------------------------------------------------- projection
