@@ -354,26 +354,24 @@ def test_stacked_noise_equals_one_trial_at_a_time(linf):
     else:
         V, failures = instances._l2_noises(stacked, 6, 0.7), {}
     for t, (a, rng) in enumerate(zip(A, alone)):
+        # the public sampler, a stack of one, on a generator of its own
+        public = np.random.default_rng([9, t])
         if linf and t == 3:
             with pytest.raises(DegenerateMatrix):
                 reference_linf_noise(a, 0.7, rng)
+            with pytest.raises(DegenerateMatrix, match=f"{NOISE_ATTEMPTS} consecutive draws"):
+                sample_linf_noise(a, 0.7, public)
             assert str(failures[t]) == f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws"
             assert not V[t].any()
             continue
         v = reference_linf_noise(a, 0.7, rng) if linf else reference_l2_noise(6, 0.7, rng)
         assert np.array_equal(V[t], v)
+        assert np.array_equal(
+            sample_linf_noise(a, 0.7, public) if linf else sample_l2_noise(6, 0.7, public), v
+        )
     assert list(failures) == ([3] if linf else [])
     # each generator is left where a lone draw leaves it
     assert [g.random() for g in stacked] == [g.random() for g in alone]
-
-
-@pytest.mark.parametrize("linf", [False, True])
-def test_one_trial_noise_is_the_stack_of_one(linf):
-    A = np.random.default_rng(2).standard_normal((6, 4))
-    v = sample_linf_noise(A, 0.7, 5) if linf else sample_l2_noise(6, 0.7, 5)
-    rng = np.random.default_rng(5)
-    assert np.array_equal(v, reference_linf_noise(A, 0.7, rng) if linf
-                          else reference_l2_noise(6, 0.7, rng))
 
 
 def test_sample_l2_noise_rejects_an_empty_vector():
