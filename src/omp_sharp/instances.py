@@ -292,8 +292,8 @@ def _lemma1_gaps(A, signals, subsets, deltas):
     """lemma1_gap for each matrix of the stack ``A`` with its signal, subset
     and delta, each subset a proper subset of its signal's support.  Trials
     whose subsets and supports have the same sizes share each step, as one
-    stacked least_squares_stack or product that is bit-identical to its
-    one-trial form.  Returns each trial's gap, or the RankDeficient its
+    least_squares_stack call or stacked product that is bit-identical to
+    its one-trial form.  Returns each trial's gap, or the RankDeficient its
     subset's columns fail with; raises the RankDeficient of a subset larger
     than A is tall."""
     gaps, groups = [None] * len(A), {}
