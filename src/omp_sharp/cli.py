@@ -16,6 +16,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import instances as inst
 from .errors import BudgetExceeded, InvalidOrder, OmpSharpError, ParseError
@@ -27,7 +28,7 @@ from .omp import (
     linf_stopping_threshold,
     run_omp,
 )
-from .rip import DEFAULT_BUDGET, exact_ric
+from .rip import DEFAULT_BUDGET, exact_ric, linf_threshold_rics
 from .serialize import (
     dumps_json,
     format_matrix_text,
@@ -52,6 +53,17 @@ def _emit(text, output):
     else:
         with open(output, "w") as fh:
             fh.write(text)
+
+
+def _reject_unused(ctx, names, why):
+    """A usage error if any option of ``names`` was given on the command
+    line, where it would have no effect, for the reason ``why``."""
+    given = [
+        param.opts[0] for param in ctx.command.params
+        if param.name in names and ctx.get_parameter_source(param.name) != ParameterSource.DEFAULT
+    ]
+    if given:
+        raise click.UsageError(f"{', '.join(given)}: {why}", ctx)
 
 
 def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
@@ -79,10 +91,7 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
             if sparsity < 1:
                 raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
             if use_exact_ric:
-                delta_k1 = exact_ric(A, min(sparsity + 1, A.shape[1])).delta
-                # round-off can put the enumerated delta_2 an ulp above
-                # delta_(K+1), which monotonicity rules out
-                delta2 = min(exact_ric(A, min(2, A.shape[1])).delta, delta_k1)
+                [delta_k1], [delta2] = linf_threshold_rics(A[None], sparsity)
             elif delta2 is None or delta_k1 is None:
                 raise click.UsageError(
                     "linf rule requires --exact-ric or both --delta2 and --delta-k1"
@@ -123,9 +132,15 @@ def omp_group():
               help="Break correlation ties at random with this seed (default: smallest index).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="Write the trace JSON here instead of stdout.")
-def omp_run(matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
+@click.pass_context
+def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
             delta2, delta_k1, unit_norm, max_iterations, tie_seed, output):
     """Run the solver and emit the iteration trace as JSON."""
+    if rule_spec.partition(":")[0] != "linf":
+        _reject_unused(ctx, ("sparsity", "use_exact_ric", "delta2", "delta_k1", "unit_norm"),
+                       "used only by the linf rule")
+    elif use_exact_ric:
+        _reject_unused(ctx, ("delta2", "delta_k1"), "--exact-ric enumerates the deltas")
     A = _read_matrix(matrix_file)
     y = _read_vector(measurement_file)
     rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
@@ -189,9 +204,17 @@ def _certification(instance, sparsity):
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 @click.option("--matrix-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the sensing matrix in the matrix text format.")
-def construct_cmd(kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value,
+@click.pass_context
+def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_value,
                   output, matrix_out):
     """Build a worst-case or demonstration instance and certify it."""
+    if kind in inst.EXAMPLES:
+        _reject_unused(ctx, ("sparsity", "epsilon", "gamma_fraction", "gamma"),
+                       "used only by the l2 and linf kinds")
+    else:
+        _reject_unused(ctx, ("a_value",), "used only by the example kinds")
+        if gamma is not None:
+            _reject_unused(ctx, ("gamma_fraction",), "overridden by --gamma")
     K = sparsity
     if kind == "l2":
         if gamma is None:

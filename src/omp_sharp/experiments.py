@@ -33,7 +33,7 @@ from .omp import (
     run_omp,
     run_omps,
 )
-from .rip import exact_ric, exact_rics
+from .rip import exact_ric, exact_rics, linf_threshold_rics
 from .serialize import dumps_json, write_csv
 
 TRIAL_SCHEMA = "omp-sharp-trials-1"
@@ -173,6 +173,8 @@ class ExperimentConfig:
             raise ParameterOutOfRange("deltas must lie in (0, 1)")
         if self.trials < 1:
             raise ParameterOutOfRange("trials must be >= 1")
+        if not self.margin > 0:
+            raise ParameterOutOfRange(f"margin must be > 0, got {self.margin}")
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -382,10 +384,10 @@ def _sufficiency_trials(config, K, delta, epsilon, linf, rngs):
     trial that gets that far is an _OmpTrial."""
     m, n = config.m, config.n
     A = inst.random_matrices_with_ric(m, n, delta, rngs)
-    deltas = [report.delta for report in exact_rics(A, K + 1)]
-    deltas2 = [None] * len(rngs)
     if linf:
-        deltas2 = [min(r.delta, d) for r, d in zip(exact_rics(A, 2), deltas)]
+        deltas, deltas2 = linf_threshold_rics(A, K)
+    else:
+        deltas, deltas2 = [report.delta for report in exact_rics(A, K + 1)], [None] * len(rngs)
     rules = [
         _attempt(lambda: _sufficiency_rule(K, d, d2, epsilon, linf))
         for d, d2 in zip(deltas, deltas2)
@@ -554,38 +556,35 @@ def run_lemma1_suite(config):
 
 
 def run_comparison_table(config):
-    """Per-(K, delta) rows comparing the sharp-condition RIC and
+    """Per-(K, delta, epsilon) rows comparing the sharp-condition RIC and
     minimum-magnitude bounds against the best prior ones."""
-    epsilon = config.epsilons[0]
     rows = []
-    for K in config.k_values:
+    for K, delta, epsilon in _grid(config):
         sharp_ric = 1.0 / math.sqrt(K + 1)
-        for delta in config.resolved_deltas(K):
-            try:
-                prior = prior_art_thresholds(K, delta, epsilon)
-            except DegenerateDenominator:
-                # the prior guarantee degenerates before the sharp boundary;
-                # its magnitude requirement is effectively infinite there
-                prior = {
-                    "ric_bound": (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K),
-                    "min_magnitude": math.inf,
-                }
-            sharp_min = min_magnitude_threshold_l2(K, delta, epsilon)
-            rows.append(
-                {
-                    "schema_version": COMPARISON_SCHEMA,
-                    "K": K,
-                    "delta": delta,
-                    "epsilon": epsilon,
-                    "sharp_ric_bound": sharp_ric,
-                    "prior_ric_bound": prior["ric_bound"],
-                    "sharp_min_magnitude": sharp_min,
-                    "prior_min_magnitude": prior["min_magnitude"],
-                    "ric_inequality_holds": prior["ric_bound"] < sharp_ric,
-                    "min_magnitude_inequality_holds": prior["min_magnitude"]
-                    >= sharp_min,
-                }
-            )
+        try:
+            prior = prior_art_thresholds(K, delta, epsilon)
+        except DegenerateDenominator:
+            # the prior guarantee degenerates before the sharp boundary;
+            # its magnitude requirement is effectively infinite there
+            prior = {
+                "ric_bound": (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K),
+                "min_magnitude": math.inf,
+            }
+        sharp_min = min_magnitude_threshold_l2(K, delta, epsilon)
+        rows.append(
+            {
+                "schema_version": COMPARISON_SCHEMA,
+                "K": K,
+                "delta": delta,
+                "epsilon": epsilon,
+                "sharp_ric_bound": sharp_ric,
+                "prior_ric_bound": prior["ric_bound"],
+                "sharp_min_magnitude": sharp_min,
+                "prior_min_magnitude": prior["min_magnitude"],
+                "ric_inequality_holds": prior["ric_bound"] < sharp_ric,
+                "min_magnitude_inequality_holds": prior["min_magnitude"] >= sharp_min,
+            }
+        )
     return rows
 
 

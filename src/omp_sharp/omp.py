@@ -175,8 +175,12 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     """The OMP loop of run_omp and run_omps, on validated inputs: problem i
     is ``Y[i]``, ``A[i]`` and ``rules[i]``.
 
-    The problems run in lockstep, so each has made k selections at step k.
-    The state of those still running sits on a leading axis that shrinks as
+    The problems run in lockstep.  Pass k of the loop starts from the
+    residual r^k, with r^0 = y: one product A^T r^k gives its correlations,
+    which complete iteration k's record (for k >= 1), and the rules are
+    checked on r^k.  The problems that go on select column k + 1, extend
+    their QR factorization by it and form r^(k+1) for the next pass.  The
+    state of those still running sits on a leading axis that shrinks as
     problems stop; ``problem`` maps its rows back to the stack.  Vectors are
     kept as m x 1 columns, so every product is one stacked matmul, and each
     one makes the same BLAS call, with the same strides, as its one-problem
@@ -202,10 +206,9 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     R = np.zeros((count, max_iterations, max_iterations))
     qty = np.empty((count, max_iterations, 1))  # Q[i, :k] @ Y[i]
     # BLAS sums a dot product in another order when a vector has a non-unit
-    # stride, as a column of a row-major A[i] has.  With several problems
-    # running, the selected columns are gathered into a buffer that keeps
-    # the unit or non-unit stride of A's columns, so that q_1 . a_s has the
-    # bits it has on the column itself; with one, the column is a view.
+    # stride, as a column of a row-major A[i] has.  The selected columns are
+    # gathered into a buffer that keeps the unit or non-unit stride of A's
+    # columns, so that q_1 . a_s has the bits it has on the column itself.
     column_buffer = np.empty((count, m, 1 if A.strides[1] == A.itemsize else 2))
     A_t = A.swapaxes(1, 2)
     problem = np.arange(count)
@@ -230,30 +233,31 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
             keep[i] = False
         return keep
 
-    def verdict(k, rule, l2, linf):
-        """Why a problem stops on r^k, or None.  Before the first selection
-        only ||r^0|| counts, so no correlation rule fires on r^0 unless
-        A^T r^0 = 0."""
-        if rule.met(k, l2, linf if k or linf == 0.0 else math.inf):
-            return STOP_RULE_MET
-        if k == max_iterations:
-            return STOP_MAX_ITERATIONS
-        if linf == 0.0:
-            return STOP_STALLED
-        return None
-
-    Y = Y[:, :, None]
-    correlations = (A_t @ Y)[:, :, 0]
-    magnitudes = np.abs(correlations)
-    correlation_linf = magnitudes.max(axis=1, keepdims=True)
-    reasons = []
-    for i, (rule, l2, linf) in enumerate(
-        zip(rules, norms(Y).ravel().tolist(), correlation_linf.ravel().tolist())
-    ):
-        reason = verdict(0, rule, l2, linf)
-        if reason:
-            reasons.append((i, reason))
+    Y = residual = Y[:, :, None]
     for k in range(max_iterations + 1):
+        next_correlations = (A_t @ residual)[:, :, 0]
+        magnitudes = np.abs(next_correlations)
+        correlation_linf = magnitudes.max(axis=1, keepdims=True)
+        reasons = []
+        indices = s.tolist() if k else None
+        for i, (p, l2, linf) in enumerate(zip(
+            problem.tolist(), norms(residual).ravel().tolist(), correlation_linf.ravel().tolist(),
+        )):
+            if k:
+                selected[p].append(indices[i])
+                iterations[p].append(OmpIteration(
+                    selected_index=indices[i] + 1, correlations=correlations[i],
+                    residual_l2=l2, correlation_linf=linf,
+                ))
+            # before the first selection only ||r^0|| counts, so no
+            # correlation rule fires on r^0 unless A^T r^0 = 0
+            if rules[p].met(k, l2, linf if k or linf == 0.0 else math.inf):
+                reasons.append((i, STOP_RULE_MET))
+            elif k == max_iterations:
+                reasons.append((i, STOP_MAX_ITERATIONS))
+            elif linf == 0.0:
+                reasons.append((i, STOP_STALLED))
+        correlations = next_correlations
         if reasons:
             A_t, Y, Q, R, qty, problem, correlations, magnitudes, correlation_linf = _kept(
                 stop(reasons, k), A_t, Y, Q, R, qty, problem,
@@ -271,11 +275,8 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                 s[i] = tie_break_rng.choice(np.flatnonzero(tied[i]))
 
         # Gram-Schmidt with one re-orthogonalization pass.
-        if len(problem) == 1:
-            column = A_t[:, s[0]:s[0] + 1].swapaxes(1, 2)
-        else:
-            column = column_buffer[: len(problem), :, :1]
-            column[:, :, 0] = A_t[np.arange(len(problem)), s]
+        column = column_buffer[: len(problem), :, :1]
+        column[:, :, 0] = A_t[np.arange(len(problem)), s]
         basis = Q[:, :k]
         basis_t = basis.swapaxes(1, 2)
         coefficients = basis @ column
@@ -304,31 +305,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         np.add(coefficients, correction, out=R[:, :k, k:k + 1])
         R[:, k:k + 1, k:k + 1] = diagonal
         np.matmul(Q[:, k:k + 1], Y, out=qty[:, k:k + 1])
-
-        # The residual r^(k+1) completes iteration k + 1's record, and the
-        # rules are checked on it.
         residual = Y - Q[:, :k + 1].swapaxes(1, 2) @ qty[:, :k + 1]
-        next_correlations = (A_t @ residual)[:, :, 0]
-        magnitudes = np.abs(next_correlations)
-        correlation_linf = magnitudes.max(axis=1, keepdims=True)
-        reasons = []
-        for i, (p, index, values, l2, linf) in enumerate(zip(
-            problem.tolist(), s.tolist(), correlations,
-            norms(residual).ravel().tolist(), correlation_linf.ravel().tolist(),
-        )):
-            selected[p].append(index)
-            iterations[p].append(
-                OmpIteration(
-                    selected_index=index + 1,
-                    correlations=values,
-                    residual_l2=l2,
-                    correlation_linf=linf,
-                )
-            )
-            reason = verdict(k + 1, rules[p], l2, linf)
-            if reason:
-                reasons.append((i, reason))
-        correlations = next_correlations
     # an estimate that overflowed fails the run, as a signal of it would
     as_vector(estimates.ravel())
     return traces

@@ -338,6 +338,21 @@ def exact_rics(A, K):
     return _search(as_matrix_stack(A), K, DEFAULT_BUDGET)
 
 
+def linf_threshold_rics(A, K):
+    """The RICs the linf stopping threshold takes at sparsity ``K``, for
+    each matrix of the stack ``A``: the lists of delta_(K+1) and of
+    delta_2, searched in that order, each order capped at the column count.
+
+    Each delta_2 is capped at its delta_(K+1): round-off can put the
+    enumerated delta_2 an ulp above it, which monotonicity rules out.
+    """
+    A = as_matrix_stack(A)
+    n = A.shape[2]
+    deltas = [report.delta for report in exact_rics(A, min(K + 1, n))]
+    deltas2 = [min(report.delta, d) for report, d in zip(exact_rics(A, min(2, n)), deltas)]
+    return deltas, deltas2
+
+
 def in_sharp_region(K, delta):
     """True iff delta < 1/sqrt(K+1), with the boundary strictly excluded.
 

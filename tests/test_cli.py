@@ -254,6 +254,34 @@ def test_construct_certification_block(tmp_path):
     )
 
 
+@pytest.mark.parametrize("args, rejected", [
+    (["construct", "example2", "--delta", "0.3", "--epsilon", "7"], "--epsilon"),
+    (["construct", "example2", "--delta", "0.3", "-K", "5", "--gamma", "3"], "--sparsity, --gamma"),
+    (["construct", "example1", "--delta", "0.3", "--gamma-fraction", "0.5"], "--gamma-fraction"),
+    (["construct", "l2", "--delta", "0.3", "--a", "2"], "--a"),
+    (["construct", "linf", "--delta", "0.3", "--gamma", "0.1", "--gamma-fraction", "0.5"],
+     "--gamma-fraction"),
+    (["omp", "run", "A", "y", "l2:0.1", "--unit-norm", "--delta2", "0.9", "--sparsity", "99"],
+     "--sparsity, --delta2, --unit-norm"),
+    (["omp", "run", "A", "y", "fixed:1", "--exact-ric"], "--exact-ric"),
+    (["omp", "run", "A", "y", "naive-linf:1", "--delta-k1", "0.2"], "--delta-k1"),
+    (["omp", "run", "A", "y", "linf:0.1", "--sparsity", "1", "--exact-ric", "--delta2", "0.1"],
+     "--delta2"),
+    (["omp", "run", "A", "y", "linf:0.1", "--sparsity", "1", "--exact-ric", "--delta-k1", "0.2"],
+     "--delta-k1"),
+])
+def test_option_without_effect_exit_2(tmp_path, args, rejected):
+    """An option that the chosen kind or rule would ignore is a usage error."""
+    files = {"A": write_identity(tmp_path), "y": tmp_path / "y.txt"}
+    files["y"].write_text("1\n2\n3\n")
+    out = tmp_path / "out.json"
+    result = run_cli(*(str(files.get(arg, arg)) for arg in args), "-o", str(out))
+    assert result.returncode == 2, result.stderr
+    assert f"{rejected}: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_construct_gate_exit_3():
     result = run_cli("construct", "example2", "--delta", "0.8")
     assert result.returncode == 3

@@ -47,6 +47,10 @@ def test_config_validation():
         ExperimentConfig.from_json_dict({"experiment": "Example1", "bogus": 1})
     with pytest.raises(ParameterOutOfRange):
         ExperimentConfig(experiment="Example1", seed=-1)
+    # a margin at most 0 would flip the signals' signs, or zero them
+    for margin in (0.0, -2.0):
+        with pytest.raises(ParameterOutOfRange, match="margin"):
+            ExperimentConfig(experiment="Theorem1Sweep", margin=margin)
     for name in ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite"):
         with pytest.raises(ParameterOutOfRange):
             ExperimentConfig(experiment=name, k_values=[1, 8], n=8)
@@ -117,6 +121,19 @@ def test_comparison_table_columns():
         assert r["sharp_ric_bound"] == pytest.approx(1.0 / math.sqrt(r["K"] + 1))
         assert r["prior_ric_bound"] < r["sharp_ric_bound"]
         assert r["prior_min_magnitude"] >= r["sharp_min_magnitude"]
+
+
+def test_comparison_table_has_a_row_per_epsilon():
+    fields = dict(experiment="ComparisonTable", k_values=[1, 2], delta_fractions=[0.5, 0.9])
+    _, records, _ = run_experiment(ExperimentConfig(**fields, epsilons=[0.5, 1.0]))
+    assert [(r["K"], r["epsilon"]) for r in records] == [
+        (K, epsilon) for K in (1, 2) for _ in range(2) for epsilon in (0.5, 1.0)
+    ]
+    for r in records:
+        sharp = min_magnitude_threshold_l2(r["K"], r["delta"], r["epsilon"])
+        assert r["sharp_min_magnitude"] == sharp
+    _, first, _ = run_experiment(ExperimentConfig(**fields, epsilons=[0.5]))
+    assert records[::2] == first
 
 
 def test_outputs_deterministic_and_well_formed(tmp_path):
@@ -406,7 +423,7 @@ def reference_sufficiency(config):
 
 
 def test_theorem2_clamps_delta2_to_delta_k1(monkeypatch):
-    stacked = experiments.exact_rics
+    stacked = rip.exact_rics
 
     def inflated(A, K):
         reports = stacked(A, K)
@@ -414,7 +431,7 @@ def test_theorem2_clamps_delta2_to_delta_k1(monkeypatch):
             reports = [dataclasses.replace(r, delta=r.delta + 0.5) for r in reports]
         return reports
 
-    monkeypatch.setattr(experiments, "exact_rics", inflated)
+    monkeypatch.setattr(rip, "exact_rics", inflated)
     cfg = ExperimentConfig(experiment="Theorem2Sweep", seed=1, k_values=[2, 3], trials=2)
     _, records, _ = run_experiment(cfg)
     assert all(r["delta2_exact"] == r["delta_exact"] is not None for r in records)
