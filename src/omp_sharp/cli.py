@@ -33,26 +33,23 @@ from .serialize import (
     dumps_json,
     format_matrix_text,
     instance_to_json_dict,
-    parse_matrix_text,
-    parse_vector_text,
+    parse_matrix_text,  # noqa: F401  (perfbench/tracing.py traces the parse layer by this name)
+    read_matrix,
     read_text,
+    read_vector,
 )
 
 
-def _read_matrix(path):
-    return parse_matrix_text(read_text(path))
-
-
-def _read_vector(path):
-    return parse_vector_text(read_text(path))
-
-
-def _emit(text, output):
+def _emit(doc, output):
+    """Write ``doc`` as indented JSON to stdout, or encode it straight into
+    the file ``output`` without building the whole string; the bytes are
+    the same."""
     if output is None:
-        click.echo(text, nl=False)
+        click.echo(dumps_json(doc), nl=False)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
 
 
 def _reject_unused(ctx, names, why):
@@ -91,7 +88,7 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
             if sparsity < 1:
                 raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
             if use_exact_ric:
-                [delta_k1], [delta2] = linf_threshold_rics(A[None], sparsity)
+                [delta_k1], [delta2] = linf_threshold_rics(A[None], sparsity, unit_norm)
             elif delta2 is None or delta_k1 is None:
                 raise click.UsageError(
                     "linf rule requires --exact-ric or both --delta2 and --delta-k1"
@@ -141,12 +138,12 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
                        "used only by the linf rule")
     elif use_exact_ric:
         _reject_unused(ctx, ("delta2", "delta_k1"), "--exact-ric enumerates the deltas")
-    A = _read_matrix(matrix_file)
-    y = _read_vector(measurement_file)
+    A = read_matrix(matrix_file)
+    y = read_vector(measurement_file)
     rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
     rng = None if tie_seed is None else np.random.default_rng(tie_seed)
     trace = run_omp(y, A, rule, max_iterations=max_iterations, tie_break_rng=rng)
-    _emit(dumps_json(trace.to_json_dict()), output)
+    _emit(trace.to_json_dict(), output)
 
 
 @cli.command("ric")
@@ -159,11 +156,11 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
-    A = _read_matrix(matrix_file)
+    A = read_matrix(matrix_file)
     orders = range(1, order + 1) if all_orders else [order]
     reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]
     doc = {"reports": reports} if all_orders else reports[0]
-    _emit(dumps_json(doc), output)
+    _emit(doc, output)
 
 
 def _certification(instance, sparsity):
@@ -232,7 +229,7 @@ def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_
         "instance": instance_to_json_dict(instance),
         "certification": _certification(instance, K),
     }
-    _emit(dumps_json(doc), output)
+    _emit(doc, output)
     if matrix_out is not None:
         with open(matrix_out, "w") as fh:
             fh.write(format_matrix_text(instance.A))

@@ -338,17 +338,25 @@ def exact_rics(A, K):
     return _search(as_matrix_stack(A), K, DEFAULT_BUDGET)
 
 
-def linf_threshold_rics(A, K):
+def linf_threshold_rics(A, K, unit_norm_columns=False):
     """The RICs the linf stopping threshold takes at sparsity ``K``, for
     each matrix of the stack ``A``: the lists of delta_(K+1) and of
     delta_2, searched in that order, each order capped at the column count.
 
-    Each delta_2 is capped at its delta_(K+1): round-off can put the
-    enumerated delta_2 an ulp above it, which monotonicity rules out.
+    Each distinct order is searched once.  Where the two orders coincide
+    (K = 1, or n <= 2), delta_2 is delta_(K+1) itself.  With
+    ``unit_norm_columns`` the threshold does not read delta_2, so it is not
+    searched either, and delta_(K+1) stands in for it.  Otherwise each
+    delta_2 is capped at its delta_(K+1): round-off can put the enumerated
+    delta_2 an ulp above it, which monotonicity rules out.  So every
+    delta_2 returned is at most its delta_(K+1).
     """
     A = as_matrix_stack(A)
     n = A.shape[2]
-    deltas = [report.delta for report in exact_rics(A, min(K + 1, n))]
+    order = min(K + 1, n)
+    deltas = [report.delta for report in exact_rics(A, order)]
+    if unit_norm_columns or order == min(2, n):
+        return deltas, list(deltas)
     deltas2 = [min(report.delta, d) for report, d in zip(exact_rics(A, min(2, n)), deltas)]
     return deltas, deltas2
 

@@ -3,9 +3,19 @@
 The matrix text format is one row per line, decimal floats separated by
 single commas, no header.  Values are printed with 17 significant digits so
 every float64 round-trips exactly.
+
+``parse_matrix_text`` parses a whole text.  ``read_matrix`` and
+``read_vector`` read a file as a stream: its lines go to numpy's text
+reader as they are read, so the file's text is never held whole and the
+peak memory of a read tracks the parsed array.  Wherever the stream could
+differ from ``parse_matrix_text(read_text(path))`` (a line that is not
+plain ASCII, a field numpy refuses, no rows, a non-finite entry, bytes that
+are not UTF-8), the file is read whole and parsed by that path, so both
+accept the same files, give the same values and raise the same errors.
 """
 
 import csv
+import itertools
 import json
 import math
 
@@ -96,14 +106,62 @@ def _raise_non_finite(text):
             raise ParseError(f"line {lineno}: non-finite entry", line=lineno)
 
 
-def parse_vector_text(text):
-    """A vector file is a matrix file with a single row or a single column."""
-    A = parse_matrix_text(text)
+def _plain_lines(fh):
+    r"""The non-blank lines of the text file ``fh``; ValueError at the first
+    line that is not ASCII or holds a character at which a file's
+    universal-newline split and ``str.splitlines`` differ (\v, \f,
+    \x1c-\x1e), or which numpy strips around a field and ``float`` rejects
+    (\x1f).  The checks are spelled out: each is one C scan of the line."""
+    for line in fh:
+        if (not line.isascii() or "\x0b" in line or "\x0c" in line or "\x1c" in line
+                or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            raise ValueError("line not streamed")
+        if not line.isspace():
+            yield line
+
+
+def read_matrix(path):
+    """``parse_matrix_text(read_text(path))``, read as a stream.
+
+    The stream decides only files whose every line is plain ASCII, whose
+    fields numpy accepts, and whose entries are finite; those lines split
+    as ``str.splitlines`` splits them and parse to the same values.  Any
+    other file (UnicodeDecodeError is a ValueError), and a file without
+    rows, on which numpy would warn, is read whole and parsed by
+    ``parse_matrix_text``, which names its error and line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = _plain_lines(fh)
+            first = next(lines, None)
+            if first is None:
+                matrix = None
+            else:
+                matrix = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                                    comments=None, ndmin=2)
+    except ValueError:
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        return parse_matrix_text(read_text(path))
+    return matrix
+
+
+def _as_vector(A):
     if A.shape[0] == 1:
         return A[0].copy()
     if A.shape[1] == 1:
         return A[:, 0].copy()
     raise ParseError(f"expected a vector, got a {A.shape[0]}x{A.shape[1]} matrix")
+
+
+def parse_vector_text(text):
+    """A vector file is a matrix file with a single row or a single column."""
+    return _as_vector(parse_matrix_text(text))
+
+
+def read_vector(path):
+    """``parse_vector_text(read_text(path))``, read as a stream (see read_matrix)."""
+    return _as_vector(read_matrix(path))
 
 
 def instance_to_json_dict(instance):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import omp_sharp
+from omp_sharp import cli, rip
 from omp_sharp.serialize import format_matrix_text, format_vector_text
 
 # The directory this process imported omp_sharp from, put first on the child
@@ -220,6 +221,62 @@ def test_omp_run_output_matches_golden(tmp_path, measurements, rule, flags, expe
     )
     assert result.returncode == 0, result.stderr
     assert out.read_bytes() == (DATA / expected).read_bytes()
+
+
+def test_omp_run_stdout_matches_golden():
+    result = run_cli(
+        "omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (DATA / "omp_l2.json").read_text()
+
+
+def test_omp_run_crlf_inputs_match_golden(tmp_path):
+    copies = []
+    for name in ("omp_gauss_40x16.txt", "omp_y_k3.txt"):
+        copy = tmp_path / name
+        copy.write_bytes((DATA / name).read_bytes().replace(b"\n", b"\r\n"))
+        copies.append(str(copy))
+    out = tmp_path / "trace.json"
+    result = run_cli("omp", "run", *copies, "l2:0.01", "-o", str(out))
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (DATA / "omp_l2.json").read_bytes()
+
+
+def run_in_process(args):
+    with pytest.raises(SystemExit) as info:
+        cli.main(args)
+    assert info.value.code == 0
+
+
+@pytest.mark.parametrize("sparsity, flags, orders", [
+    ("1", [], [2]),
+    ("2", ["--unit-norm"], [3]),
+    ("2", [], [3, 2]),
+])
+def test_exact_ric_linf_rule_searches_each_order_once(tmp_path, monkeypatch, sparsity, flags,
+                                                      orders):
+    searched = []
+    stacked = rip.exact_rics
+
+    def counted(A, K):
+        searched.append(K)
+        return stacked(A, K)
+
+    monkeypatch.setattr(rip, "exact_rics", counted)
+    out = tmp_path / "exact.json"
+    files = [str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k2.txt"), "linf:0.01"]
+    run_in_process(["omp", "run", *files, "--sparsity", sparsity, "--exact-ric", *flags,
+                    "-o", str(out)])
+    assert searched == orders
+    # the trace is that of the threshold on both enumerated deltas
+    A = np.loadtxt(DATA / "omp_gauss_40x16.txt", delimiter=",")
+    delta_k1 = stacked(A[None], int(sparsity) + 1)[0].delta
+    delta2 = min(stacked(A[None], 2)[0].delta, delta_k1)
+    given = tmp_path / "given.json"
+    run_in_process(["omp", "run", *files, "--sparsity", sparsity, "--delta2", repr(delta2),
+                    "--delta-k1", repr(delta_k1), *flags, "-o", str(given)])
+    assert out.read_bytes() == given.read_bytes()
 
 
 UNDECODABLE = b"\xff\xfe1,2\n"

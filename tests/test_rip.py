@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from omp_sharp import rip
 from omp_sharp.errors import BudgetExceeded, DimensionMismatch, InvalidOrder
 from omp_sharp.instances import counterexample_operator
+from omp_sharp.omp import linf_stopping_threshold
 from omp_sharp.rip import (
     _CHUNK,
     exact_ric,
     exact_rics,
     in_sharp_region,
+    linf_threshold_rics,
     subset_spectra,
 )
 
@@ -450,3 +452,32 @@ def test_sparsity_beyond_float_precision_decided_by_exact_rationals(K, random_de
     assert not in_sharp_region(10**400, 0.3)
     assert in_sharp_region(10**400, 0.0)
 
+
+@pytest.mark.parametrize("K, n, unit_norm, orders", [
+    (1, 10, False, [2]),
+    (1, 10, True, [2]),
+    (3, 10, True, [4]),
+    (3, 10, False, [4, 2]),
+    (3, 2, False, [2]),
+])
+def test_linf_threshold_rics_searches_each_order_once(monkeypatch, K, n, unit_norm, orders):
+    A = np.stack([unit_column_matrix(seed, 40, n) for seed in (1, 2)])
+    searched = []
+    stacked = rip.exact_rics
+
+    def counted(A, K):
+        searched.append(K)
+        return stacked(A, K)
+
+    monkeypatch.setattr(rip, "exact_rics", counted)
+    deltas, deltas2 = linf_threshold_rics(A, K, unit_norm)
+    assert searched == orders
+    assert deltas == [exact_ric(a, min(K + 1, n)).delta for a in A]
+    for a, d, d2 in zip(A, deltas, deltas2):
+        # the pair both searches would give: delta_2 capped at delta_(K+1)
+        full2 = min(exact_ric(a, min(2, n)).delta, d)
+        assert d2 <= d
+        if not unit_norm:
+            assert d2 == full2
+        assert (linf_stopping_threshold(K, d2, d, 0.1, unit_norm)
+                == linf_stopping_threshold(K, full2, d, 0.1, unit_norm))

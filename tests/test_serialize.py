@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from omp_sharp.serialize import (
     instance_to_json_dict,
     parse_matrix_text,
     parse_vector_text,
+    read_matrix,
     read_text,
+    read_vector,
     write_csv,
 )
 
@@ -175,6 +179,97 @@ def test_undecodable_file_is_a_parse_error_naming_its_line(tmp_path):
         read_text(path)
     assert info.value.line == 3
     assert str(info.value).startswith(f"{path}: line 3: ")
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    """One file path, rewritten by each example of a property test."""
+    return tmp_path_factory.mktemp("files") / "A.txt"
+
+
+def read_whole(path):
+    return parse_matrix_text(read_text(path))
+
+
+def read_whole_vector(path):
+    return parse_vector_text(read_text(path))
+
+
+# Byte strings that are not UTF-8: a stray continuation byte, a truncated
+# sequence, an overlong encoding, a surrogate and an invalid lead byte.
+INVALID_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff"]
+
+
+def plain(text):
+    """``text`` without its non-ASCII blanks and digit separators, the form
+    the stream reader decides itself."""
+    return text.replace("\xa0", " ").replace("\u3000", " ").replace("_", "")
+
+
+@st.composite
+def file_bytes(draw):
+    """A matrix text as its exact UTF-8 bytes (so a \\r survives), now and
+    then with invalid bytes spliced in."""
+    text = draw(
+        valid_matrix_texts()
+        | valid_matrix_texts().map(plain)
+        | near_valid_texts()
+        | near_valid_texts().map(plain)
+        | st.lists(st.sampled_from(ADVERSARIAL_TOKENS), max_size=24).map("".join)
+    )
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+    return data
+
+
+@settings(max_examples=600, deadline=None)
+@given(file_bytes())
+def test_stream_reader_matches_whole_text_path(scratch_file, data):
+    scratch_file.write_bytes(data)
+    assert outcome(read_matrix, scratch_file) == outcome(read_whole, scratch_file)
+    assert outcome(read_vector, scratch_file) == outcome(read_whole_vector, scratch_file)
+
+
+def test_stream_reader_reads_plain_files_without_the_whole_text(tmp_path, monkeypatch):
+    A = np.random.default_rng(3).standard_normal((5, 4))
+    matrix, vector = tmp_path / "A.txt", tmp_path / "y.txt"
+    matrix.write_bytes(format_matrix_text(A).replace("\n", "\r\n\t\n").encode())
+    vector.write_text(format_vector_text(A[:, 0]))
+    monkeypatch.setattr("omp_sharp.serialize.read_text", None)
+    np.testing.assert_array_equal(read_matrix(matrix), A)
+    np.testing.assert_array_equal(read_vector(vector), A[:, 0])
+
+
+@pytest.mark.parametrize("data", [b"", b"\n", b"  \n\t\n", b"\r\n\r\n", b" "])
+def test_stream_reader_empty_file_names_no_rows_without_a_warning(tmp_path, capfd, data):
+    path = tmp_path / "A.txt"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (read_matrix, read_vector):
+            with pytest.raises(ParseError, match="^no rows found$") as info:
+                read(path)
+            assert info.value.line == 1
+    assert capfd.readouterr().err == ""
+
+
+def test_stream_reader_peak_memory_tracks_the_array(tmp_path):
+    """Reading a 400x1000 file of 17-digit entries (about 9 MB of text)
+    allocates at most 1.5 times the array's 3.2 MB, plus 1 MiB.  The whole
+    text, its lines and numpy's copy of them took 6.3 times the array."""
+    A = np.random.default_rng(11).standard_normal((400, 1000))
+    path = tmp_path / "A.txt"
+    path.write_text(format_matrix_text(A))
+    tracemalloc.start()
+    try:
+        B = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(B, A)
+    assert peak < 1.5 * A.nbytes + 2**20, peak / A.nbytes
 
 
 def test_blank_lines_skipped():
