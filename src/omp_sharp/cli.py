@@ -7,8 +7,8 @@ Subcommands:
     construct    build worst-case and demonstration instances as JSON
     experiment   run a seeded sweep from a JSON config, emitting CSV + summary
 
-Exit codes: 0 success, 2 usage or parse error, 3 numerical/precondition
-error, 4 enumeration budget exceeded.
+Exit codes: 0 success, 2 usage or parse error or an unwritable output path,
+3 numerical/precondition error, 4 enumeration budget exceeded.
 """
 
 import json
@@ -30,26 +30,29 @@ from .omp import (
 )
 from .rip import DEFAULT_BUDGET, exact_ric, linf_threshold_rics
 from .serialize import (
-    dumps_json,
     format_matrix_text,
     instance_to_json_dict,
     parse_matrix_text,  # noqa: F401  (perfbench/tracing.py traces the parse layer by this name)
     read_matrix,
     read_text,
     read_vector,
+    write_json,
 )
 
 
+def _open_output(path):
+    """``path`` opened for writing ("-" is stdout); failing, a click.FileError."""
+    try:
+        return click.open_file(path, "w")
+    except OSError as exc:
+        raise click.FileError(path, exc.strerror) from None
+
+
 def _emit(doc, output):
-    """Write ``doc`` as indented JSON to stdout, or encode it straight into
-    the file ``output`` without building the whole string; the bytes are
-    the same."""
-    if output is None:
-        click.echo(dumps_json(doc), nl=False)
-    else:
-        with open(output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    """Write ``doc`` as indented JSON into the file ``output`` or, for "-",
+    stdout, encoding it as it is written."""
+    with _open_output(output) as fh:
+        write_json(doc, fh)
 
 
 def _reject_unused(ctx, names, why):
@@ -127,7 +130,7 @@ def omp_group():
 @click.option("--max-iterations", type=int, default=None)
 @click.option("--tie-seed", type=int, default=None,
               help="Break correlation ties at random with this seed (default: smallest index).")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
+@click.option("--output", "-o", type=click.Path(dir_okay=False, allow_dash=True), default="-",
               help="Write the trace JSON here instead of stdout.")
 @click.pass_context
 def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_ric,
@@ -153,7 +156,7 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
               help="Report every order 1..ORDER in one monotone table.")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="Cap on C(columns, k) for each order k, pruned subsets included.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
+@click.option("--output", "-o", type=click.Path(dir_okay=False, allow_dash=True), default="-")
 def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = read_matrix(matrix_file)
@@ -198,7 +201,7 @@ def _certification(instance, sparsity):
 @click.option("--gamma", type=float, default=None, help="Raw signal magnitude override.")
 @click.option("--a", "a_value", type=float, default=None,
               help="Signal magnitude for the example instances (defaults per example).")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
+@click.option("--output", "-o", type=click.Path(dir_okay=False, allow_dash=True), default="-")
 @click.option("--matrix-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the sensing matrix in the matrix text format.")
 @click.pass_context
@@ -231,7 +234,7 @@ def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_
     }
     _emit(doc, output)
     if matrix_out is not None:
-        with open(matrix_out, "w") as fh:
+        with _open_output(matrix_out) as fh:
             fh.write(format_matrix_text(instance.A))
 
 
@@ -252,8 +255,13 @@ def experiment_cmd(config_file, csv_path, summary_path):
     summary_path = summary_path or config.output_summary
     if csv_path is None:
         raise click.UsageError("no CSV output path: set output_csv in the config or pass --csv")
-    summary = write_experiment_outputs(config, csv_path, summary_path)
-    click.echo(dumps_json(summary), nl=False)
+    try:
+        summary = write_experiment_outputs(config, csv_path, summary_path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise click.FileError(exc.filename, exc.strerror) from None
+    _emit(summary, "-")
 
 
 def main(argv=None):
@@ -261,6 +269,9 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
+    except click.FileError as exc:
+        click.echo(f"error: cannot write {exc.ui_filename}: {exc.message}", err=True)
+        sys.exit(2)
     except click.UsageError as exc:
         exc.show()
         sys.exit(2)

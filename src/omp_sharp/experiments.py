@@ -29,12 +29,13 @@ from .omp import (
     linf_stopping_threshold,
     min_magnitude_threshold_l2,
     min_magnitude_threshold_linf,
+    prior_art_ric_bound,
     prior_art_thresholds,
     run_omp,
     run_omps,
 )
 from .rip import exact_ric, exact_rics, linf_threshold_rics
-from .serialize import dumps_json, write_csv
+from .serialize import write_csv, write_json
 
 TRIAL_SCHEMA = "omp-sharp-trials-1"
 COMPARISON_SCHEMA = "omp-sharp-comparison-1"
@@ -566,10 +567,7 @@ def run_comparison_table(config):
         except DegenerateDenominator:
             # the prior guarantee degenerates before the sharp boundary;
             # its magnitude requirement is effectively infinite there
-            prior = {
-                "ric_bound": (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K),
-                "min_magnitude": math.inf,
-            }
+            prior = {"ric_bound": prior_art_ric_bound(K), "min_magnitude": math.inf}
         sharp_min = min_magnitude_threshold_l2(K, delta, epsilon)
         rows.append(
             {
@@ -707,5 +705,5 @@ def write_experiment_outputs(config, csv_path, summary_path=None):
     write_csv(csv_path, columns, rows)
     if summary_path is not None:
         with open(summary_path, "w") as fh:
-            fh.write(dumps_json(summary))
+            write_json(summary, fh)
     return summary

@@ -407,16 +407,21 @@ def min_magnitude_threshold_linf(K, delta2, deltaK1, epsilon, unit_norm_columns=
     return 2.0 / (1.0 - math.sqrt(K + 1) * deltaK1) * factor * epsilon
 
 
+def prior_art_ric_bound(K):
+    """The best previously published RIC bound, (sqrt(4K+1)-1)/(2K)."""
+    return (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K)
+
+
 def prior_art_thresholds(K, delta, epsilon):
     """Best previously published bounds, for tabular comparison.
 
-    Returns a dict with the RIC bound (sqrt(4K+1)-1)/(2K) and the
+    Returns a dict with the RIC bound ``prior_art_ric_bound(K)`` and the
     minimum-magnitude bound (sqrt(1+delta)+1)*eps /
     (1 - delta - sqrt(1-delta)*sqrt(K)*delta).
     """
     if K < 1:
         raise InvalidOrder(f"K must be >= 1, got {K}")
-    ric_bound = (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K)
+    ric_bound = prior_art_ric_bound(K)
     denominator = 1.0 - delta - math.sqrt(1.0 - delta) * math.sqrt(K) * delta
     if denominator <= 0:
         raise DegenerateDenominator(

@@ -4,20 +4,19 @@ The matrix text format is one row per line, decimal floats separated by
 single commas, no header.  Values are printed with 17 significant digits so
 every float64 round-trips exactly.
 
-``parse_matrix_text`` parses a whole text.  ``read_matrix`` and
-``read_vector`` read a file as a stream: its lines go to numpy's text
-reader as they are read, so the file's text is never held whole and the
-peak memory of a read tracks the parsed array.  Wherever the stream could
-differ from ``parse_matrix_text(read_text(path))`` (a line that is not
-plain ASCII, a field numpy refuses, no rows, a non-finite entry, bytes that
-are not UTF-8), the file is read whole and parsed by that path, so both
-accept the same files, give the same values and raise the same errors.
+``parse_matrix_text`` parses a text and ``read_matrix`` a file, by one
+parser.  A file's lines are those of the open file, each split again by
+``str.splitlines``, so they are the lines of ``read_text(path)`` without
+its text ever being held whole, and the peak memory of a read tracks the
+parsed array.  One ``np.loadtxt`` pass parses them; wherever it could
+differ from the per-line ``float`` loop, that loop parses the whole text
+instead and names the bad line, so both accept the same inputs, give the
+same values and raise the same errors.
 """
 
 import csv
 import itertools
 import json
-import math
 
 import numpy as np
 
@@ -56,32 +55,55 @@ def parse_matrix_text(text):
     """Parse the matrix text format; errors carry 1-based line numbers.
 
     Entries must be finite: "nan", "inf" and overflowing literals such as
-    "1e999" are rejected.  numpy's C text reader parses the non-blank lines
-    of ``str.splitlines``, with the same correctly rounded conversion as
-    ``float``.  Where it refuses the text, the line loop ``_parse_lines``
-    names the bad line or parses the few literals only ``float`` accepts
-    (``1_0``, non-ASCII digits), so what is accepted, its values and the
-    error messages are the line loop's alone.
+    "1e999" are rejected.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("no rows found", line=1)
-    if "\x1f" in text:
-        # numpy strips "\x1f" around a field as whitespace; float does not
-        matrix = _parse_lines(text)
-    else:
-        try:
-            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            matrix = _parse_lines(text)
-    if not np.isfinite(matrix).all():
-        _raise_non_finite(text)
-    return matrix
+    return _parse(text.splitlines(), lambda: text)
+
+
+def read_matrix(path):
+    """``parse_matrix_text(read_text(path))``, parsed as the file is read."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse((part for line in fh for part in line.splitlines()),
+                      lambda: read_text(path))
+
+
+def _parse(lines, whole_text):
+    """The matrix whose text splits into ``lines`` by ``str.splitlines``.
+
+    numpy's C text reader parses the non-blank lines in one pass, with the
+    same correctly rounded conversion as ``float``.  Where it refuses a line
+    (UnicodeDecodeError, for bytes that do not decode, is a ValueError),
+    there are no rows (it would warn) or an entry is non-finite, the line
+    loop parses ``whole_text()`` instead: what is accepted, its values and
+    the error messages are the line loop's alone."""
+    rows = _loadtxt_rows(lines)
+    try:
+        first = next(rows, None)
+        if first is not None:
+            matrix = np.loadtxt(itertools.chain((first,), rows), delimiter=",",
+                                comments=None, ndmin=2)
+            if np.isfinite(matrix).all():
+                return matrix
+    except ValueError:
+        pass
+    return _parse_lines(whole_text())
+
+
+def _loadtxt_rows(lines):
+    for line in lines:
+        if "\x1f" in line:
+            # numpy strips "\x1f" around a field as whitespace; float does not
+            raise ValueError("unit separator in line")
+        if line.strip():
+            yield line
 
 
 def _parse_lines(text):
-    rows = []
-    width = None
+    """The line loop: each non-blank line parsed by ``float`` and its width
+    checked, then the first line with a non-finite entry named (it also
+    parses the few literals only ``float`` accepts: ``1_0``, non-ASCII
+    digits)."""
+    numbers, rows = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -89,60 +111,18 @@ def _parse_lines(text):
             row = [float(cell) for cell in line.split(",")]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"line {lineno}: expected {width} entries, got {len(row)}",
-                line=lineno,
-            )
+        if rows and len(row) != len(rows[0]):
+            message = f"line {lineno}: expected {len(rows[0])} entries, got {len(row)}"
+            raise ParseError(message, line=lineno)
+        numbers.append(lineno)
         rows.append(row)
-    return np.array(rows)
-
-
-def _raise_non_finite(text):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip() and not all(math.isfinite(float(c)) for c in line.split(",")):
-            raise ParseError(f"line {lineno}: non-finite entry", line=lineno)
-
-
-def _plain_lines(fh):
-    r"""The non-blank lines of the text file ``fh``; ValueError at the first
-    line that is not ASCII or holds a character at which a file's
-    universal-newline split and ``str.splitlines`` differ (\v, \f,
-    \x1c-\x1e), or which numpy strips around a field and ``float`` rejects
-    (\x1f).  The checks are spelled out: each is one C scan of the line."""
-    for line in fh:
-        if (not line.isascii() or "\x0b" in line or "\x0c" in line or "\x1c" in line
-                or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-            raise ValueError("line not streamed")
-        if not line.isspace():
-            yield line
-
-
-def read_matrix(path):
-    """``parse_matrix_text(read_text(path))``, read as a stream.
-
-    The stream decides only files whose every line is plain ASCII, whose
-    fields numpy accepts, and whose entries are finite; those lines split
-    as ``str.splitlines`` splits them and parse to the same values.  Any
-    other file (UnicodeDecodeError is a ValueError), and a file without
-    rows, on which numpy would warn, is read whole and parsed by
-    ``parse_matrix_text``, which names its error and line.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = _plain_lines(fh)
-            first = next(lines, None)
-            if first is None:
-                matrix = None
-            else:
-                matrix = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
-                                    comments=None, ndmin=2)
-    except ValueError:
-        matrix = None
-    if matrix is None or not np.isfinite(matrix).all():
-        return parse_matrix_text(read_text(path))
+    if not rows:
+        raise ParseError("no rows found", line=1)
+    matrix = np.array(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        lineno = numbers[finite.argmin()]
+        raise ParseError(f"line {lineno}: non-finite entry", line=lineno)
     return matrix
 
 
@@ -160,7 +140,7 @@ def parse_vector_text(text):
 
 
 def read_vector(path):
-    """``parse_vector_text(read_text(path))``, read as a stream (see read_matrix)."""
+    """``parse_vector_text(read_text(path))``, parsed as the file is read."""
     return _as_vector(read_matrix(path))
 
 
@@ -186,8 +166,13 @@ def instance_from_json_dict(doc):
     )
 
 
-def dumps_json(obj):
-    return json.dumps(obj, indent=2) + "\n"
+def write_json(obj, fh):
+    """``json.dump(obj, fh, indent=2)`` and a newline, looking ``fh.write``
+    up once: click's stdout wrapper forwards each lookup in Python."""
+    write = fh.write
+    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
+        write(chunk)
+    write("\n")
 
 
 def write_csv(path, header, rows):

@@ -17,11 +17,11 @@ from omp_sharp.serialize import format_matrix_text, format_vector_text
 PACKAGE_ROOT = str(Path(omp_sharp.__file__).resolve().parent.parent)
 
 
-def run_cli(*args):
+def run_cli(*args, text=True):
     cmd = [sys.executable, "-m", "omp_sharp.cli", *args]
     path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=text, env=env)
 
 
 def write_identity(tmp_path, n=3):
@@ -366,6 +366,58 @@ def test_experiment_command(tmp_path):
     assert summary["failures"] == 0
     assert (tmp_path / "out.csv").exists()
     assert json.loads((tmp_path / "out.json").read_text()) == summary
+
+
+# One JSON encoder: a document on stdout has the bytes of its -o file.
+STDOUT_OR_FILE = [
+    ["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k2.txt"), "linf:0.01",
+     "--sparsity", "2", "--exact-ric"],
+    ["ric", str(DATA / "ric_gauss_32x16.txt"), "3", "--all-orders"],
+    ["construct", "l2", "-K", "2", "--delta", "0.4"],
+]
+
+
+@pytest.mark.parametrize("args", STDOUT_OR_FILE, ids=lambda args: args[0])
+def test_stdout_has_the_bytes_of_the_output_file(tmp_path, args):
+    out = tmp_path / "out.json"
+    to_stdout = run_cli(*args, text=False)
+    to_file = run_cli(*args, "-o", str(out), text=False)
+    assert to_stdout.returncode == 0 and to_file.returncode == 0, to_stdout.stderr
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+
+
+def test_experiment_stdout_has_the_bytes_of_the_summary_file(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "Example3", "seed": 4}))
+    summary = tmp_path / "summary.json"
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"),
+                     "--summary", str(summary), text=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == summary.read_bytes()
+
+
+UNWRITABLE = [
+    ["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01",
+     "-o"],
+    ["ric", str(DATA / "ric_gauss_32x16.txt"), "2", "-o"],
+    ["construct", "example1", "--delta", "0.5", "-o"],
+    ["construct", "example1", "--delta", "0.5", "--matrix-out"],
+    ["experiment", "{config}", "--csv"],
+    ["experiment", "{config}", "--csv", "{csv}", "--summary"],
+]
+
+
+@pytest.mark.parametrize("args", UNWRITABLE, ids=lambda args: " ".join(args[::len(args) - 1]))
+def test_unwritable_output_path_exit_2(tmp_path, args):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "Example2", "seed": 9}))
+    target = tmp_path / "missing" / "out"
+    fields = {"config": config, "csv": tmp_path / "out.csv"}
+    result = run_cli(*(arg.format(**fields) for arg in args), str(target))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_experiment_missing_csv_path_exit_2(tmp_path):

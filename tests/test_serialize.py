@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -12,7 +13,6 @@ from omp_sharp.errors import ParseError
 from omp_sharp.instances import NOISE_L2, Instance, build_counterexample_l2
 from omp_sharp.omp import SparseSignal
 from omp_sharp.serialize import (
-    dumps_json,
     format_float,
     format_matrix_text,
     format_vector_text,
@@ -24,6 +24,7 @@ from omp_sharp.serialize import (
     read_text,
     read_vector,
     write_csv,
+    write_json,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -237,9 +238,17 @@ def test_stream_reader_reads_plain_files_without_the_whole_text(tmp_path, monkey
     matrix, vector = tmp_path / "A.txt", tmp_path / "y.txt"
     matrix.write_bytes(format_matrix_text(A).replace("\n", "\r\n\t\n").encode())
     vector.write_text(format_vector_text(A[:, 0]))
+    # line breaks of str.splitlines that a file's universal newlines keep
+    # inside a line, so that only a second split finds them
+    breaks = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    others = [tmp_path / f"A{i}.txt" for i in range(len(breaks))]
+    for path, brk in zip(others, breaks):
+        path.write_bytes(format_matrix_text(A).replace("\n", brk).encode())
     monkeypatch.setattr("omp_sharp.serialize.read_text", None)
     np.testing.assert_array_equal(read_matrix(matrix), A)
     np.testing.assert_array_equal(read_vector(vector), A[:, 0])
+    for path in others:
+        np.testing.assert_array_equal(read_matrix(path), A)
 
 
 @pytest.mark.parametrize("data", [b"", b"\n", b"  \n\t\n", b"\r\n\r\n", b" "])
@@ -279,7 +288,10 @@ def test_blank_lines_skipped():
 
 def test_instance_json_roundtrip():
     inst = build_counterexample_l2(2, 0.3, 1.0, 0.5)
-    doc = json.loads(dumps_json(instance_to_json_dict(inst)))
+    fh = io.StringIO()
+    write_json(instance_to_json_dict(inst), fh)
+    assert fh.getvalue() == json.dumps(instance_to_json_dict(inst), indent=2) + "\n"
+    doc = json.loads(fh.getvalue())
     back = instance_from_json_dict(doc)
     np.testing.assert_array_equal(back.A, inst.A)
     np.testing.assert_array_equal(back.x.values, inst.x.values)
