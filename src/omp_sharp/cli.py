@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or parse error or an unwritable output path,
 3 numerical/precondition error, 4 enumeration budget exceeded.
 """
 
+import contextlib
 import json
 import sys
 
@@ -19,9 +20,10 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import instances as inst
-from .errors import BudgetExceeded, InvalidOrder, OmpSharpError, ParseError
+from .errors import BudgetExceeded, InvalidOrder, OmpSharpError, ParameterOutOfRange, ParseError
 from .experiments import ExperimentConfig, write_experiment_outputs
 from .omp import (
+    UNIT_NORM_TOLERANCE,
     CorrelationLInf,
     FixedIterations,
     ResidualL2,
@@ -41,18 +43,15 @@ from .serialize import (
 
 
 def _open_output(path):
-    """``path`` opened for writing ("-" is stdout); failing, a click.FileError."""
+    """``path`` opened for writing ("-" is stdout); failing, a click.FileError.
+
+    A command opens its outputs once its inputs are read and checked, before
+    its computation, so an unwritable path fails before any work; JSON is
+    then encoded straight into the open file by ``write_json``."""
     try:
         return click.open_file(path, "w")
     except OSError as exc:
         raise click.FileError(path, exc.strerror) from None
-
-
-def _emit(doc, output):
-    """Write ``doc`` as indented JSON into the file ``output`` or, for "-",
-    stdout, encoding it as it is written."""
-    with _open_output(output) as fh:
-        write_json(doc, fh)
 
 
 def _reject_unused(ctx, names, why):
@@ -68,43 +67,62 @@ def _reject_unused(ctx, names, why):
 
 def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
     """Resolve a rule spec string (fixed:K, l2:eps, linf:eps, naive-linf:eps)
-    into a stopping rule.
+    into a function of no arguments that makes the stopping rule.
 
-    For linf the epsilon is the noise level; the actual stopping threshold is
-    derived from it with either exactly enumerated deltas (--exact-ric) or the
-    user-supplied --delta2/--delta-k1 pair.
+    The spec and its options are checked here; only the RIC search of
+    --exact-ric is left to the returned function, so that a command can
+    open its output between the two.  For linf the epsilon is the noise
+    level; the actual stopping threshold is derived from it with either
+    exactly enumerated deltas (--exact-ric) or the user-supplied
+    --delta2/--delta-k1 pair.  --unit-norm must be true of A's columns to
+    within UNIT_NORM_TOLERANCE.
     """
     name, _, value = spec.partition(":")
     if not value:
         raise click.UsageError(f"rule spec {spec!r} must look like name:value")
     try:
         if name == "fixed":
-            return FixedIterations(int(value))
-        if name == "l2":
-            return ResidualL2(float(value))
-        if name == "naive-linf":
-            return CorrelationLInf(float(value))
-        if name == "linf":
+            rule = FixedIterations(int(value))
+        elif name == "l2":
+            rule = ResidualL2(float(value))
+        elif name == "naive-linf":
+            rule = CorrelationLInf(float(value))
+        elif name == "linf":
             epsilon = float(value)
-            if sparsity is None:
-                raise click.UsageError("linf rule requires --sparsity")
-            if sparsity < 1:
-                raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
-            if use_exact_ric:
-                [delta_k1], [delta2] = linf_threshold_rics(A[None], sparsity, unit_norm)
-            elif delta2 is None or delta_k1 is None:
-                raise click.UsageError(
-                    "linf rule requires --exact-ric or both --delta2 and --delta-k1"
-                )
-            threshold = linf_stopping_threshold(
-                sparsity, delta2, delta_k1, epsilon, unit_norm_columns=unit_norm
+        else:
+            raise click.UsageError(
+                f"unknown rule {name!r}; expected fixed, l2, linf or naive-linf"
             )
-            return CorrelationLInf(threshold)
     except ValueError:
         raise click.UsageError(f"rule spec {spec!r} has a malformed value")
-    raise click.UsageError(
-        f"unknown rule {name!r}; expected fixed, l2, linf or naive-linf"
-    )
+    if name != "linf":
+        return lambda: rule
+    if sparsity is None:
+        raise click.UsageError("linf rule requires --sparsity")
+    if sparsity < 1:
+        raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
+    if not use_exact_ric and (delta2 is None or delta_k1 is None):
+        raise click.UsageError("linf rule requires --exact-ric or both --delta2 and --delta-k1")
+    if unit_norm:
+        deviation = float(np.abs(np.linalg.norm(A, axis=0) - 1.0).max())
+        if deviation > UNIT_NORM_TOLERANCE:
+            raise ParameterOutOfRange(
+                f"--unit-norm: a column norm differs from 1 by {deviation:.3g}, "
+                f"more than UNIT_NORM_TOLERANCE = {UNIT_NORM_TOLERANCE:g}"
+            )
+
+    def linf_rule(delta2=delta2, delta_k1=delta_k1):
+        if use_exact_ric:
+            [delta_k1], [delta2] = linf_threshold_rics(A[None], sparsity, unit_norm)
+        return CorrelationLInf(linf_stopping_threshold(
+            sparsity, delta2, delta_k1, epsilon, unit_norm_columns=unit_norm
+        ))
+
+    if use_exact_ric:
+        return linf_rule
+    # given deltas are checked now, with the rule they make
+    rule = linf_rule()
+    return lambda: rule
 
 
 @click.group()
@@ -143,10 +161,11 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
         _reject_unused(ctx, ("delta2", "delta_k1"), "--exact-ric enumerates the deltas")
     A = read_matrix(matrix_file)
     y = read_vector(measurement_file)
-    rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
+    make_rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
     rng = None if tie_seed is None else np.random.default_rng(tie_seed)
-    trace = run_omp(y, A, rule, max_iterations=max_iterations, tie_break_rng=rng)
-    _emit(trace.to_json_dict(), output)
+    with _open_output(output) as fh:
+        trace = run_omp(y, A, make_rule(), max_iterations=max_iterations, tie_break_rng=rng)
+        write_json(trace.to_json_dict(), fh)
 
 
 @cli.command("ric")
@@ -161,9 +180,9 @@ def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = read_matrix(matrix_file)
     orders = range(1, order + 1) if all_orders else [order]
-    reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]
-    doc = {"reports": reports} if all_orders else reports[0]
-    _emit(doc, output)
+    with _open_output(output) as fh:
+        reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]
+        write_json({"reports": reports} if all_orders else reports[0], fh)
 
 
 def _certification(instance, sparsity):
@@ -216,26 +235,29 @@ def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_
         if gamma is not None:
             _reject_unused(ctx, ("gamma_fraction",), "overridden by --gamma")
     K = sparsity
-    if kind == "l2":
-        if gamma is None:
-            gamma = gamma_fraction * inst.l2_gamma_bound(K, delta, epsilon)
-        instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
-    elif kind == "linf":
-        if gamma is None:
-            gamma = gamma_fraction * inst.linf_gamma_bound(K, delta, epsilon)
-        instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
-    else:
-        build, default_a = inst.EXAMPLES[kind]
-        instance = build(delta, default_a(delta) if a_value is None else a_value)
-        K = 1
-    doc = {
-        "instance": instance_to_json_dict(instance),
-        "certification": _certification(instance, K),
-    }
-    _emit(doc, output)
-    if matrix_out is not None:
-        with _open_output(matrix_out) as fh:
-            fh.write(format_matrix_text(instance.A))
+    with contextlib.ExitStack() as outputs:
+        fh = outputs.enter_context(_open_output(output))
+        matrix_fh = None if matrix_out is None else outputs.enter_context(
+            _open_output(matrix_out))
+        if kind == "l2":
+            if gamma is None:
+                gamma = gamma_fraction * inst.l2_gamma_bound(K, delta, epsilon)
+            instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
+        elif kind == "linf":
+            if gamma is None:
+                gamma = gamma_fraction * inst.linf_gamma_bound(K, delta, epsilon)
+            instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
+        else:
+            build, default_a = inst.EXAMPLES[kind]
+            instance = build(delta, default_a(delta) if a_value is None else a_value)
+            K = 1
+        doc = {
+            "instance": instance_to_json_dict(instance),
+            "certification": _certification(instance, K),
+        }
+        write_json(doc, fh)
+        if matrix_fh is not None:
+            matrix_fh.write(format_matrix_text(instance.A))
 
 
 @cli.command("experiment")
@@ -261,7 +283,8 @@ def experiment_cmd(config_file, csv_path, summary_path):
         if exc.filename is None:
             raise
         raise click.FileError(exc.filename, exc.strerror) from None
-    _emit(summary, "-")
+    with _open_output("-") as fh:
+        write_json(summary, fh)
 
 
 def main(argv=None):

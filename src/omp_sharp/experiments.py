@@ -6,6 +6,9 @@ trial.  Support recovery is always re-derived from the trace by an
 independent set comparison, never trusted from the solver.
 """
 
+import contextlib
+import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,11 +46,6 @@ COMPARISON_SCHEMA = "omp-sharp-comparison-1"
 #: Absolute slack of the Lemma 1 pass test: a trial passes when
 #: lhs_gap >= rhs_bound - LEMMA1_TOLERANCE.
 LEMMA1_TOLERANCE = 1e-10
-
-# Experiments that draw an m x n matrix with orthonormal-column embedding,
-# so n must be at most m, and enumerate its RIC of order K+1, so every K
-# must be at most n - 1.
-_MATRIX_EXPERIMENTS = ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite")
 
 TRIAL_COLUMNS = [
     "schema_version",
@@ -129,8 +127,10 @@ class ExperimentConfig:
     """Grid and seed for one experiment run.
 
     ``delta_fractions`` are interpreted as delta = fraction / sqrt(K+1), so a
-    grid stays inside the theorem premises for every K; ``deltas`` overrides
-    with raw values when present.
+    grid stays inside the theorem premises for every K; ``deltas`` replaces
+    them with raw values, so only one of the two may be set.  An experiment
+    reads only the fields its EXPERIMENTS entry names (and the output
+    paths); any other field must keep its default.
     """
 
     experiment: str
@@ -153,6 +153,15 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {sorted(EXPERIMENTS)}"
             )
+        reads = EXPERIMENTS[self.experiment][2] + _EVERY_EXPERIMENT_READS
+        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                    else f.default_factory() for f in dataclasses.fields(self)}
+        unread = [name for name, default in defaults.items()
+                  if name not in reads and getattr(self, name) != default]
+        if unread:
+            raise ParameterOutOfRange(f"{self.experiment} does not read config fields {unread}")
+        if self.deltas is not None and self.delta_fractions != defaults["delta_fractions"]:
+            raise ParameterOutOfRange("set deltas or delta_fractions, not both")
         for name in ("k_values", "delta_fractions", "epsilons", "gamma_fractions"):
             if not getattr(self, name):
                 raise ParameterOutOfRange(f"{name} must be non-empty")
@@ -160,11 +169,14 @@ class ExperimentConfig:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
         if any(k < 1 for k in self.k_values):
             raise ParameterOutOfRange("k_values must be >= 1")
-        if self.experiment in _MATRIX_EXPERIMENTS and max(self.k_values) >= self.n:
+        # an experiment that reads m draws an m x n matrix with orthonormal
+        # columns, so n must be at most m, and enumerates its RIC of order
+        # K+1, so every K must be at most n - 1
+        if "m" in reads and max(self.k_values) >= self.n:
             raise ParameterOutOfRange(
                 f"k_values must be <= n - 1 = {self.n - 1} for {self.experiment}"
             )
-        if self.experiment in _MATRIX_EXPERIMENTS and self.n > self.m:
+        if "m" in reads and self.n > self.m:
             raise ParameterOutOfRange(
                 f"need n <= m for {self.experiment}, got {self.m}x{self.n}"
             )
@@ -450,14 +462,6 @@ def _run_sufficiency(config, linf):
     )
 
 
-def run_theorem1_sweep(config):
-    return _run_sufficiency(config, linf=False)
-
-
-def run_theorem2_sweep(config):
-    return _run_sufficiency(config, linf=True)
-
-
 def _failure_trial(K, delta, epsilon, fraction, linf):
     """The worst-case instance at ``fraction`` of its gamma bound, as an
     _OmpTrial of K fixed iterations that passes when OMP picks column K+1
@@ -492,14 +496,6 @@ def _run_failure_demo(config, linf):
             lambda rngs: [_failure_trial(K, delta, epsilon, fraction, linf)],
         ),
     )
-
-
-def run_theorem3_demo(config):
-    return _run_failure_demo(config, linf=False)
-
-
-def run_theorem4_demo(config):
-    return _run_failure_demo(config, linf=True)
 
 
 def _lemma1_draws(rng, n, omega_size):
@@ -569,20 +565,13 @@ def run_comparison_table(config):
             # its magnitude requirement is effectively infinite there
             prior = {"ric_bound": prior_art_ric_bound(K), "min_magnitude": math.inf}
         sharp_min = min_magnitude_threshold_l2(K, delta, epsilon)
-        rows.append(
-            {
-                "schema_version": COMPARISON_SCHEMA,
-                "K": K,
-                "delta": delta,
-                "epsilon": epsilon,
-                "sharp_ric_bound": sharp_ric,
-                "prior_ric_bound": prior["ric_bound"],
-                "sharp_min_magnitude": sharp_min,
-                "prior_min_magnitude": prior["min_magnitude"],
-                "ric_inequality_holds": prior["ric_bound"] < sharp_ric,
-                "min_magnitude_inequality_holds": prior["min_magnitude"] >= sharp_min,
-            }
-        )
+        rows.append(dict(
+            schema_version=COMPARISON_SCHEMA, K=K, delta=delta, epsilon=epsilon,
+            sharp_ric_bound=sharp_ric, prior_ric_bound=prior["ric_bound"],
+            sharp_min_magnitude=sharp_min, prior_min_magnitude=prior["min_magnitude"],
+            ric_inequality_holds=prior["ric_bound"] < sharp_ric,
+            min_magnitude_inequality_holds=prior["min_magnitude"] >= sharp_min,
+        ))
     return rows
 
 
@@ -646,33 +635,38 @@ def run_example(config):
     )
 
 
+#: The fields every experiment reads: its name and its output paths.
+_EVERY_EXPERIMENT_READS = ("experiment", "output_csv", "output_summary")
+_GRID = ("k_values", "delta_fractions", "deltas", "epsilons")
+_SWEEP = _GRID + ("seed", "trials", "m", "n", "margin")
+_DEMO = _GRID + ("gamma_fractions",)
+
+#: Each experiment's runner, its CSV columns and the config fields the
+#: runner reads.
 EXPERIMENTS = {
-    "Theorem1Sweep": (run_theorem1_sweep, TRIAL_COLUMNS),
-    "Theorem2Sweep": (run_theorem2_sweep, TRIAL_COLUMNS),
-    "Theorem3Demo": (run_theorem3_demo, TRIAL_COLUMNS),
-    "Theorem4Demo": (run_theorem4_demo, TRIAL_COLUMNS),
-    "Lemma1Suite": (run_lemma1_suite, TRIAL_COLUMNS),
-    "ComparisonTable": (run_comparison_table, COMPARISON_COLUMNS),
-    "Example1": (run_example, TRIAL_COLUMNS),
-    "Example2": (run_example, TRIAL_COLUMNS),
-    "Example3": (run_example, TRIAL_COLUMNS),
+    "Theorem1Sweep": (functools.partial(_run_sufficiency, linf=False), TRIAL_COLUMNS, _SWEEP),
+    "Theorem2Sweep": (functools.partial(_run_sufficiency, linf=True), TRIAL_COLUMNS, _SWEEP),
+    "Theorem3Demo": (functools.partial(_run_failure_demo, linf=False), TRIAL_COLUMNS, _DEMO),
+    "Theorem4Demo": (functools.partial(_run_failure_demo, linf=True), TRIAL_COLUMNS, _DEMO),
+    "Lemma1Suite": (run_lemma1_suite, TRIAL_COLUMNS, ("seed", "k_values", "trials", "m", "n")),
+    "ComparisonTable": (run_comparison_table, COMPARISON_COLUMNS, _GRID),
+    "Example1": (run_example, TRIAL_COLUMNS, ("deltas",)),
+    "Example2": (run_example, TRIAL_COLUMNS, ("deltas",)),
+    "Example3": (run_example, TRIAL_COLUMNS, ("deltas",)),
 }
 
 
 def run_experiment(config):
     """Run the configured experiment; returns (columns, records, summary)."""
-    runner, columns = EXPERIMENTS[config.experiment]
+    runner, columns, _ = EXPERIMENTS[config.experiment]
     records = runner(config)
-    summary = summarize(config, columns, records)
-    return columns, records, summary
+    return columns, records, summarize(config, columns, records)
 
 
 def summarize(config, columns, records):
     if columns is COMPARISON_COLUMNS:
-        verdicts = [
-            r["ric_inequality_holds"] and r["min_magnitude_inequality_holds"]
-            for r in records
-        ]
+        verdicts = [r["ric_inequality_holds"] and r["min_magnitude_inequality_holds"]
+                    for r in records]
     else:
         verdicts = [bool(r["passed"]) for r in records]
     passes = sum(verdicts)
@@ -688,22 +682,25 @@ def summarize(config, columns, records):
         "records": len(records),
         "passes": passes,
         "failures": len(records) - passes,
-        "cells": [
-            {"cell": key, **value} for key, value in sorted(cells.items())
-        ],
+        "cells": [{"cell": key, **value} for key, value in sorted(cells.items())],
     }
 
 
 def write_experiment_outputs(config, csv_path, summary_path=None):
     """Run the experiment and write the CSV (and optional JSON summary).
 
-    Records are emitted in (cell index, trial index) order so the file is
-    byte-identical for a fixed config and seed.
+    Both outputs are opened before the run, the summary first, so a path
+    that cannot be written fails before any work, and an unwritable summary
+    leaves no CSV behind.  Records are emitted in (cell index, trial index)
+    order so the file is byte-identical for a fixed config and seed.
     """
-    columns, records, summary = run_experiment(config)
-    rows = [[record[c] for c in columns] for record in records]
-    write_csv(csv_path, columns, rows)
-    if summary_path is not None:
-        with open(summary_path, "w") as fh:
-            write_json(summary, fh)
+    with contextlib.ExitStack() as outputs:
+        summary_file = None if summary_path is None else outputs.enter_context(
+            open(summary_path, "w"))
+        # write_csv writes by path; this open only fails early where it would
+        open(csv_path, "w").close()
+        columns, records, summary = run_experiment(config)
+        write_csv(csv_path, columns, [[record[c] for c in columns] for record in records])
+        if summary_file is not None:
+            write_json(summary, summary_file)
     return summary

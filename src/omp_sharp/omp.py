@@ -23,6 +23,14 @@ from .rip import in_sharp_region
 #: Relative gap below which two correlation magnitudes count as tied.
 TIE_TOLERANCE = 1e-12
 
+#: Largest |‖a_j‖₂ − 1| over the columns at which a matrix counts as having
+#: unit-norm columns, the premise of the relaxed linf threshold.  Columns
+#: normalised in float64 are within a few ulps of 1, and entries written
+#: with 7 or more significant digits keep them within 5e-7.  The relaxed
+#: factor drops the column-norm term that the general factor bounds by
+#: sqrt(1 + delta_2), so a norm off by t changes that term by about t.
+UNIT_NORM_TOLERANCE = 1e-6
+
 STOP_RULE_MET = "rule_met"
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_RANK_DEFICIENT = "rank_deficient"

@@ -243,10 +243,10 @@ def test_omp_run_crlf_inputs_match_golden(tmp_path):
     assert out.read_bytes() == (DATA / "omp_l2.json").read_bytes()
 
 
-def run_in_process(args):
+def run_in_process(args, code=0):
     with pytest.raises(SystemExit) as info:
         cli.main(args)
-    assert info.value.code == 0
+    assert info.value.code == code
 
 
 @pytest.mark.parametrize("sparsity, flags, orders", [
@@ -277,6 +277,30 @@ def test_exact_ric_linf_rule_searches_each_order_once(tmp_path, monkeypatch, spa
     run_in_process(["omp", "run", *files, "--sparsity", sparsity, "--delta2", repr(delta2),
                     "--delta-k1", repr(delta_k1), *flags, "-o", str(given)])
     assert out.read_bytes() == given.read_bytes()
+
+
+@pytest.mark.parametrize("deltas", [["--exact-ric"], ["--delta2", "0.1", "--delta-k1", "0.2"]])
+def test_unit_norm_on_other_columns_exit_3(tmp_path, deltas):
+    # the columns of this matrix have norms from 0.89 to 1.18
+    y = tmp_path / "y.txt"
+    y.write_text(format_vector_text(np.ones(32)))
+    result = run_cli("omp", "run", str(DATA / "ric_gauss_32x16.txt"), str(y), "linf:0.01",
+                     "--sparsity", "2", "--unit-norm", *deltas)
+    assert result.returncode == 3, result.stderr
+    assert "ParameterOutOfRange: --unit-norm" in result.stderr
+    assert "UNIT_NORM_TOLERANCE" in result.stderr
+
+
+@pytest.mark.parametrize("scale, code", [(1 + 0.9e-6, 0), (1 + 1.1e-6, 3), (1 - 1.1e-6, 3)])
+def test_unit_norm_tolerance(tmp_path, scale, code):
+    A = np.loadtxt(DATA / "omp_gauss_40x16.txt", delimiter=",")
+    A[:, 5] *= scale
+    matrix = tmp_path / "A.txt"
+    matrix.write_text(format_matrix_text(A))
+    args = ["omp", "run", str(matrix), str(DATA / "omp_y_k2.txt"), "linf:0.01", "--sparsity",
+            "2", "--delta2", "0.1", "--delta-k1", "0.2", "--unit-norm", "-o",
+            str(tmp_path / "t.json")]
+    run_in_process(args, code)
 
 
 UNDECODABLE = b"\xff\xfe1,2\n"
@@ -354,7 +378,6 @@ def test_construct_sparsity_beyond_float_range_exit_3():
 def test_experiment_command(tmp_path):
     cfg = {
         "experiment": "Example2",
-        "seed": 9,
         "output_csv": str(tmp_path / "out.csv"),
         "output_summary": str(tmp_path / "out.json"),
     }
@@ -389,7 +412,7 @@ def test_stdout_has_the_bytes_of_the_output_file(tmp_path, args):
 
 def test_experiment_stdout_has_the_bytes_of_the_summary_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"experiment": "Example3", "seed": 4}))
+    cfg_file.write_text(json.dumps({"experiment": "Example3"}))
     summary = tmp_path / "summary.json"
     result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"),
                      "--summary", str(summary), text=False)
@@ -411,7 +434,7 @@ UNWRITABLE = [
 @pytest.mark.parametrize("args", UNWRITABLE, ids=lambda args: " ".join(args[::len(args) - 1]))
 def test_unwritable_output_path_exit_2(tmp_path, args):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"experiment": "Example2", "seed": 9}))
+    config.write_text(json.dumps({"experiment": "Example2"}))
     target = tmp_path / "missing" / "out"
     fields = {"config": config, "csv": tmp_path / "out.csv"}
     result = run_cli(*(arg.format(**fields) for arg in args), str(target))
@@ -420,9 +443,35 @@ def test_unwritable_output_path_exit_2(tmp_path, args):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("args, module, work", [
+    (["ric", str(DATA / "ric_gauss_32x16.txt"), "4", "-o"], cli, "exact_ric"),
+    (["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01",
+      "-o"], cli, "run_omp"),
+    (["construct", "l2", "--delta", "0.4", "-o"], cli.inst, "build_counterexample_l2"),
+    (["construct", "l2", "--delta", "0.4", "--matrix-out"], cli.inst, "build_counterexample_l2"),
+], ids=["ric -o", "omp run -o", "construct -o", "construct --matrix-out"])
+def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, args, module, work):
+    """Inputs are read and checked, the output is opened, and only then does
+    the command compute."""
+    calls = []
+    monkeypatch.setattr(module, work, lambda *a, **k: calls.append(a))
+    run_in_process([*args, str(tmp_path / "missing" / "out.json")], code=2)
+    assert calls == []
+
+
+def test_experiment_unwritable_summary_writes_no_csv(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "Example2"}))
+    csv_path = tmp_path / "out.csv"
+    result = run_cli("experiment", str(config), "--csv", str(csv_path),
+                     "--summary", str(tmp_path / "missing" / "s.json"))
+    assert result.returncode == 2, result.stderr
+    assert not csv_path.exists()
+
+
 def test_experiment_missing_csv_path_exit_2(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"experiment": "Example2", "seed": 9}))
+    cfg_file.write_text(json.dumps({"experiment": "Example2"}))
     assert run_cli("experiment", str(cfg_file)).returncode == 2
 
 
@@ -487,6 +536,8 @@ def test_experiment_config_missing_experiment_exit_3(tmp_path):
         ({"experiment": "Lemma1Suite", "k_values": [9], "trials": 1}, "k_values"),
         ({"experiment": "Theorem2Sweep", "k_values": [1, 8], "trials": 1}, "k_values"),
         ({"experiment": "Theorem1Sweep", "m": 5, "n": 8, "trials": 1}, "n <= m"),
+        ({"experiment": "ComparisonTable", "trials": 50}, "does not read config fields ['trials']"),
+        ({"experiment": "Example1", "deltas": [0.3], "seed": 0, "margin": 1.1, "m": 3}, "['m']"),
     ],
 )
 def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):

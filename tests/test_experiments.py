@@ -58,9 +58,10 @@ def test_config_validation():
         with pytest.raises(ParameterOutOfRange, match="n <= m"):
             ExperimentConfig(experiment=name, m=5, n=8)
         ExperimentConfig(experiment=name, m=8, n=8)
-    # the failure demos size their matrices from K alone
+    # the failure demos size their matrices from K alone, and read no m or n
     ExperimentConfig(experiment="Theorem3Demo", k_values=[9], n=8)
-    ExperimentConfig(experiment="Theorem3Demo", m=5, n=8)
+    with pytest.raises(ParameterOutOfRange, match="'m'"):
+        ExperimentConfig(experiment="Theorem3Demo", m=5, n=8)
 
 
 def test_config_from_json_accepts_every_field():
@@ -84,7 +85,7 @@ def test_config_from_json_accepts_every_field():
 
 
 def test_delta_resolution():
-    cfg = ExperimentConfig(experiment="Example1", delta_fractions=[0.5])
+    cfg = ExperimentConfig(experiment="Theorem1Sweep", delta_fractions=[0.5])
     assert cfg.resolved_deltas(3) == [0.25]
     cfg = ExperimentConfig(experiment="Example1", deltas=[0.11])
     assert cfg.resolved_deltas(3) == [0.11]
@@ -182,16 +183,16 @@ def failing_once(monkeypatch, module, name, call):
     "experiment, function, call, fields",
     [
         # the stacked trials fail in a trial's own draws, the demos in their builders
-        ("Lemma1Suite", "_lemma1_draws", 3, {"k_values": [2, 3], "trials": 3, "n": 7}),
+        ("Lemma1Suite", "_lemma1_draws", 3, {"seed": 3, "k_values": [2, 3], "trials": 3, "n": 7}),
         ("Theorem3Demo", "build_counterexample_l2", 2, {"k_values": [1, 2]}),
         ("Theorem4Demo", "build_counterexample_linf", 1, {"k_values": [1, 2]}),
         # a trial that fails before OMP leaves the rest of its cell's stack
-        ("Theorem1Sweep", "_signal_draws", 4, {"k_values": [1, 2], "trials": 3}),
-        ("Theorem2Sweep", "_signal_draws", 2, {"k_values": [2], "trials": 3}),
+        ("Theorem1Sweep", "_signal_draws", 4, {"seed": 3, "k_values": [1, 2], "trials": 3}),
+        ("Theorem2Sweep", "_signal_draws", 2, {"seed": 3, "k_values": [2], "trials": 3}),
     ],
 )
 def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, call, fields):
-    cfg = ExperimentConfig(experiment=experiment, seed=3, **fields)
+    cfg = ExperimentConfig(experiment=experiment, **fields)
     _, expected, _ = run_experiment(cfg)
     module = experiments if function.startswith("_") else experiments.inst
     failing_once(monkeypatch, module, function, call)
@@ -551,12 +552,61 @@ def test_batched_lemma1_matches_per_trial_reference(seed, trials):
 def test_stacked_trials_equal_one_trial_at_a_time(experiment, seed, K, trials, epsilon, margin):
     """Every record of a stacked cell, failed ones too, is the record of its
     trial run alone."""
-    config = ExperimentConfig(
-        experiment=experiment, seed=seed, k_values=[K], trials=trials, epsilons=[epsilon],
-        margin=margin,
-    )
+    # Lemma1Suite reads no epsilon or margin
+    noise = {} if experiment == "Lemma1Suite" else dict(epsilons=[epsilon], margin=margin)
+    config = ExperimentConfig(experiment=experiment, seed=seed, k_values=[K], trials=trials,
+                              **noise)
     _, records, _ = run_experiment(config)
     if experiment == "Lemma1Suite":
         assert records == reference_lemma1(config)
     else:
         assert records == reference_sufficiency(config)
+
+
+#: A valid value other than the default for every config field an
+#: experiment may read; each must change the records of every experiment
+#: that declares it.
+NON_DEFAULT = {
+    "seed": 1, "k_values": [2], "delta_fractions": [0.6], "deltas": [0.3], "epsilons": [1.0],
+    "gamma_fractions": [0.5], "trials": 2, "m": 20, "n": 6, "margin": 2.0,
+}
+
+
+def test_non_default_values_cover_every_field():
+    paths = {"experiment", "output_csv", "output_summary"}
+    assert set(NON_DEFAULT) == set(ExperimentConfig.__dataclass_fields__) - paths
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+def test_a_field_changes_the_records_or_is_refused(experiment, name):
+    """Every field an experiment declares changes its records; every other
+    field set off its default is refused by name."""
+    value = NON_DEFAULT[name]
+    if name in experiments.EXPERIMENTS[experiment][2]:
+        _, default, _ = run_experiment(ExperimentConfig(experiment=experiment))
+        _, changed, _ = run_experiment(ExperimentConfig(experiment=experiment, **{name: value}))
+        assert changed != default
+    else:
+        with pytest.raises(ParameterOutOfRange, match=f"does not read config fields .*'{name}'"):
+            ExperimentConfig(experiment=experiment, **{name: value})
+
+
+@pytest.mark.parametrize("fields, refused", [
+    (dict(experiment="ComparisonTable", trials=50, m=30, n=20, gamma_fractions=[0.1],
+          margin=9.0, seed=7), ["seed", "gamma_fractions", "trials", "m", "n", "margin"]),
+    (dict(experiment="Example1", trials=9, epsilons=[3.0], k_values=[4]),
+     ["k_values", "epsilons", "trials"]),
+])
+def test_fields_an_experiment_ignores_are_refused(fields, refused):
+    with pytest.raises(ParameterOutOfRange) as info:
+        ExperimentConfig(**fields)
+    assert str(info.value) == f"{fields['experiment']} does not read config fields {refused}"
+    # a field at its default, given or not, is no setting
+    ExperimentConfig(experiment="ComparisonTable", trials=1, margin=1.1, seed=0)
+
+
+def test_deltas_and_delta_fractions_are_not_set_together():
+    with pytest.raises(ParameterOutOfRange, match="not both"):
+        ExperimentConfig(experiment="Theorem1Sweep", deltas=[0.3], delta_fractions=[0.6])
+    ExperimentConfig(experiment="Theorem1Sweep", deltas=[0.3], delta_fractions=[0.5, 0.9])
