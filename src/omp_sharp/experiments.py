@@ -676,9 +676,11 @@ def summarize(config, columns, records):
         cell = cells.setdefault(key, {"trials": 0, "passes": 0})
         cell["trials"] += 1
         cell["passes"] += ok
+    # the seed is echoed only where the experiment reads it
+    seed = {"seed": config.seed} if "seed" in EXPERIMENTS[config.experiment][2] else {}
     return {
         "experiment": config.experiment,
-        "seed": config.seed,
+        **seed,
         "records": len(records),
         "passes": passes,
         "failures": len(records) - passes,

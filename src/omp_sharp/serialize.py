@@ -15,6 +15,7 @@ same values and raise the same errors.
 """
 
 import csv
+import functools
 import itertools
 import json
 
@@ -146,9 +147,9 @@ def read_vector(path):
 
 def instance_to_json_dict(instance):
     return {
-        "A": [[float(x) for x in row] for row in instance.A],
-        "x": [float(x) for x in instance.x.values],
-        "v": [float(x) for x in instance.v],
+        "A": instance.A.tolist(),
+        "x": instance.x.values.tolist(),
+        "v": instance.v.tolist(),
         "epsilon": float(instance.epsilon),
         "noise_model": instance.noise_model,
         "metadata": instance.metadata,
@@ -167,12 +168,51 @@ def instance_from_json_dict(doc):
 
 
 def write_json(obj, fh):
-    """``json.dump(obj, fh, indent=2)`` and a newline, looking ``fh.write``
-    up once: click's stdout wrapper forwards each lookup in Python."""
-    write = fh.write
-    for chunk in json.JSONEncoder(indent=2).iterencode(obj):
-        write(chunk)
-    write("\n")
+    """``json.dump(obj, fh, indent=2)`` and a newline, in the same bytes, by
+    one call of json's C encoder per container (``indent`` alone would take
+    its Python one): a flat container is then done, any other has its own
+    containers as null in it and walks them.  Each chunk is written as it is
+    made, by ``fh.write`` looked up once (click's stdout forwards lookups)."""
+    _write_json(obj, fh.write, 1, set())
+    fh.write("\n")
+
+
+@functools.cache
+def _layout(depth):
+    """json's C encoder that puts each item on a line indented to ``depth``
+    (it never gets a container in a container, so it skips the circular
+    check), that line break, and the one before the closing bracket."""
+    inner = "\n" + "  " * depth
+    encoder = json.JSONEncoder(separators=("," + inner, ": "), check_circular=False)
+    return encoder.encode, inner, inner[:-2]
+
+
+def _write_json(value, write, depth, path):
+    """Write ``value`` with its items at ``depth``; ``path`` holds the ids of
+    the containers around it, so a circular one is refused as json does."""
+    containers = (list, tuple, dict)
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+    encode, inner, outer = _layout(depth)
+    if not any(map(issubclass, set(map(type, items)), itertools.repeat(containers))):
+        text = encode(value)
+        write(text[0] + inner + text[1:-1] + outer + text[-1] if items else text)
+        return
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    nested = [isinstance(item, containers) for item in items]
+    stub = [None if inside else item for item, inside in zip(items, nested)]
+    # one line per item, as no key or scalar encodes to a line break
+    text = encode(dict(zip(value, stub)) if is_dict else stub)
+    head = text[0] + inner
+    for line, item, inside in zip(text[1:-1].split("," + inner), items, nested):
+        write(head + (line[:-4] if inside else line))  # a container less its null
+        if inside:
+            _write_json(item, write, depth + 1, path)
+        head = "," + inner
+    write(outer + text[-1])
+    path.remove(id(value))
 
 
 def write_csv(path, header, rows):

@@ -261,6 +261,16 @@ def test_example_experiments_pass(name):
     assert records
 
 
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_summary_echoes_the_seed_only_where_the_experiment_reads_it(name):
+    reads_seed = name in ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite")
+    fields = dict(seed=5, k_values=[1]) if reads_seed else {}
+    _, _, summary = run_experiment(ExperimentConfig(experiment=name, **fields))
+    expected = ["experiment", "records", "passes", "failures", "cells"]
+    assert list(summary) == expected[:1] + ["seed"] * reads_seed + expected[1:]
+    assert summary.get("seed", 5) == 5
+
+
 @pytest.mark.parametrize("name", ["Example2", "Example3"])
 def test_example_cell_out_of_range_fails_alone(name):
     # delta 0.8 is outside (0, 1/sqrt(2)), where Examples 2 and 3 are defined

@@ -300,6 +300,62 @@ def test_instance_json_roundtrip():
     assert back.metadata == {"K": 2, "delta": 0.3, "gamma": 0.5}
 
 
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(json_documents)
+def test_write_json_has_the_bytes_of_json_dumps(doc):
+    fh = io.StringIO()
+    write_json(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [0.0, -0.0, math.nan, math.inf, -math.inf, "caf\xe9  \"\\\n", {}, []],
+    {"a": [1.5, {"b": [], 2.5: ()}], None: {True: "x"}, 3: [[[]]]},
+    [[1, 2], (3, 4.0)], {}, [], (), 7, "text", None,
+])
+def test_write_json_edge_documents(doc):
+    fh = io.StringIO()
+    write_json(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    np.float32(1.5), [np.float32(1.5)], {"a": [1.0, np.float32(1.5)]},
+    {"a": {"b": object()}}, {(1, 2): 3}, [{"a": 1}, {(1, 2): [3]}],
+])
+def test_write_json_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as info:
+        write_json(doc, io.StringIO())
+    assert str(info.value) == str(expected.value)
+
+
+def test_write_json_refuses_a_circular_container():
+    looped = [1.0]
+    looped.append(looped)
+    nested = {"a": [looped]}
+    shared = {"held twice": [1.0]}  # not circular
+    for doc in (looped, nested, {"x": nested}):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json.dumps(doc, indent=2)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            write_json(doc, io.StringIO())
+    fh = io.StringIO()
+    write_json([shared, {"again": shared}], fh)
+    assert fh.getvalue() == json.dumps([shared, {"again": shared}], indent=2) + "\n"
+
+
 def test_instance_json_revalidates_noise_bound():
     inst = Instance(
         A=np.eye(2),
