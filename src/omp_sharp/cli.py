@@ -146,7 +146,7 @@ def omp_group():
 @click.option("--delta-k1", type=float, default=None, help="Order-(K+1) delta for the linf threshold.")
 @click.option("--unit-norm", is_flag=True, help="Use the relaxed threshold for unit-norm columns.")
 @click.option("--max-iterations", type=int, default=None)
-@click.option("--tie-seed", type=int, default=None,
+@click.option("--tie-seed", type=click.IntRange(min=0), default=None,
               help="Break correlation ties at random with this seed (default: smallest index).")
 @click.option("--output", "-o", type=click.Path(dir_okay=False, allow_dash=True), default="-",
               help="Write the trace JSON here instead of stdout.")
@@ -211,7 +211,7 @@ def _certification(instance, sparsity):
 
 
 @cli.command("construct")
-@click.argument("kind", type=click.Choice(["l2", "linf", *inst.EXAMPLES]))
+@click.argument("kind", type=click.Choice([*inst.COUNTEREXAMPLES, *inst.EXAMPLES]))
 @click.option("--sparsity", "-K", "sparsity", type=int, default=1, show_default=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--epsilon", type=float, default=1.0, show_default=True)
@@ -239,14 +239,11 @@ def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_
         fh = outputs.enter_context(_open_output(output))
         matrix_fh = None if matrix_out is None else outputs.enter_context(
             _open_output(matrix_out))
-        if kind == "l2":
+        if kind in inst.COUNTEREXAMPLES:
+            build, gamma_bound = inst.COUNTEREXAMPLES[kind]
             if gamma is None:
-                gamma = gamma_fraction * inst.l2_gamma_bound(K, delta, epsilon)
-            instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
-        elif kind == "linf":
-            if gamma is None:
-                gamma = gamma_fraction * inst.linf_gamma_bound(K, delta, epsilon)
-            instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
+                gamma = gamma_fraction * gamma_bound(K, delta, epsilon)
+            instance = build(K, delta, epsilon, gamma)
         else:
             build, default_a = inst.EXAMPLES[kind]
             instance = build(delta, default_a(delta) if a_value is None else a_value)

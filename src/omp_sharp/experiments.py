@@ -34,7 +34,6 @@ from .omp import (
     min_magnitude_threshold_linf,
     prior_art_ric_bound,
     prior_art_thresholds,
-    run_omp,
     run_omps,
 )
 from .rip import exact_ric, exact_rics, linf_threshold_rics
@@ -249,11 +248,6 @@ def _records(cells, cell):
     return [record for index, values in enumerate(cells) for record in cell(index, *values)]
 
 
-def _failed(exc):
-    """The fields of a trial that raised ``exc``."""
-    return {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
-
-
 def _attempt(work):
     """``work()``, or the OmpSharpError it raises: a failed trial's outcome
     is its error, so one bad trial does not sink the run."""
@@ -285,10 +279,9 @@ def _cell(config, cell_index, count, fields, trials):
     the sweeps' matrices, RICs, noise, signals and measurements, and
     Lemma1Suite's gaps.  An OmpSharpError raised by ``trials`` itself, in
     work the trials share, fails every trial, as it would fail each alone.
-    The cell's _OmpTrials are solved in one run_omps call and finished from
-    their traces.  One failing problem (measurements that overflowed, say)
-    fails that whole call; each problem is then solved alone by run_omp, so
-    it fails only its own trial.
+    The cell's _OmpTrials are solved in one run_omps call; each one's
+    outcome is its failure there (measurements that overflowed, say) or
+    ``finish`` of its trace.
     """
     rngs = [_rng(config, cell_index, t) for t in range(count)]
     try:
@@ -298,23 +291,19 @@ def _cell(config, cell_index, count, fields, trials):
     solving = [t for t, outcome in enumerate(outcomes) if isinstance(outcome, _OmpTrial)]
     if solving:
         problems = [outcomes[t] for t in solving]
-        try:
-            traces = run_omps(
-                np.array([p.y for p in problems]),
-                np.array([p.A for p in problems]),
-                [p.rule for p in problems],
-            )
-        except OmpSharpError:
-            traces = [None] * len(problems)
-        for t, problem, trace in zip(solving, problems, traces):
-            outcomes[t] = _attempt(lambda: problem.finish(
-                run_omp(problem.y, problem.A, problem.rule) if trace is None else trace
-            ))
+        traces, failures = run_omps(
+            np.array([p.y for p in problems]),
+            np.array([p.A for p in problems]),
+            [p.rule for p in problems],
+        )
+        for i, (t, problem, trace) in enumerate(zip(solving, problems, traces)):
+            outcomes[t] = failures[i] if i in failures else problem.finish(trace)
     blank = dict.fromkeys(TRIAL_COLUMNS)
     return [
         dict(blank, schema_version=TRIAL_SCHEMA, experiment=config.experiment,
              cell_index=cell_index, trial_index=t, **fields,
-             **(_failed(outcome) if isinstance(outcome, OmpSharpError) else outcome))
+             **(outcome if isinstance(outcome, dict)
+                else {"passed": False, "error": f"{type(outcome).__name__}: {outcome}"}))
         for t, outcome in enumerate(outcomes)
     ]
 
@@ -427,14 +416,11 @@ def _sufficiency_trials(config, K, delta, epsilon, linf, rngs):
     X[rows, np.sort(supports, axis=1)] = (
         _SIGNS[signs] * scales * (config.margin * np.array([rules[t][0] for t in live]))[:, None]
     )
+    # a signal that overflowed makes its measurements overflow, so run_omps
+    # fails its trial with the error SparseSignal would raise on it
     Y = (A[live] @ X[:, :, None])[:, :, 0] + V[live]
-    finite = np.isfinite(X).all(axis=1)
     noise_model, rule_name = (inst.NOISE_LINF, "linf") if linf else (inst.NOISE_L2, "l2")
     for i, t in enumerate(live):
-        if not finite[i]:
-            # a signal that overflowed fails as SparseSignal would
-            outcomes[t] = _attempt(lambda: SparseSignal(X[i], sparsity=K))
-            continue
         bound, rule = rules[t]
         outcomes[t] = _omp_trial(
             A[t], SparseSignal._built(X[i], K), Y[i], rule,
@@ -462,18 +448,13 @@ def _run_sufficiency(config, linf):
     )
 
 
-def _failure_trial(K, delta, epsilon, fraction, linf):
-    """The worst-case instance at ``fraction`` of its gamma bound, as an
-    _OmpTrial of K fixed iterations that passes when OMP picks column K+1
-    first and misses the support."""
-    if linf:
-        gamma = fraction * inst.linf_gamma_bound(K, delta, epsilon)
-        instance = inst.build_counterexample_linf(K, delta, epsilon, gamma)
-        rule_name = "fixed-linf-demo"
-    else:
-        gamma = fraction * inst.l2_gamma_bound(K, delta, epsilon)
-        instance = inst.build_counterexample_l2(K, delta, epsilon, gamma)
-        rule_name = "fixed-l2-demo"
+def _failure_trial(K, delta, epsilon, fraction, kind):
+    """The worst-case instance of the noise ``kind`` ("l2" or "linf") at
+    ``fraction`` of its gamma bound, as an _OmpTrial of K fixed iterations
+    that passes when OMP picks column K+1 first and misses the support."""
+    build, gamma_bound = inst.COUNTEREXAMPLES[kind]
+    gamma = fraction * gamma_bound(K, delta, epsilon)
+    instance = build(K, delta, epsilon, gamma)
     return _omp_trial(
         instance.A, instance.x, instance.measurements(), FixedIterations(K),
         lambda found: (
@@ -482,18 +463,18 @@ def _failure_trial(K, delta, epsilon, fraction, linf):
         delta_exact=exact_ric(instance.A, K + 1).delta,
         gamma=gamma,
         noise_model=instance.noise_model,
-        rule=rule_name,
+        rule=f"fixed-{kind}-demo",
     )
 
 
-def _run_failure_demo(config, linf):
+def _run_failure_demo(config, kind):
     """A one-trial cell per (K, delta, epsilon, gamma fraction)."""
     return _records(
         _grid(config, config.gamma_fractions),
         lambda cell_index, K, delta, epsilon, fraction: _cell(
             config, cell_index, 1,
             dict(K=K, m=K + 1, n=K + 1, delta_nominal=delta, epsilon=epsilon),
-            lambda rngs: [_failure_trial(K, delta, epsilon, fraction, linf)],
+            lambda rngs: [_failure_trial(K, delta, epsilon, fraction, kind)],
         ),
     )
 
@@ -529,12 +510,12 @@ def run_lemma1_suite(config):
         deltas = [report.delta for report in exact_rics(A, omega_size + 1)]
         outcomes = [_attempt(lambda: _lemma1_draws(rng, config.n, omega_size)) for rng in rngs]
         live = [t for t, outcome in enumerate(outcomes) if not isinstance(outcome, OmpSharpError)]
-        gaps = inst._lemma1_gaps(
+        gaps, failures = inst._lemma1_gaps(
             A[live], [outcomes[t][0] for t in live], [outcomes[t][1] for t in live],
             [deltas[t] for t in live],
         )
-        for t, gap in zip(live, gaps):
-            outcomes[t] = gap if isinstance(gap, OmpSharpError) else dict(
+        for i, (t, gap) in enumerate(zip(live, gaps)):
+            outcomes[t] = failures[i] if i in failures else dict(
                 delta_exact=deltas[t],
                 support_true=_support_string(outcomes[t][0].support),
                 lhs_gap=gap["lhs_gap"],
@@ -646,8 +627,8 @@ _DEMO = _GRID + ("gamma_fractions",)
 EXPERIMENTS = {
     "Theorem1Sweep": (functools.partial(_run_sufficiency, linf=False), TRIAL_COLUMNS, _SWEEP),
     "Theorem2Sweep": (functools.partial(_run_sufficiency, linf=True), TRIAL_COLUMNS, _SWEEP),
-    "Theorem3Demo": (functools.partial(_run_failure_demo, linf=False), TRIAL_COLUMNS, _DEMO),
-    "Theorem4Demo": (functools.partial(_run_failure_demo, linf=True), TRIAL_COLUMNS, _DEMO),
+    "Theorem3Demo": (functools.partial(_run_failure_demo, kind="l2"), TRIAL_COLUMNS, _DEMO),
+    "Theorem4Demo": (functools.partial(_run_failure_demo, kind="linf"), TRIAL_COLUMNS, _DEMO),
     "Lemma1Suite": (run_lemma1_suite, TRIAL_COLUMNS, ("seed", "k_values", "trials", "m", "n")),
     "ComparisonTable": (run_comparison_table, COMPARISON_COLUMNS, _GRID),
     "Example1": (run_example, TRIAL_COLUMNS, ("deltas",)),

@@ -18,7 +18,6 @@ from .errors import (
     NotProperSubset,
     OutOfSharpRegion,
     ParameterOutOfRange,
-    RankDeficient,
 )
 from .linalg import as_matrix, as_vector, columns_submatrix, least_squares_stack, norms
 from .omp import SparseSignal
@@ -178,6 +177,14 @@ def build_counterexample_linf(K, delta, epsilon, gamma):
     )
 
 
+#: The worst-case constructions by noise kind: (builder, open upper bound
+#: on the signal magnitude gamma).
+COUNTEREXAMPLES = {
+    "l2": (build_counterexample_l2, l2_gamma_bound),
+    "linf": (build_counterexample_linf, linf_gamma_bound),
+}
+
+
 def counterexample_correlations(noise_model, K, delta, epsilon, gamma):
     """Closed forms for the first-iteration correlation magnitudes:
     (max over the support, max off the support)."""
@@ -282,9 +289,9 @@ def lemma1_gap(A, x, subset, delta):
     if not (subset < x.support):
         raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(x.support)}")
     columns_submatrix(A, x.support)  # the support names columns of A
-    gap = _lemma1_gaps(A[None], [x], [subset], [delta])[0]
-    if isinstance(gap, RankDeficient):
-        raise gap
+    [gap], failures = _lemma1_gaps(A[None], [x], [subset], [delta])
+    if failures:
+        raise failures[0]
     return gap
 
 
@@ -293,10 +300,11 @@ def _lemma1_gaps(A, signals, subsets, deltas):
     and delta, each subset a proper subset of its signal's support.  Trials
     whose subsets and supports have the same sizes share each step, as one
     least_squares_stack call or stacked product that is bit-identical to
-    its one-trial form.  Returns each trial's gap, or the RankDeficient its
-    subset's columns fail with; raises the RankDeficient of a subset larger
+    its one-trial form.  Returns each trial's gap, and the RankDeficient of
+    each trial whose subset's columns are numerically dependent, by
+    position (its gap is None); raises the RankDeficient of a subset larger
     than A is tall."""
-    gaps, groups = [None] * len(A), {}
+    gaps, failures, groups = [None] * len(A), {}, {}
     for t, (x, subset) in enumerate(zip(signals, subsets)):
         groups.setdefault((len(subset), len(x.support)), []).append(t)
     for (s, size), group in groups.items():
@@ -316,15 +324,16 @@ def _lemma1_gaps(A, signals, subsets, deltas):
         x_r = np.array([signals[t].values for t in group])[
             np.arange(len(group))[:, None], columns[:, s:size], None]
         direction = A_r @ x_r
-        solutions, failures = least_squares_stack(A_S, direction)
+        solutions, singular = least_squares_stack(A_S, direction)
         direction = direction - A_S @ solutions
         on, off = (np.abs(B.swapaxes(1, 2) @ direction).max(axis=(1, 2)) for B in (A_r, A_off))
         r = size - s
         rhs = ((1.0 - math.sqrt(r + 1) * np.array([deltas[t] for t in group]))
                * norms(x_r)[:, 0, 0] / math.sqrt(r))
-        for i, (t, gap, bound) in enumerate(zip(group, (on - off).tolist(), rhs.tolist())):
-            gaps[t] = failures.get(i, {"lhs_gap": gap, "rhs_bound": bound})
-    return gaps
+        failures.update((group[i], exc) for i, exc in singular.items())
+        for t, gap, bound in zip(group, (on - off).tolist(), rhs.tolist()):
+            gaps[t] = None if t in failures else {"lhs_gap": gap, "rhs_bound": bound}
+    return gaps, failures
 
 
 def sample_l2_noise(m, epsilon, seed):

@@ -194,6 +194,10 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     one makes the same BLAS call, with the same strides, as its one-problem
     form: the bits do not depend on the stack.  Only run_omp, on a stack of
     one, passes a ``tie_break_rng``.
+
+    Returns the traces and, by position, the DimensionMismatch of each
+    problem whose measurements (it never enters the loop) or estimate are
+    not finite; its trace is None.
     """
     count, m, n = A.shape
     cap = min(m, n)
@@ -207,19 +211,22 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                 f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
             )
 
+    finite = np.isfinite(Y).all(axis=1)
+    problem = np.flatnonzero(finite)
     # A[i][:, selected[problem[i]]] = Q[i, :k].T @ R[i, :k, :k]: the rows of
     # Q[i] are q_1..q_k.  The buffers are left untouched when allocated, so
     # their pages take memory only as the run fills them.
-    Q = np.empty((count, max_iterations, m))
-    R = np.zeros((count, max_iterations, max_iterations))
-    qty = np.empty((count, max_iterations, 1))  # Q[i, :k] @ Y[i]
+    Q = np.empty((len(problem), max_iterations, m))
+    R = np.zeros((len(problem), max_iterations, max_iterations))
+    qty = np.empty((len(problem), max_iterations, 1))  # Q[i, :k] @ Y[i]
     # BLAS sums a dot product in another order when a vector has a non-unit
     # stride, as a column of a row-major A[i] has.  The selected columns are
     # gathered into a buffer that keeps the unit or non-unit stride of A's
     # columns, so that q_1 . a_s has the bits it has on the column itself.
     column_buffer = np.empty((count, m, 1 if A.strides[1] == A.itemsize else 2))
     A_t = A.swapaxes(1, 2)
-    problem = np.arange(count)
+    if len(problem) < count:
+        A_t, Y = _kept(finite, A_t, Y)  # copies, so only when a row is dropped
     iterations = [[] for _ in range(count)]
     selected = [[] for _ in range(count)]  # 0-based, in selection order
     largest_diagonal = [0.0] * count
@@ -242,7 +249,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         return keep
 
     Y = residual = Y[:, :, None]
-    for k in range(max_iterations + 1):
+    for k in range(max_iterations + 1 if len(problem) else 0):
         next_correlations = (A_t @ residual)[:, :, 0]
         magnitudes = np.abs(next_correlations)
         correlation_linf = magnitudes.max(axis=1, keepdims=True)
@@ -314,9 +321,9 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         R[:, k:k + 1, k:k + 1] = diagonal
         np.matmul(Q[:, k:k + 1], Y, out=qty[:, k:k + 1])
         residual = Y - Q[:, :k + 1].swapaxes(1, 2) @ qty[:, :k + 1]
-    # an estimate that overflowed fails the run, as a signal of it would
-    as_vector(estimates.ravel())
-    return traces
+    failures = {p: DimensionMismatch("vector contains non-finite entries") for p in
+                np.flatnonzero(~(finite & np.isfinite(estimates).all(axis=1))).tolist()}
+    return [None if p in failures else trace for p, trace in enumerate(traces)], failures
 
 
 def run_omps(Y, A, rules):
@@ -327,10 +334,12 @@ def run_omps(Y, A, rules):
     row per matrix.  Each iteration forms every running problem's A^T r,
     Gram-Schmidt step and residual as one stacked product, and a problem
     leaves the loop as soon as it stops.  Returns one OmpTrace per problem,
-    each ``==`` to run_omp's on that problem.
+    each ``==`` to run_omp's on that problem, and, by position, the error
+    run_omp raises on each problem that fails only itself (its trace is
+    None): one whose measurements or estimate are not finite.
     """
     A = as_matrix_stack(A)
-    Y = as_matrix(Y)
+    Y = np.asarray(Y, dtype=float)
     if Y.shape != A.shape[:2]:
         raise DimensionMismatch(
             f"stack of {A.shape[0]} matrices with {A.shape[1]} rows, "
@@ -359,19 +368,21 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     (as y = 0 is) also ends the loop: with "rule_met" when the rule holds
     for it with ||A^T r||_inf = 0, and "stalled" otherwise.
 
-    Returns an OmpTrace.  Rather than raising, the run stops with
+    Returns an OmpTrace; raises DimensionMismatch when ``y`` or the
+    estimate is not finite.  Rather than raising, the run stops with
     ``stop_reason`` "rank_deficient" when the new column's component
     orthogonal to the selected ones is at most RANK_TOLERANCE times the
     largest R diagonal, and "stalled" when it re-selects a chosen column
     (the residual is then orthogonal to every column up to round-off).
     """
     A = as_matrix(A)
-    y = as_vector(y)
-    if A.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {A.shape[0]} rows but y has length {y.shape[0]}"
-        )
-    return _solve(y[None], A[None], [rule], max_iterations, tie_break_rng)[0]
+    y = np.asarray(y, dtype=float)
+    if y.shape != A.shape[:1]:
+        raise DimensionMismatch(f"matrix has {A.shape[0]} rows but y has shape {y.shape}")
+    [trace], failures = _solve(y[None], A[None], [rule], max_iterations, tie_break_rng)
+    if failures:
+        raise failures[0]
+    return trace
 
 
 def min_magnitude_threshold_l2(K, delta, epsilon):
@@ -388,6 +399,8 @@ def _linf_factor(K, delta2, deltaK1, unit_norm_columns):
         raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
     if not 0.0 <= deltaK1 < 1.0:
         raise InvalidOrder(f"delta_(K+1) must lie in [0, 1), got {deltaK1}")
+    if not 0.0 <= delta2:
+        raise InvalidOrder(f"delta_2 must be >= 0, got {delta2}")
     if delta2 > deltaK1:
         raise InvalidDeltaOrder(f"delta_2 {delta2} > delta_(K+1) {deltaK1}")
     if unit_norm_columns:

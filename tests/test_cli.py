@@ -131,6 +131,36 @@ def test_omp_run_bad_rule_spec_exit_2(tmp_path):
     assert run_cli("omp", "run", str(matrix), str(y), "linf:1").returncode == 2
 
 
+def test_omp_run_negative_tie_seed_exit_2(tmp_path):
+    matrix = write_identity(tmp_path)
+    y = tmp_path / "y.txt"
+    y.write_text("1\n1\n1\n")
+    result = run_cli("omp", "run", str(matrix), str(y), "fixed:1", "--tie-seed", "-1")
+    assert result.returncode == 2, result.stderr
+    assert "--tie-seed" in result.stderr and "Traceback" not in result.stderr
+    result = run_cli("omp", "run", str(matrix), str(y), "fixed:1", "--tie-seed", "0")
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("delta2", ["-0.5", "-2"])
+def test_linf_rule_negative_delta2_exit_3(tmp_path, delta2):
+    matrix = write_identity(tmp_path, n=4)
+    y = tmp_path / "y.txt"
+    y.write_text("1\n2\n3\n4\n")
+    result = run_cli(
+        "omp", "run", str(matrix), str(y), "linf:0.01", "--sparsity", "3",
+        "--delta2", delta2, "--delta-k1", "0.2",
+    )
+    assert result.returncode == 3, result.stderr
+    assert f"InvalidOrder: delta_2 must be >= 0, got {float(delta2)}" in result.stderr
+
+
+def test_construct_kinds():
+    # the worst-case constructions, then the examples, in this order
+    kinds = cli.construct_cmd.params[0].type.choices
+    assert list(kinds) == ["l2", "linf", "example1", "example2", "example3"]
+
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1,2\n3,nope\n")
@@ -443,18 +473,26 @@ def test_unwritable_output_path_exit_2(tmp_path, args):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("args, module, work", [
+@pytest.mark.parametrize("args, owner, work", [
     (["ric", str(DATA / "ric_gauss_32x16.txt"), "4", "-o"], cli, "exact_ric"),
     (["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01",
       "-o"], cli, "run_omp"),
-    (["construct", "l2", "--delta", "0.4", "-o"], cli.inst, "build_counterexample_l2"),
-    (["construct", "l2", "--delta", "0.4", "--matrix-out"], cli.inst, "build_counterexample_l2"),
+    (["construct", "l2", "--delta", "0.4", "-o"], cli.inst.COUNTEREXAMPLES, "l2"),
+    (["construct", "l2", "--delta", "0.4", "--matrix-out"], cli.inst.COUNTEREXAMPLES, "l2"),
 ], ids=["ric -o", "omp run -o", "construct -o", "construct --matrix-out"])
-def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, args, module, work):
+def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, args, owner, work):
     """Inputs are read and checked, the output is opened, and only then does
     the command compute."""
     calls = []
-    monkeypatch.setattr(module, work, lambda *a, **k: calls.append(a))
+
+    def record(*a, **k):
+        calls.append(a)
+
+    if isinstance(owner, dict):
+        # a construction's work is both its gamma bound and its builder
+        monkeypatch.setitem(owner, work, (record, record))
+    else:
+        monkeypatch.setattr(owner, work, record)
     run_in_process([*args, str(tmp_path / "missing" / "out.json")], code=2)
     assert calls == []
 

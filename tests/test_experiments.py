@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omp_sharp import experiments, rip
+from omp_sharp import experiments, omp, rip
 from omp_sharp.errors import DegenerateMatrix, OmpSharpError, ParameterOutOfRange
 from omp_sharp.experiments import (
     COMPARISON_COLUMNS,
@@ -165,9 +165,8 @@ def test_different_seeds_differ(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def failing_once(monkeypatch, module, name, call):
-    """Make the ``call``-th call (0-based) of ``module.name`` raise."""
-    original = getattr(module, name)
+def failing_once(original, call):
+    """``original``, except that its ``call``-th call (0-based) raises."""
     calls = []
 
     def patched(*args, **kwargs):
@@ -176,7 +175,7 @@ def failing_once(monkeypatch, module, name, call):
             raise DegenerateMatrix("injected failure")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, patched)
+    return patched
 
 
 @pytest.mark.parametrize(
@@ -194,8 +193,16 @@ def failing_once(monkeypatch, module, name, call):
 def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, call, fields):
     cfg = ExperimentConfig(experiment=experiment, **fields)
     _, expected, _ = run_experiment(cfg)
-    module = experiments if function.startswith("_") else experiments.inst
-    failing_once(monkeypatch, module, function, call)
+    if function.startswith("build_counterexample_"):
+        # a demo's builder, held in the table under its noise kind
+        kind = function.removeprefix("build_counterexample_")
+        build, gamma_bound = experiments.inst.COUNTEREXAMPLES[kind]
+        assert build.__name__ == function
+        monkeypatch.setitem(experiments.inst.COUNTEREXAMPLES, kind,
+                            (failing_once(build, call), gamma_bound))
+    else:
+        original = getattr(experiments, function)
+        monkeypatch.setattr(experiments, function, failing_once(original, call))
     _, records, summary = run_experiment(cfg)
     assert len(records) == len(expected)
     failed = records[call]
@@ -229,29 +236,47 @@ def test_trial_whose_noise_fails_fails_alone(monkeypatch):
     ]
 
 
-def test_failed_stacked_solve_falls_back_to_one_trial_at_a_time(monkeypatch):
-    stacked, alone = experiments.run_omps, experiments.run_omp
-    calls = []
+#: Signals so large that the measurements, or the estimate, overflow in
+#: some trials and not others.
+OVERFLOW_CONFIG = dict(experiment="Theorem2Sweep", seed=3, margin=1e307, trials=3)
 
-    def failing_second(Y, A, rules):
-        calls.append(len(rules))
-        if len(calls) == 2:
-            raise DegenerateMatrix("injected failure")
-        return stacked(Y, A, rules)
 
-    def counted(y, A, rule):
-        calls.append(1)
-        return alone(y, A, rule)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_each_cell_solves_its_trials_in_one_stacked_call(monkeypatch):
+    """A cell's trials that reach OMP are solved by one run_omps call, even
+    where some of them fail there; run_omp is never called."""
+    cell, stacked = experiments._cell, experiments.run_omps
+    solving, calls, failed = {}, {}, []
 
-    cfg = ExperimentConfig(experiment="Theorem1Sweep", seed=4, k_values=[1, 2], trials=3)
+    def counted_cell(config, cell_index, count, fields, trials):
+        def counted_trials(rngs):
+            outcomes = trials(rngs)
+            solving[cell_index] = sum(isinstance(o, experiments._OmpTrial) for o in outcomes)
+            return outcomes
+        return cell(config, cell_index, count, fields, counted_trials)
+
+    def counted_stacked(Y, A, rules):
+        cell_index = max(solving)
+        calls[cell_index] = calls.get(cell_index, 0) + 1
+        assert len(rules) == solving[cell_index]
+        traces, failures = stacked(Y, A, rules)
+        failed.extend(failures)
+        return traces, failures
+
+    def alone(*args, **kwargs):
+        raise AssertionError("run_omp called")
+
+    cfg = ExperimentConfig(**OVERFLOW_CONFIG)
     _, expected, _ = run_experiment(cfg)
-    monkeypatch.setattr(experiments, "run_omps", failing_second)
-    monkeypatch.setattr(experiments, "run_omp", counted)
+    monkeypatch.setattr(experiments, "_cell", counted_cell)
+    monkeypatch.setattr(experiments, "run_omps", counted_stacked)
+    monkeypatch.setattr(omp, "run_omp", alone)
     _, records, _ = run_experiment(cfg)
-    # one stacked solve per cell, of all its trials; the second cell's
-    # trials are then solved one by one, with the same records
-    assert calls == [3, 3, 1, 1, 1, 3, 3]
     assert records == expected
+    assert not hasattr(experiments, "run_omp")
+    assert calls == {c: 1 for c, count in solving.items() if count}
+    # the overflowing trials fail in their cells' stacked solves
+    assert len(failed) == 5
 
 
 @pytest.mark.parametrize("name", ["Example1", "Example2", "Example3"])
@@ -471,7 +496,7 @@ SUFFICIENCY_CASES = [
     # signals so large that A x + v, or the estimate, overflows in some
     # trials and not others: only those trials fail, as each does alone
     pytest.param(
-        dict(experiment="Theorem2Sweep", seed=3, margin=1e307, trials=3), "DimensionMismatch",
+        OVERFLOW_CONFIG, "DimensionMismatch",
         marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                          "ignore:invalid value:RuntimeWarning"),
     ),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,7 +322,8 @@ def gap_stacks(draw):
 @given(gap_stacks())
 def test_stacked_gaps_equal_one_trial_at_a_time(stack):
     A, signals, subsets, deltas = stack
-    gaps = instances._lemma1_gaps(A, signals, subsets, deltas)
+    gaps, failures = instances._lemma1_gaps(A, signals, subsets, deltas)
+    assert failures == {}
     for a, x, subset, delta, gap in zip(A, signals, subsets, deltas, gaps):
         assert gap == reference_lemma1_gap(a, x, subset, delta)
         assert gap == lemma1_gap(a, x, subset, delta)
@@ -334,8 +336,11 @@ def test_stacked_gap_fails_only_the_rank_deficient_trial():
     A = np.stack([np.eye(4)[:, :3], np.eye(4)[:, :3], np.eye(4)[:, 1:]])
     A[1, :, 0] = 0.0  # the subset's one column vanishes
     x = SparseSignal(np.array([1.0, -2.0, 0.0]))
-    gaps = instances._lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
-    assert isinstance(gaps[1], RankDeficient)
+    gaps, failures = instances._lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
+    assert list(failures) == [1] and gaps[1] is None
+    assert isinstance(failures[1], RankDeficient)
+    with pytest.raises(RankDeficient, match=re.escape(str(failures[1]))):
+        lemma1_gap(A[1], x, [1], 0.0)
     assert gaps[0] == reference_lemma1_gap(A[0], x, [1], 0.0)
     assert gaps[2] == reference_lemma1_gap(A[2], x, [1], 0.0)
 

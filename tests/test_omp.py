@@ -142,8 +142,38 @@ def test_overflowing_estimate_fails_the_run():
     A, y = np.array([[1e-150]]), np.array([1e200])
     with pytest.raises(DimensionMismatch, match="vector contains non-finite entries"):
         run_omp(y, A, FixedIterations(1))
-    with pytest.raises(DimensionMismatch, match="vector contains non-finite entries"):
-        run_omps(np.array([[1.0], y]), np.array([[[1.0]], A]), [FixedIterations(1)] * 2)
+    # in a stack, it fails only its own problem
+    traces, failures = run_omps(
+        np.array([[1.0], y]), np.array([[[1.0]], A]), [FixedIterations(1)] * 2
+    )
+    assert list(failures) == [1] and traces[1] is None
+    assert str(failures[1]) == "vector contains non-finite entries"
+    assert_same_trace(traces[0], run_omp(np.array([1.0]), np.array([[1.0]]), FixedIterations(1)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_stacked_failures_are_the_errors_of_each_problem_alone():
+    """A stack of good problems, measurements that are not finite and an
+    estimate that overflows: each good trace is run_omp's, bit for bit,
+    and each failure is the error run_omp raises on its problem."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 3, 4))
+    Y = rng.standard_normal((6, 3))
+    Y[1, 2], Y[4, 0] = np.nan, np.inf
+    # problem 3 is the overflow of test_overflowing_estimate_fails_the_run
+    A[3], Y[3] = np.eye(3, 4) * [1e-150, 1.0, 1.0, 1.0], [1e200, 0.0, 0.0]
+    rules = [FixedIterations(1), ResidualL2(0.1), CorrelationLInf(0.01)] * 2
+    traces, failures = run_omps(Y, A, rules)
+    assert sorted(failures) == [1, 3, 4]
+    for i, (y, a, rule) in enumerate(zip(Y, A, rules)):
+        if i in failures:
+            assert traces[i] is None
+            with pytest.raises(type(failures[i])) as alone:
+                run_omp(y, a, rule)
+            assert str(alone.value) == str(failures[i])
+        else:
+            assert_same_trace(traces[i], run_omp(y, a, rule))
+            assert_same_trace(traces[i], incremental_omp(y, a, rule))
 
 
 def test_dimension_mismatch():
@@ -563,9 +593,10 @@ def test_stacked_solver_matches_incremental_reference(seed, count, m, n, kinds, 
     Y = np.array([y for _, y, _ in problems])
     rules = [rule for _, _, rule in problems]
     if limit == cap:
-        traces = run_omps(Y, A, rules)
+        traces, failures = run_omps(Y, A, rules)
     else:
-        traces = omp._solve(Y, A, rules, limit, None)
+        traces, failures = omp._solve(Y, A, rules, limit, None)
+    assert failures == {}
     for a, y, rule, trace in zip(A, Y, rules, traces):
         expected = incremental_omp(y, a, rule, max_iterations=limit)
         assert_same_trace(trace, expected)
@@ -636,6 +667,15 @@ def test_linf_threshold_delta_order_gate():
         linf_stopping_threshold(2, 0.4, 0.3, 1.0)
     with pytest.raises(InvalidOrder):
         linf_stopping_threshold(2, 0.4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("delta2", [-0.5, -2.0, math.nan])
+def test_linf_thresholds_reject_negative_delta2(delta2):
+    # an RIC is never negative; at -2 the factor's square root would fail
+    with pytest.raises(InvalidOrder, match="delta_2"):
+        linf_stopping_threshold(3, delta2, 0.2, 1.0)
+    with pytest.raises(InvalidOrder, match="delta_2"):
+        min_magnitude_threshold_linf(3, delta2, 0.2, 1.0)
 
 
 @pytest.mark.parametrize("K", [0, -1])
