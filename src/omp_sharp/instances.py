@@ -474,7 +474,7 @@ def random_frame_with_ric(m, n, order, delta_bound, seed):
             A = A / np.linalg.norm(A, axis=0)  # renormalize columns
         lam_min = math.inf
         lam_max = -math.inf
-        for _, eigenvalues in subset_spectra(A.T @ A, order):
+        for _, eigenvalues, _ in subset_spectra(A.T @ A, order):
             lam_min = min(lam_min, eigenvalues[:, 0].min())
             lam_max = max(lam_max, eigenvalues[:, -1].max())
         if lam_min <= 0:

@@ -14,11 +14,13 @@ from .linalg import as_matrix, as_matrix_stack
 #: Default cap on C(cols, K), the number of subsets an order-K search covers.
 DEFAULT_BUDGET = 10**6
 
-#: Relative slack for skipping a subtree: its interlacing bound must fall
-#: below the best delta so far by more than PRUNE_TOLERANCE times the largest
-#: eigenvalue of the bounding block.  This covers the eigensolver's round-off
-#: on the block and on every subset inside it, so a skipped subset can never
-#: have a computed delta above the best one.
+#: Relative slack of both skip rules of the RIC search: a subtree whose
+#: interlacing bound falls below the best delta so far by more than
+#: PRUNE_TOLERANCE times the bounding block's largest eigenvalue, or a subset
+#: whose moment bound falls below it by more than PRUNE_TOLERANCE times 1 +
+#: that bound (at least the block's norm), is skipped.  This covers the
+#: round-off of the eigensolver and of the bound, so a skipped subset can
+#: never have a computed delta reaching the best one.
 PRUNE_TOLERANCE = 1e-10
 
 #: Distance from 1 within which in_sharp_region compares delta^2 (K+1) with 1
@@ -28,8 +30,8 @@ PRUNE_TOLERANCE = 1e-10
 #: than this.
 SHARP_REGION_BAND = 1e-12
 
-# Subsets are processed in lexicographic chunks of at most this size; the
-# chunking only batches the eigensolves and never changes the reported witness.
+# Subsets are screened in chunks of at most this size, and an eigensolve
+# covers at most this many blocks; neither changes a report.
 _CHUNK = 4096
 
 # A subtree is bounded only when it holds more subsets than this; smaller
@@ -55,8 +57,8 @@ class RicReport:
 
     ``witness_subset`` is 1-based ascending; ``witness_eigenvalue`` is the
     extremal Gram eigenvalue on that subset.  ``subsets_evaluated`` subsets
-    had their spectra computed and ``subsets_pruned`` were skipped by the
-    interlacing bound; the two sum to C(cols, K).
+    had their blocks eigensolved and ``subsets_pruned`` were skipped (see
+    subset_spectra); the two sum to C(cols, K).
     """
 
     order: int
@@ -117,31 +119,46 @@ def _may_bound(n, K):
     return math.comb(n - 1, K) > _BOUND_MIN_SUBSETS
 
 
+def _moment_bound(blocks):
+    """(tr E^8)^(1/8) = ||E^4||_F^(1/4) of each symmetric K x K block, E the
+    block less the identity: from its delta, ||E||_2, to K^(1/8) times it.
+    Its round-off is a few ulps, or below 1e-38 where E^8 underflows; where
+    it overflows the bound is inf or NaN, which skips nothing."""
+    with np.errstate(all="ignore"):
+        E = blocks - np.eye(blocks.shape[-1])
+        E2 = E @ E
+        E4 = np.matmul(E2, E2, out=E)  # in E's place: one block-sized array less
+        return np.einsum("...ij,...ij->...", E4, E4) ** 0.125
+
+
 def subset_spectra(gram, K, threshold=None):
     """Gram spectra of the K-subsets of columns.
 
-    Yields ``(subsets, eigenvalues)`` per chunk of at most _CHUNK subsets:
-    ``subsets`` holds the 0-based column indices, one ascending subset per
-    row, and ``eigenvalues`` the ascending eigenvalues of each principal
-    K x K block of ``gram``.  Without ``threshold`` every subset is yielded,
-    in lexicographic order, and ``gram`` may be a stack of Gram matrices on
-    leading axes; ``eigenvalues`` then carries the same leading axes, and
-    each chunk is one eigensolve over every matrix of the stack, holding at
-    most _CHUNK blocks in all (at least one subset a chunk).
+    Yields ``(subsets, eigenvalues, solved)`` per chunk of at most _CHUNK
+    subsets: the 0-based column indices, one ascending subset per row, the
+    ascending eigenvalues of each principal K x K block of ``gram`` (a
+    stack of Gram matrices on leading axes, which the last two then carry
+    too), and a mask of the blocks eigensolved (the others' rows are 0).
+    Without ``threshold`` every block is solved, in lexicographic order.
 
     With ``threshold``, a callable returning the largest delta found so far
-    (-inf before any), the walk is a depth-first branch-and-bound over the
-    columns taken in an order c_0, c_1, ... (see below).  Under a prefix P,
+    per matrix (-inf before any), each chunk is screened by _moment_bound:
+    each matrix's block of largest bound is solved first, then only the
+    blocks whose bound is at least max(threshold, that block's delta) less
+    PRUNE_TOLERANCE * (1 + bound), so every subset that can tie with the
+    largest delta is solved.  A chunk that keeps no block is not yielded.
+
+    With ``threshold`` and a single Gram matrix, the walk is also a
+    depth-first branch-and-bound over the columns taken in an order c_0,
+    c_1, ... (see below).  Under a prefix P,
     the subsets from P + (c_i,) onward are P plus a subset of the columns
     c_i, c_i+1, ..., so their Gram blocks are principal submatrices of the
     block on P and those columns.  By Cauchy interlacing their deltas are at
     most that block's ``max(1 - lambda_min, lambda_max - 1)``.  The walk
     skips them all, and never yields them, when that bound is below
     ``threshold()`` by more than PRUNE_TOLERANCE times the block's largest
-    eigenvalue: none of them can then reach a delta already yielded, so
-    every subset that ties with the largest delta is still yielded.  Pending
-    subsets are yielded before each bound so that ``threshold()`` is
-    current.
+    eigenvalue.  Pending subsets are yielded before each bound so that
+    ``threshold()`` is current.
 
     When the root's first bound (on every column but c_0) is worth
     computing, the columns are taken in the order of _peel_order, so that
@@ -157,10 +174,20 @@ def subset_spectra(gram, K, threshold=None):
     number at least the block's column count cubed over _BOUND_CUBE_RATIO.
     """
     n = gram.shape[-1]
-    chunk = max(1, _CHUNK // max(1, math.prod(gram.shape[:-2])))
+    grams = gram.reshape(-1, n, n)
+    count = len(grams)
+    matrices = np.arange(count)
+    bounding = threshold is not None and gram.ndim == 2
     order = None
     pending = []
     pending_count = 0
+
+    def solve(m, rows):
+        """Eigenvalues of the blocks of matrices ``m`` on subsets ``rows``."""
+        return np.concatenate([
+            np.linalg.eigvalsh(grams[m[i : i + _CHUNK, None, None],
+                                     rows[i : i + _CHUNK, :, None], rows[i : i + _CHUNK, None, :]])
+            for i in range(0, len(m), _CHUNK)])
 
     def flush():
         nonlocal pending_count
@@ -171,9 +198,34 @@ def subset_spectra(gram, K, threshold=None):
         pending_count = 0
         if order is not None:
             subsets = np.sort(order[subsets], axis=1)
-        for start in range(0, len(subsets), chunk):
-            idx = subsets[start : start + chunk]
-            yield idx, np.linalg.eigvalsh(gram[..., idx[:, :, None], idx[:, None, :]])
+        for start in range(0, len(subsets), _CHUNK):
+            idx = subsets[start : start + _CHUNK]
+            eigenvalues = np.zeros((count, len(idx), K))
+            solved = todo = np.ones((count, len(idx)), dtype=bool)
+            if threshold is not None:
+                step = max(1, _CHUNK // len(idx))  # matrices whose blocks fit one gather
+                bound = np.concatenate([
+                    _moment_bound(grams[j : j + step, idx[:, :, None], idx[:, None, :]])
+                    for j in range(0, count, step)])
+                slack = PRUNE_TOLERANCE * (1.0 + bound)
+                best = np.reshape(threshold(), (-1, 1))
+                todo = ~(bound < best - slack)
+                top = bound.argmax(axis=1)
+                m = todo[matrices, top].nonzero()[0]  # the others keep no subset
+                if not len(m):
+                    continue
+                eigenvalues[m, top[m]] = solve(m, idx[top[m]])
+                low, high = eigenvalues[matrices, top, 0], eigenvalues[matrices, top, -1]
+                best = np.maximum(best, np.maximum(1.0 - low, high - 1.0)[:, None])
+                todo &= ~(bound < best - slack)
+                todo[m, top[m]] = False
+                solved = todo.copy()
+                solved[m, top[m]] = True
+            m, s = todo.nonzero()
+            if len(m):
+                eigenvalues[m, s] = solve(m, idx[s])
+            yield (idx, eigenvalues.reshape(*gram.shape[:-2], len(idx), K),
+                   solved.reshape(*gram.shape[:-2], len(idx)))
 
     def worth_bounding(prefix, i, need):
         """True when bounding ``prefix`` + range(i, n) can pay for itself."""
@@ -201,7 +253,7 @@ def subset_spectra(gram, K, threshold=None):
         """
         nonlocal pending_count
         for i in range(start, n - need + 1):
-            if threshold is not None and i > start and worth_bounding(prefix, i, need):
+            if bounding and i > start and worth_bounding(prefix, i, need):
                 yield from flush()
                 if pruned(list(prefix) + list(range(i, n))):
                     return
@@ -218,7 +270,7 @@ def subset_spectra(gram, K, threshold=None):
                 return
             yield from walk(prefix + (i,), i + 1, need - 1)
 
-    if threshold is not None and worth_bounding((), 1, K):
+    if bounding and worth_bounding((), 1, K):
         order = _peel_order(gram)
     yield from walk((), 0, K)
     yield from flush()
@@ -241,11 +293,11 @@ def _subset_count(n, K, budget):
     return total
 
 
-def _chunk_best(subsets, eigenvalues):
+def _chunk_best(subsets, eigenvalues, solved):
     """The largest delta of one chunk of subset_spectra, per matrix.
 
-    ``eigenvalues`` holds the ascending eigenvalues of each subset's block,
-    matrices on the leading axis, and a subset's delta is
+    ``eigenvalues`` and ``solved`` are as subset_spectra yields them,
+    matrices on the leading axis, and a solved subset's delta is
     ``max(1 - lambda_min, lambda_max - 1)`` of its block.  Returns
     ``(delta, row, eigenvalue)``, one entry per matrix: the largest delta,
     the row of ``subsets`` attaining it, and that subset's extremal
@@ -253,7 +305,7 @@ def _chunk_best(subsets, eigenvalues):
     wins, since the walk need not be lexicographic.
     """
     low, high = eigenvalues[..., 0], eigenvalues[..., -1]
-    deltas = np.maximum(1.0 - low, high - 1.0)
+    deltas = np.where(solved, np.maximum(1.0 - low, high - 1.0), -math.inf)
     matrices = np.arange(len(deltas))
     row = deltas.argmax(axis=1)
     delta = deltas[matrices, row]
@@ -269,12 +321,12 @@ def _chunk_best(subsets, eigenvalues):
 def _search(A, K, budget):
     """The order-K report of every matrix of the validated stack ``A``.
 
-    A single matrix gets the branch-and-bound walk of subset_spectra, pruned
-    against its best delta so far.  A larger stack gets one such walk per
-    matrix when the walk may bound (see _may_bound), and otherwise one
-    unpruned walk for the whole stack, each eigensolve covering every
-    matrix.  Across chunks the larger delta wins, and of equal ones the
-    lexicographically smaller subset.  Raises InvalidOrder or
+    Each matrix's subsets are screened against its best delta so far (see
+    subset_spectra).  A larger stack gets one walk per matrix when the walk
+    may bound (see _may_bound), and otherwise one walk in the same chunks
+    for the whole stack, each eigensolve covering every matrix, so counters
+    too are those of exact_ric.  Across chunks the larger delta wins, and of
+    equal ones the lexicographically smaller subset.  Raises InvalidOrder or
     BudgetExceeded (see _subset_count) before any subset is evaluated.
     """
     count, _, n = A.shape
@@ -284,15 +336,16 @@ def _search(A, K, budget):
     best_delta = np.full(count, -math.inf)
     best_subset = np.zeros((count, K), dtype=np.intp)
     best_eigenvalue = np.zeros(count)
-    evaluated = 0
-    if count == 1:  # subset_spectra bounds a single Gram matrix only
+    evaluated = np.zeros(count, dtype=np.intp)
+    if count == 1:  # subset_spectra's walk bounds a single Gram matrix only
         spectra = subset_spectra(A[0].T @ A[0], K, lambda: best_delta[0])
     else:
-        spectra = subset_spectra(A.swapaxes(1, 2) @ A, K)
-    for subsets, eigenvalues in spectra:
-        evaluated += len(subsets)
+        spectra = subset_spectra(A.swapaxes(1, 2) @ A, K, lambda: best_delta)
+    for subsets, eigenvalues, solved in spectra:
+        solved = solved.reshape(count, len(subsets))
+        evaluated += solved.sum(axis=1)
         delta, row, eigenvalue = _chunk_best(
-            subsets, eigenvalues.reshape(count, len(subsets), K))
+            subsets, eigenvalues.reshape(count, len(subsets), K), solved)
         witness = subsets[row]
         better = delta > best_delta
         for b in (delta == best_delta).nonzero()[0].tolist():
@@ -306,11 +359,11 @@ def _search(A, K, budget):
             delta=d,
             witness_subset=tuple(i + 1 for i in subset),
             witness_eigenvalue=w,
-            subsets_evaluated=evaluated,
-            subsets_pruned=total - evaluated,
+            subsets_evaluated=e,
+            subsets_pruned=total - e,
         )
-        for d, subset, w in zip(best_delta.tolist(), best_subset.tolist(),
-                                best_eigenvalue.tolist())
+        for d, subset, w, e in zip(best_delta.tolist(), best_subset.tolist(),
+                                   best_eigenvalue.tolist(), evaluated.tolist())
     ]
 
 
@@ -319,8 +372,8 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     the spectrum of A_S^T A_S from 1.
 
     The one-matrix case of the stacked search (see _search).  It skips only
-    subtrees that cannot hold a subset reaching the best delta, so the
-    report equals that of evaluating every subset.  Ties break toward the
+    subtrees and subsets that cannot reach the best delta, so the report
+    equals that of evaluating every subset.  Ties break toward the
     lexicographically smallest subset, so the report is deterministic.
     Raises BudgetExceeded when C(cols, K) exceeds ``budget``, before any
     subset is evaluated.

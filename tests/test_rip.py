@@ -3,7 +3,7 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omp_sharp import rip
@@ -12,6 +12,8 @@ from omp_sharp.instances import counterexample_operator
 from omp_sharp.omp import linf_stopping_threshold
 from omp_sharp.rip import (
     _CHUNK,
+    PRUNE_TOLERANCE,
+    _moment_bound,
     exact_ric,
     exact_rics,
     in_sharp_region,
@@ -78,10 +80,11 @@ def structured_matrix(rng, n, order, spectrum=None):
 def ric_inputs(draw):
     """Matrices on which pruning must not change the report: Gaussian (also
     with more columns than rows), rescaled, with duplicate columns or a
-    scaled-identity block (exact ties), and the structured block."""
-    kind = draw(
-        st.sampled_from(["gaussian", "scaled", "duplicates", "identity", "structured"])
-    )
+    scaled-identity block (exact ties), with columns copied at a relative
+    change below 1e-12 (near ties), with columns scaled by 1e150 or 1e-150
+    (moment bounds that overflow), and the structured block."""
+    kind = draw(st.sampled_from(["gaussian", "scaled", "duplicates", "identity",
+                                 "near_ties", "extreme", "structured"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(10, 14))
     m = draw(st.integers(4, n + 3))
@@ -96,6 +99,13 @@ def ric_inputs(draw):
         size = draw(st.integers(3, min(m, n)))
         A[:, :size] = 0.0
         A[:size, :size] = draw(st.floats(0.3, 1.5)) * np.eye(size)
+    elif kind == "near_ties":
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = rng.choice(n, size=2, replace=False)
+            A[:, j] = A[:, i] * (1.0 + rng.uniform(-1e-13, 1e-13))
+    elif kind == "extreme":
+        A[:, rng.choice(n, size=draw(st.integers(1, 3)), replace=False)] *= draw(
+            st.sampled_from([1e150, 1e-150]))
     elif kind == "structured":
         order = draw(st.integers(2, n - 2))
         A = structured_matrix(rng, n, order)
@@ -105,11 +115,18 @@ def ric_inputs(draw):
 
 
 @settings(max_examples=40)
-@given(ric_inputs())
-def test_pruned_search_matches_unpruned_reference(A):
+@given(ric_inputs(), st.sampled_from([_CHUNK, 64, 7]))
+# every subset holding column 1 or 3 has a bound of NaN (BLAS gives inf * 0),
+# and the winner (1, 3) is not the first of them
+@example(np.diag([1e150, 1.0, 2e150, 1.0, 1.0]), _CHUNK)
+def test_pruned_search_matches_unpruned_reference(A, chunk):
+    """Also with small chunks, so that ties and the best delta spread
+    across the chunks the leaf screen takes one at a time."""
     n = A.shape[1]
-    for K in range(1, n + 1):
-        report = exact_ric(A, K)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rip, "_CHUNK", chunk)
+        reports = [exact_ric(A, K) for K in range(1, n + 1)]
+    for K, report in enumerate(reports, start=1):
         assert (
             report.delta,
             report.witness_subset,
@@ -122,47 +139,69 @@ def test_pruned_search_matches_unpruned_reference(A):
 @st.composite
 def ric_stacks(draw):
     """Stacks of 1 to 30 Gaussian matrices on 6 to 12 columns, some with
-    duplicate columns or a scaled-identity block (exact ties)."""
+    duplicate columns or a scaled-identity block (exact ties), some with a
+    column copied at a relative change below 1e-12 (near ties), and some
+    the identity with one column rescaled, so that the winners differ
+    across the stack."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(6, 12))
     m = draw(st.integers(3, n + 3))
     A = rng.standard_normal((draw(st.integers(1, 30)), m, n)) / math.sqrt(m)
     for a in A:
-        kind = rng.integers(3)
+        kind = rng.integers(5)
+        i, j = rng.choice(n, size=2, replace=False)
         if kind == 1:
-            i, j = rng.choice(n, size=2, replace=False)
             a[:, j] = a[:, i]
         elif kind == 2:
             size = rng.integers(2, min(m, n) + 1)
             a[:, :size] = 0.0
             a[:size, :size] = rng.uniform(0.3, 1.5) * np.eye(size)
+        elif kind == 3:
+            a[:, j] = a[:, i] * (1.0 + rng.uniform(-1e-13, 1e-13))
+        elif kind == 4:
+            a[:] = 0.0
+            a[: min(m, n), : min(m, n)] = np.eye(min(m, n))
+            a[:, j] *= rng.uniform(0.3, 1.5)
     return A
 
 
 @settings(max_examples=25)
-@given(ric_stacks())
-def test_stacked_search_matches_exact_ric_per_matrix(A):
-    for K in range(1, A.shape[2] + 1):
-        assert exact_rics(A, K) == [exact_ric(a, K) for a in A]
+@given(ric_stacks(), st.sampled_from([_CHUNK, 5]))
+def test_stacked_search_matches_exact_ric_per_matrix(A, chunk):
+    """Reports are ``==``, work counters included, also with chunks small
+    enough that the screen's thresholds differ across the stack."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rip, "_CHUNK", chunk)
+        for K in range(1, A.shape[2] + 1):
+            assert exact_rics(A, K) == [exact_ric(a, K) for a in A]
 
 
-def test_stacked_search_is_one_eigensolve_unless_the_walk_bounds(monkeypatch):
+def test_stacked_search_is_one_eigensolve_per_phase_unless_the_walk_bounds(monkeypatch):
     rng = np.random.default_rng(7)
     solves = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
-    # 58 matrices of 70 order-4 subsets fit one eigensolve of at most _CHUNK blocks
-    A = rng.standard_normal((_CHUNK // 70, 14, 8))
+    # 58 matrices of 70 order-4 subsets are one chunk: one eigensolve of every
+    # matrix's block of largest moment bound, then one of the 22 blocks that
+    # can still reach their matrix's best delta
+    A = rng.standard_normal((58, 14, 8))
     reports = exact_rics(A, 4)
-    assert solves == [(58, 70, 4, 4)]
-    assert [(r.subsets_evaluated, r.subsets_pruned) for r in reports] == [(70, 0)] * 58
-    # one matrix more and the subsets split so that each eigensolve still fits
+    assert solves == [(58, 4, 4), (22, 4, 4)]
+    assert sum(r.subsets_evaluated for r in reports) == 80
+    assert all(r.subsets_evaluated + r.subsets_pruned == 70 for r in reports)
+    # the chunk does not shrink as the stack grows
     A = rng.standard_normal((59, 14, 8))
     solves.clear()
     reports = exact_rics(A, 4)
-    assert solves == [(59, 69, 4, 4), (59, 1, 4, 4)]
+    assert solves == [(59, 4, 4), (30, 4, 4)]
     assert reports == [exact_ric(a, 4) for a in A]
+    # an eigensolve never covers more than _CHUNK blocks
+    monkeypatch.setattr(rip, "_CHUNK", 16)
+    solves.clear()
+    assert exact_rics(A, 4) == [exact_ric(a, 4) for a in A]
+    assert max(shape[0] for shape in solves) == 16
     # on 10 columns the order-4 walk bounds: each matrix gets exact_ric's own search
+    monkeypatch.setattr(rip, "_CHUNK", _CHUNK)
     A = rng.standard_normal((3, 10, 10)) / math.sqrt(10)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     reports = exact_rics(A, 4)
@@ -180,6 +219,9 @@ def test_stacked_search_keeps_the_first_tie_across_chunks(monkeypatch):
     reports = exact_rics(A, 2)
     assert [r.witness_subset for r in reports] == [(1, 4), (1, 6)]
     assert reports == [exact_ric(a, 2) for a in A]
+    # the five tying subsets of each matrix, and the blocks the screen
+    # solves first, of largest bound in their chunks
+    assert [(r.subsets_evaluated, r.subsets_pruned) for r in reports] == [(7, 8), (9, 6)]
 
 
 def test_structured_block_prunes_nearly_everything():
@@ -192,6 +234,53 @@ def test_structured_block_prunes_nearly_everything():
     )
     assert report.subsets_pruned > 0.9 * math.comb(16, 6)
     assert report.subsets_evaluated + report.subsets_pruned == math.comb(16, 6)
+
+
+@st.composite
+def gram_blocks(draw):
+    """K x K Gram blocks: Gaussian, with exact ties (copied columns), the
+    scaled identity, rank-deficient (fewer rows than columns), with columns
+    scaled by 1e150 or 1e-150, and within 1e-38 of the identity, where E^8
+    overflows or underflows."""
+    kind = draw(st.sampled_from(["gaussian", "ties", "identity", "rank_deficient", "extreme",
+                                 "near_identity"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = draw(st.integers(1, 8))
+    m = draw(st.integers(1, K)) if kind == "rank_deficient" else K + draw(st.integers(0, 4))
+    A = rng.standard_normal((m, K)) / math.sqrt(m)
+    if kind == "ties":
+        A[:, rng.integers(K, size=K)] = A[:, rng.integers(K, size=K)]
+    elif kind == "identity":
+        A = draw(st.sampled_from([0.5, 1.0, 1.5])) * np.eye(K)
+    elif kind == "extreme":
+        A[:, rng.integers(K, size=draw(st.integers(1, K)))] *= draw(st.sampled_from([1e150, 1e-150]))
+    elif kind == "near_identity":
+        E = rng.standard_normal((K, K)) * 10.0 ** -draw(st.integers(38, 80))
+        return np.eye(K) + (E + E.T)
+    return A.T @ A
+
+
+@settings(max_examples=300)
+@given(gram_blocks())
+@example(np.diag([1e300, 1.0]))  # E^2 overflows: the bound is not finite
+@example(np.eye(3) + 1e-45)  # E^8 underflows: the bound is 0
+def test_moment_bound_covers_the_delta_within_the_skip_slack(G):
+    """The leaf screen would never skip a block against its own delta, and
+    a finite bound is at most K^(1/8) times that delta (up to round-off)."""
+    w = np.linalg.eigvalsh(G)
+    delta = max(1.0 - w[0], w[-1] - 1.0)
+    bound = _moment_bound(G[None])[0]
+    assert not bound < delta - PRUNE_TOLERANCE * (1.0 + bound)
+    if np.isfinite(bound):
+        assert bound <= len(G) ** 0.125 * (delta + 1e-12 * (1.0 + bound))
+
+
+def test_moment_bound_at_its_extremes():
+    # inf or NaN, as the BLAS product of inf and 0 goes; neither skips a block
+    assert not np.isfinite(_moment_bound(np.array([[[1e300, 0.0], [0.0, 1.0]]]))[0])
+    assert _moment_bound((np.eye(3) + 1e-45)[None])[0] == 0.0
+    g = np.array([0.3, 1.0, 1.7, 1e-150])[:, None, None]
+    np.testing.assert_allclose(_moment_bound(g), np.abs(g[:, 0, 0] - 1.0), rtol=1e-15)
 
 
 def test_ties_go_to_the_lexicographically_first_subset_in_any_walk_order():
@@ -211,12 +300,16 @@ def test_ordered_walk_yields_every_subset_once_in_ascending_rows():
     A = unit_column_matrix(4, 10, 16)
     gram = A.T @ A
     chunks = list(subset_spectra(gram, 6, lambda: -math.inf))
-    subsets = np.concatenate([subsets for subsets, _ in chunks])
-    eigenvalues = np.concatenate([values for _, values in chunks])
+    subsets = np.concatenate([subsets for subsets, _, _ in chunks])
+    eigenvalues = np.concatenate([values for _, values, _ in chunks])
+    solved = np.concatenate([solved for _, _, solved in chunks])
     rows = [tuple(S) for S in subsets]
     assert sorted(rows) == list(combinations(range(16), 6))
     assert rows != sorted(rows)  # the walk took the columns out of order
-    for S, values in zip(subsets[::97], eigenvalues[::97]):
+    # against -inf every chunk solves at least its block of largest bound
+    assert all(solved.any() for _, _, solved in chunks)
+    assert solved.sum() == 94 and not eigenvalues[~solved].any()
+    for S, values in zip(subsets[solved], eigenvalues[solved]):
         expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
 
@@ -234,16 +327,23 @@ def test_gaussian_searches_prune_steadily_across_draws():
     assert np.median(pruned) > 0.75
 
 
-def test_small_searches_run_as_one_batch():
-    """Below the bounding size every subset goes to one eigensolve, as the
-    sweeps' 8-column orders always do."""
+def test_small_searches_run_as_one_batch(monkeypatch):
+    """Below the bounding size every subset goes to the screen in one chunk,
+    as the sweeps' 8-column orders always do: one eigensolve of the block
+    of largest bound, and one more only if other blocks can still tie."""
     gram = unit_column_matrix(5, 14, 8).T @ unit_column_matrix(5, 14, 8)
-    for K in range(1, 9):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    # at order 1 every delta of the unit-norm columns is round-off, so all tie
+    for K, expected in zip(range(1, 9), ([1, 7], [1], [1], [1], [1], [1], [1, 2], [1])):
+        solves.clear()
         chunks = list(subset_spectra(gram, K, lambda: 0.0))
         assert len(chunks) == 1
         assert len(chunks[0][0]) == math.comb(8, K)
+        assert solves == expected and chunks[0][2].sum() == sum(expected)
     report = exact_ric(unit_column_matrix(5, 14, 8), 4)
-    assert (report.subsets_evaluated, report.subsets_pruned) == (70, 0)
+    assert (report.subsets_evaluated, report.subsets_pruned) == (1, 69)
 
 
 def count_bound_solves(monkeypatch):
@@ -262,13 +362,27 @@ def count_bound_solves(monkeypatch):
 
 
 def test_wide_low_order_search_computes_no_bound(monkeypatch):
-    """At order 2 a bound would cost more than the subsets it could skip,
-    so the cost cutoff alone leaves the search unbounded."""
+    """At order 2 an interlacing bound would cost more than the subsets it
+    could skip, so the cost cutoff alone leaves the walk unbounded; the leaf
+    screen alone skips subsets."""
     A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
     bounds = count_bound_solves(monkeypatch)
     report = exact_ric(A, 2)
     assert bounds == []
-    assert (report.subsets_evaluated, report.subsets_pruned) == (math.comb(500, 2), 0)
+    assert (report.subsets_evaluated, report.subsets_pruned) == (5, math.comb(500, 2) - 5)
+
+
+def test_a_chunk_the_screen_keeps_nothing_of_is_neither_solved_nor_reduced(monkeypatch):
+    """Of the wide order-2 search's chunks, only those whose largest moment
+    bound reaches the best delta so far make an eigensolve and a reduction."""
+    A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
+    chunks = sum(1 for _ in subset_spectra(A.T @ A, 2))
+    solves, reduced = [], []
+    eigvalsh, chunk_best = np.linalg.eigvalsh, rip._chunk_best
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(rip, "_chunk_best", lambda *a: reduced.append(1) or chunk_best(*a))
+    assert exact_ric(A, 2).subsets_evaluated == 5
+    assert chunks == 58 and solves == [1] * 5 and len(reduced) == 5
 
 
 def test_report_json_carries_the_work_counters():
@@ -281,9 +395,10 @@ def test_subset_spectra_walks_every_subset_in_lexicographic_order():
     gram = A.T @ A
     chunks = list(subset_spectra(gram, 6))
     assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
-    assert all(len(subsets) <= _CHUNK for subsets, _ in chunks)
-    subsets = np.concatenate([subsets for subsets, _ in chunks])
-    eigenvalues = np.concatenate([values for _, values in chunks])
+    assert all(len(subsets) <= _CHUNK for subsets, _, _ in chunks)
+    assert all(solved.all() for _, _, solved in chunks)  # no threshold, no screen
+    subsets = np.concatenate([subsets for subsets, _, _ in chunks])
+    eigenvalues = np.concatenate([values for _, values, _ in chunks])
     assert [tuple(S) for S in subsets] == list(combinations(range(16), 6))
     for S, values in zip(subsets[::97], eigenvalues[::97]):
         expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
