@@ -34,12 +34,11 @@ from .instances import (
     l2_gamma_bound,
     lemma1_gap,
     linf_gamma_bound,
-    random_frame_with_ric,
     random_matrix_with_ric,
     sample_l2_noise,
     sample_linf_noise,
 )
-from .linalg import columns_submatrix, least_squares, project_complement
+from .linalg import columns_submatrix
 from .omp import (
     CorrelationLInf,
     FixedIterations,

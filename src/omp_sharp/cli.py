@@ -173,7 +173,8 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
 @click.argument("order", type=int)
 @click.option("--all-orders", is_flag=True,
               help="Report every order 1..ORDER in one monotone table.")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
+              show_default=True,
               help="Cap on C(columns, k) for each order k, pruned subsets included.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False, allow_dash=True), default="-")
 def ric_cmd(matrix_file, order, all_orders, budget, output):

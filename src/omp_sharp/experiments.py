@@ -161,7 +161,8 @@ class ExperimentConfig:
             raise ParameterOutOfRange(f"{self.experiment} does not read config fields {unread}")
         if self.deltas is not None and self.delta_fractions != defaults["delta_fractions"]:
             raise ParameterOutOfRange("set deltas or delta_fractions, not both")
-        for name in ("k_values", "delta_fractions", "epsilons", "gamma_fractions"):
+        lists = ("k_values", "delta_fractions", "epsilons", "gamma_fractions")
+        for name in lists + (("deltas",) if self.deltas is not None else ()):
             if not getattr(self, name):
                 raise ParameterOutOfRange(f"{name} must be non-empty")
         if self.seed < 0:

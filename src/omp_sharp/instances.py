@@ -2,8 +2,8 @@
 
 Worst-case counterexample constructions for both noise models, the three
 fixed 2x2 demonstration instances, bounded-noise samplers, random matrices
-with controlled isometry constants, and the selection-gap evaluator that
-backs the per-iteration correctness bound.
+whose isometry constants stay below a cap, and the selection-gap evaluator
+that backs the per-iteration correctness bound.
 """
 
 import math
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector, columns_submatrix, least_squares_stack, norms
 from .omp import SparseSignal
-from .rip import in_sharp_region, subset_spectra
+from .rip import in_sharp_region
 
 NOISE_L2 = "l2_bounded"
 NOISE_LINF = "linf_bounded"
@@ -32,9 +32,6 @@ BOUND_SLACK = 1e-12
 #: Draws sample_linf_noise makes before giving up on a matrix whose A^T v
 #: keeps vanishing.
 NOISE_ATTEMPTS = 100
-
-#: Gaussian draws random_frame_with_ric tries before giving up.
-FRAME_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -454,35 +451,3 @@ def random_matrices_with_ric(m, n, delta_cap, seeds):
     B = (W1 * np.sqrt(squared)[:, None, :]) @ np.swapaxes(W2, 1, 2)
     Q = np.linalg.qr(embeddings)[0]
     return Q @ B
-
-
-def random_frame_with_ric(m, n, order, delta_bound, seed):
-    """Random m x n frame (n > m allowed) with exact order-``order`` RIC
-    strictly below ``delta_bound``.
-
-    Each attempt tightens a Gaussian draw toward a unit-norm tight frame and
-    then applies the globally optimal rescaling; draws whose best achievable
-    constant still exceeds the bound are rejected.  Raises DegenerateMatrix
-    after FRAME_ATTEMPTS rejected draws.
-    """
-    rng = _as_rng(seed)
-    for _ in range(FRAME_ATTEMPTS):
-        A = rng.standard_normal((m, n))
-        for _ in range(60):
-            U, _, Vt = np.linalg.svd(A, full_matrices=False)
-            A = math.sqrt(n / m) * U @ Vt  # project onto tight frames
-            A = A / np.linalg.norm(A, axis=0)  # renormalize columns
-        lam_min = math.inf
-        lam_max = -math.inf
-        for _, eigenvalues, _ in subset_spectra(A.T @ A, order):
-            lam_min = min(lam_min, eigenvalues[:, 0].min())
-            lam_max = max(lam_max, eigenvalues[:, -1].max())
-        if lam_min <= 0:
-            continue
-        best = (lam_max - lam_min) / (lam_max + lam_min)
-        if 0.0 < best < delta_bound:
-            return A * math.sqrt(2.0 / (lam_max + lam_min))
-    raise DegenerateMatrix(
-        f"no {m}x{n} frame with order-{order} RIC below {delta_bound} "
-        f"found in {FRAME_ATTEMPTS} attempts"
-    )

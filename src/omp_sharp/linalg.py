@@ -1,9 +1,8 @@
 """Dense linear-algebra substrate.
 
-Input validation, column selection, least squares (one system or a
-stack), orthogonal-complement projection and stacked vector norms.  All
-index sets handled here are 1-based, matching the serialized formats used
-by the CLI.
+Input validation, column selection, least squares over a stack of
+systems, and stacked vector norms.  All index sets handled here are
+1-based, matching the serialized formats used by the CLI.
 """
 
 import numpy as np
@@ -55,35 +54,17 @@ def columns_submatrix(A, subset):
     return A[:, [i - 1 for i in sorted(indices)]]
 
 
-def least_squares(A_S, y):
-    """Solve min_x ||y - A_S x||_2 for a full-column-rank ``A_S``.
-
-    Uses a Householder QR factorization rather than the normal equations,
-    which stays accurate when the column set is poorly conditioned.
-    Raises RankDeficient when the smallest R diagonal is below
-    RANK_TOLERANCE times the largest.  This is least_squares_stack on a
-    stack of one.
-    """
-    A_S = as_matrix(A_S)
-    y = as_vector(y)
-    if A_S.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"matrix has {A_S.shape[0]} rows but vector has length {y.shape[0]}"
-        )
-    X, failures = least_squares_stack(A_S[None], y[None, :, None])
-    if failures:
-        raise failures[0]
-    return X[0, :, 0]
-
-
 def least_squares_stack(A_S, Y):
-    """least_squares for each matrix of the stack ``A_S`` and its right-hand
-    sides, the columns of the matching matrix of ``Y``, as one stacked QR
-    and solve, each bit-identical to its one-matrix form.  Returns the
-    solutions, stacked as ``Y`` is, and the RankDeficient of each matrix
-    whose columns are numerically dependent, by position (its solution is
-    meaningless).  Inputs are not validated.  Raises RankDeficient when the
-    matrices are wider than tall.
+    """Solve min_X ||Y - A_S X||_F for each matrix of the stack ``A_S`` and
+    its right-hand sides, the columns of the matching matrix of ``Y``.
+
+    One stacked Householder QR and solve, each bit-identical to its
+    one-matrix form; QR rather than the normal equations stays accurate
+    when a column set is poorly conditioned.  Returns the solutions,
+    stacked as ``Y`` is, and a RankDeficient, by position, for each matrix
+    whose smallest R diagonal is at most RANK_TOLERANCE times its largest
+    (its solution is meaningless).  Inputs are not validated.  Raises
+    RankDeficient when the matrices are wider than tall.
     """
     count, m, s = A_S.shape
     if s == 0:
@@ -102,18 +83,6 @@ def least_squares_stack(A_S, Y):
     }
     R[list(failures)] = np.eye(s)  # their solutions are dropped; the others still solve
     return np.linalg.solve(R, Q.swapaxes(1, 2) @ Y), failures
-
-
-def project_complement(A_S, u):
-    """Project ``u`` onto the orthogonal complement of the span of ``A_S``.
-
-    An empty column set leaves ``u`` unchanged.
-    """
-    A_S = as_matrix(A_S)
-    u = as_vector(u)
-    if A_S.shape[1] == 0:
-        return u.copy()
-    return u - A_S @ least_squares(A_S, u)
 
 
 def norms(V):

@@ -131,34 +131,33 @@ def _moment_bound(blocks):
         return np.einsum("...ij,...ij->...", E4, E4) ** 0.125
 
 
-def subset_spectra(gram, K, threshold=None):
-    """Gram spectra of the K-subsets of columns.
+def subset_spectra(gram, K, threshold):
+    """Gram spectra of the K-subsets of columns, screened against ``threshold``.
 
     Yields ``(subsets, eigenvalues, solved)`` per chunk of at most _CHUNK
     subsets: the 0-based column indices, one ascending subset per row, the
     ascending eigenvalues of each principal K x K block of ``gram`` (a
     stack of Gram matrices on leading axes, which the last two then carry
     too), and a mask of the blocks eigensolved (the others' rows are 0).
-    Without ``threshold`` every block is solved, in lexicographic order.
 
-    With ``threshold``, a callable returning the largest delta found so far
-    per matrix (-inf before any), each chunk is screened by _moment_bound:
+    ``threshold`` is a callable returning the largest delta found so far
+    per matrix (-inf before any).  Each chunk is screened by _moment_bound:
     each matrix's block of largest bound is solved first, then only the
     blocks whose bound is at least max(threshold, that block's delta) less
     PRUNE_TOLERANCE * (1 + bound), so every subset that can tie with the
     largest delta is solved.  A chunk that keeps no block is not yielded.
 
-    With ``threshold`` and a single Gram matrix, the walk is also a
-    depth-first branch-and-bound over the columns taken in an order c_0,
-    c_1, ... (see below).  Under a prefix P,
-    the subsets from P + (c_i,) onward are P plus a subset of the columns
-    c_i, c_i+1, ..., so their Gram blocks are principal submatrices of the
-    block on P and those columns.  By Cauchy interlacing their deltas are at
-    most that block's ``max(1 - lambda_min, lambda_max - 1)``.  The walk
-    skips them all, and never yields them, when that bound is below
-    ``threshold()`` by more than PRUNE_TOLERANCE times the block's largest
-    eigenvalue.  Pending subsets are yielded before each bound so that
-    ``threshold()`` is current.
+    With a single Gram matrix, the walk is also a depth-first
+    branch-and-bound over the columns taken in an order c_0, c_1, ... (see
+    below).  Under a prefix P, the subsets from P + (c_i,) onward are P
+    plus a subset of the columns c_i, c_i+1, ..., so their Gram blocks are
+    principal submatrices of the block on P and those columns.  By Cauchy
+    interlacing their deltas are at most that block's
+    ``max(1 - lambda_min, lambda_max - 1)``.  The walk skips them all, and
+    never yields them, when that bound is below ``threshold()`` by more
+    than PRUNE_TOLERANCE times the block's largest eigenvalue.  Pending
+    subsets are yielded before each bound so that ``threshold()`` is
+    current.
 
     When the root's first bound (on every column but c_0) is worth
     computing, the columns are taken in the order of _peel_order, so that
@@ -177,7 +176,7 @@ def subset_spectra(gram, K, threshold=None):
     grams = gram.reshape(-1, n, n)
     count = len(grams)
     matrices = np.arange(count)
-    bounding = threshold is not None and gram.ndim == 2
+    bounding = gram.ndim == 2
     order = None
     pending = []
     pending_count = 0
@@ -201,26 +200,24 @@ def subset_spectra(gram, K, threshold=None):
         for start in range(0, len(subsets), _CHUNK):
             idx = subsets[start : start + _CHUNK]
             eigenvalues = np.zeros((count, len(idx), K))
-            solved = todo = np.ones((count, len(idx)), dtype=bool)
-            if threshold is not None:
-                step = max(1, _CHUNK // len(idx))  # matrices whose blocks fit one gather
-                bound = np.concatenate([
-                    _moment_bound(grams[j : j + step, idx[:, :, None], idx[:, None, :]])
-                    for j in range(0, count, step)])
-                slack = PRUNE_TOLERANCE * (1.0 + bound)
-                best = np.reshape(threshold(), (-1, 1))
-                todo = ~(bound < best - slack)
-                top = bound.argmax(axis=1)
-                m = todo[matrices, top].nonzero()[0]  # the others keep no subset
-                if not len(m):
-                    continue
-                eigenvalues[m, top[m]] = solve(m, idx[top[m]])
-                low, high = eigenvalues[matrices, top, 0], eigenvalues[matrices, top, -1]
-                best = np.maximum(best, np.maximum(1.0 - low, high - 1.0)[:, None])
-                todo &= ~(bound < best - slack)
-                todo[m, top[m]] = False
-                solved = todo.copy()
-                solved[m, top[m]] = True
+            step = max(1, _CHUNK // len(idx))  # matrices whose blocks fit one gather
+            bound = np.concatenate([
+                _moment_bound(grams[j : j + step, idx[:, :, None], idx[:, None, :]])
+                for j in range(0, count, step)])
+            slack = PRUNE_TOLERANCE * (1.0 + bound)
+            best = np.reshape(threshold(), (-1, 1))
+            todo = ~(bound < best - slack)
+            top = bound.argmax(axis=1)
+            m = todo[matrices, top].nonzero()[0]  # the others keep no subset
+            if not len(m):
+                continue
+            eigenvalues[m, top[m]] = solve(m, idx[top[m]])
+            low, high = eigenvalues[matrices, top, 0], eigenvalues[matrices, top, -1]
+            best = np.maximum(best, np.maximum(1.0 - low, high - 1.0)[:, None])
+            todo &= ~(bound < best - slack)
+            todo[m, top[m]] = False
+            solved = todo.copy()
+            solved[m, top[m]] = True
             m, s = todo.nonzero()
             if len(m):
                 eigenvalues[m, s] = solve(m, idx[s])

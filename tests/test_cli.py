@@ -210,6 +210,16 @@ def test_ric_budget_exceeded_exit_4(tmp_path):
     assert "budget" in result.stderr
 
 
+def test_ric_budget_below_one_exit_2(tmp_path):
+    """C(n, K) >= 1, so a budget below 1 could never admit a search."""
+    matrix = write_identity(tmp_path, 6)
+    for budget in ("0", "-1"):
+        result = run_cli("ric", str(matrix), "2", "--budget", budget)
+        assert result.returncode == 2
+        assert "--budget" in result.stderr and "Traceback" not in result.stderr
+    assert run_cli("ric", str(matrix), "2", "--budget", "15").returncode == 0
+
+
 # ``ric`` reports frozen from the search before it was one loop over a
 # stack, compared byte for byte, so the witness eigenvalue's bits and the
 # work counters are covered too.  The matrices are seeded draws:
@@ -576,6 +586,7 @@ def test_experiment_config_missing_experiment_exit_3(tmp_path):
         ({"experiment": "Theorem1Sweep", "m": 5, "n": 8, "trials": 1}, "n <= m"),
         ({"experiment": "ComparisonTable", "trials": 50}, "does not read config fields ['trials']"),
         ({"experiment": "Example1", "deltas": [0.3], "seed": 0, "margin": 1.1, "m": 3}, "['m']"),
+        ({"experiment": "Theorem1Sweep", "deltas": [], "trials": 1}, "deltas must be non-empty"),
     ],
 )
 def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):

@@ -39,6 +39,9 @@ def test_config_validation():
         ExperimentConfig(experiment="NoSuchThing")
     with pytest.raises(ParameterOutOfRange):
         ExperimentConfig(experiment="Theorem1Sweep", k_values=[])
+    for name in ("Theorem1Sweep", "Example1"):
+        with pytest.raises(ParameterOutOfRange, match="deltas must be non-empty"):
+            ExperimentConfig(experiment=name, deltas=[])
     with pytest.raises(ParameterOutOfRange):
         ExperimentConfig(experiment="Theorem1Sweep", delta_fractions=[1.5])
     with pytest.raises(ParameterOutOfRange):

@@ -35,7 +35,6 @@ from omp_sharp.instances import (
     lemma1_gap,
     linf_gamma_bound,
     orthonormal_complement_of_ones,
-    random_frame_with_ric,
     random_matrices_with_ric,
     random_matrix_with_ric,
     sample_l2_noise,
@@ -448,50 +447,3 @@ def test_stacked_matrices_reject_what_one_matrix_rejects():
     with pytest.raises(ParameterOutOfRange):
         random_matrices_with_ric(8, 5, 1.0, [0, 1])
 
-
-def test_random_frame_with_ric_overcomplete():
-    A = random_frame_with_ric(6, 8, 3, 0.7, seed=11)
-    assert A.shape == (6, 8)
-    assert exact_ric(A, 3).delta < 0.7
-
-
-def reference_random_frame_with_ric(m, n, order, delta_bound, seed, attempts=200):
-    """The generator as it was before it shared exact_ric's enumeration: one
-    eigvalsh per subset in a Python loop over combinations."""
-    from itertools import combinations
-
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        A = rng.standard_normal((m, n))
-        for _ in range(60):
-            U, _, Vt = np.linalg.svd(A, full_matrices=False)
-            A = math.sqrt(n / m) * U @ Vt
-            A = A / np.linalg.norm(A, axis=0)
-        gram = A.T @ A
-        lam_min = math.inf
-        lam_max = -math.inf
-        for S in combinations(range(n), order):
-            idx = list(S)
-            eigenvalues = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-            lam_min = min(lam_min, eigenvalues[0])
-            lam_max = max(lam_max, eigenvalues[-1])
-        if lam_min <= 0:
-            continue
-        best = (lam_max - lam_min) / (lam_max + lam_min)
-        if 0.0 < best < delta_bound:
-            return A * math.sqrt(2.0 / (lam_max + lam_min))
-    return None
-
-
-@pytest.mark.parametrize("m,n,order", [(6, 8, 3), (8, 12, 3), (10, 14, 4)])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_frame_with_ric_matches_per_subset_reference(m, n, order, seed):
-    A = random_frame_with_ric(m, n, order, 0.75, seed)
-    assert np.array_equal(A, reference_random_frame_with_ric(m, n, order, 0.75, seed))
-
-
-def test_random_frame_with_ric_gives_up_after_its_attempts(monkeypatch):
-    monkeypatch.setattr(instances, "FRAME_ATTEMPTS", 2)
-    with pytest.raises(DegenerateMatrix, match="found in 2 attempts"):
-        random_frame_with_ric(6, 8, 3, 1e-3, seed=0)
-    assert reference_random_frame_with_ric(6, 8, 3, 1e-3, seed=0, attempts=2) is None

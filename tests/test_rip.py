@@ -304,6 +304,8 @@ def test_ordered_walk_yields_every_subset_once_in_ascending_rows():
     eigenvalues = np.concatenate([values for _, values, _ in chunks])
     solved = np.concatenate([solved for _, _, solved in chunks])
     rows = [tuple(S) for S in subsets]
+    assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
+    assert all(len(subsets) <= _CHUNK for subsets, _, _ in chunks)
     assert sorted(rows) == list(combinations(range(16), 6))
     assert rows != sorted(rows)  # the walk took the columns out of order
     # against -inf every chunk solves at least its block of largest bound
@@ -376,7 +378,9 @@ def test_a_chunk_the_screen_keeps_nothing_of_is_neither_solved_nor_reduced(monke
     """Of the wide order-2 search's chunks, only those whose largest moment
     bound reaches the best delta so far make an eigensolve and a reduction."""
     A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
-    chunks = sum(1 for _ in subset_spectra(A.T @ A, 2))
+    # against -inf the screen keeps every chunk's block of largest bound, so
+    # every chunk the walk forms is yielded
+    chunks = sum(1 for _ in subset_spectra(A.T @ A, 2, lambda: -math.inf))
     solves, reduced = [], []
     eigvalsh, chunk_best = np.linalg.eigvalsh, rip._chunk_best
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
@@ -388,21 +392,6 @@ def test_a_chunk_the_screen_keeps_nothing_of_is_neither_solved_nor_reduced(monke
 def test_report_json_carries_the_work_counters():
     doc = exact_ric(np.eye(4), 2).to_json_dict()
     assert doc["subsets_evaluated"] + doc["subsets_pruned"] == 6
-
-
-def test_subset_spectra_walks_every_subset_in_lexicographic_order():
-    A = unit_column_matrix(4, 10, 16)
-    gram = A.T @ A
-    chunks = list(subset_spectra(gram, 6))
-    assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
-    assert all(len(subsets) <= _CHUNK for subsets, _, _ in chunks)
-    assert all(solved.all() for _, _, solved in chunks)  # no threshold, no screen
-    subsets = np.concatenate([subsets for subsets, _, _ in chunks])
-    eigenvalues = np.concatenate([values for _, values, _ in chunks])
-    assert [tuple(S) for S in subsets] == list(combinations(range(16), 6))
-    for S, values in zip(subsets[::97], eigenvalues[::97]):
-        expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
-        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
 
 
 def test_identity_is_isometry():
