@@ -7,9 +7,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateMatrix,
     DimensionMismatch,
-    DuplicateIndex,
     GammaOutOfRange,
-    IndexOutOfRange,
     InvalidDeltaOrder,
     InvalidOrder,
     NotProperSubset,
@@ -32,13 +30,12 @@ from .instances import (
     example2_a_bound,
     example3_a_bound,
     l2_gamma_bound,
-    lemma1_gap,
+    l2_noises,
+    lemma1_gaps,
     linf_gamma_bound,
-    random_matrix_with_ric,
-    sample_l2_noise,
-    sample_linf_noise,
+    linf_noises,
+    random_matrices_with_ric,
 )
-from .linalg import columns_submatrix
 from .omp import (
     CorrelationLInf,
     FixedIterations,

@@ -9,14 +9,6 @@ class DimensionMismatch(OmpSharpError):
     pass
 
 
-class IndexOutOfRange(OmpSharpError):
-    pass
-
-
-class DuplicateIndex(OmpSharpError):
-    pass
-
-
 class RankDeficient(OmpSharpError):
     """Selected columns are numerically linearly dependent."""
 

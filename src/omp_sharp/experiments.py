@@ -165,6 +165,13 @@ class ExperimentConfig:
         for name in lists + (("deltas",) if self.deltas is not None else ()):
             if not getattr(self, name):
                 raise ParameterOutOfRange(f"{name} must be non-empty")
+        # JSON's NaN and Infinity, and overflowing literals such as 1e400,
+        # parse to non-finite floats
+        for name, (valid, is_list, _) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            values = (value or ()) if is_list else [value]
+            if valid is _is_real and not all(map(math.isfinite, values)):
+                raise ParameterOutOfRange(f"{name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
         if any(k < 1 for k in self.k_values):
@@ -184,6 +191,8 @@ class ExperimentConfig:
             raise ParameterOutOfRange("delta_fractions must lie in (0, 1)")
         if self.deltas is not None and any(not 0.0 < d < 1.0 for d in self.deltas):
             raise ParameterOutOfRange("deltas must lie in (0, 1)")
+        if any(not e > 0 for e in self.epsilons):
+            raise ParameterOutOfRange(f"epsilons must be > 0, got {self.epsilons}")
         if self.trials < 1:
             raise ParameterOutOfRange("trials must be >= 1")
         if not self.margin > 0:
@@ -396,9 +405,9 @@ def _sufficiency_trials(config, K, delta, epsilon, linf, rngs):
         for d, d2 in zip(deltas, deltas2)
     ]
     if linf:
-        V, failures = inst._linf_noises(rngs, A, epsilon)
+        V, failures = inst.linf_noises(rngs, A, epsilon)
     else:
-        V, failures = inst._l2_noises(rngs, m, epsilon), {}
+        V, failures = inst.l2_noises(rngs, m, epsilon), {}
     draws = [_attempt(lambda: _signal_draws(rng, n, K)) for rng in rngs]
     # a trial's outcome is its first failure, if any
     outcomes = [
@@ -503,7 +512,7 @@ def run_lemma1_suite(config):
     A cell's matrices and their RICs of order |Omega| + 1 are computed as
     one stack, as in the sufficiency sweeps; each trial then draws its
     signal and subset from its own generator, and the cell computes their
-    gaps in one _lemma1_gaps call."""
+    gaps in one lemma1_gaps call."""
 
     def trials(omega_size, rngs):
         cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
@@ -511,7 +520,7 @@ def run_lemma1_suite(config):
         deltas = [report.delta for report in exact_rics(A, omega_size + 1)]
         outcomes = [_attempt(lambda: _lemma1_draws(rng, config.n, omega_size)) for rng in rngs]
         live = [t for t, outcome in enumerate(outcomes) if not isinstance(outcome, OmpSharpError)]
-        gaps, failures = inst._lemma1_gaps(
+        gaps, failures = inst.lemma1_gaps(
             A[live], [outcomes[t][0] for t in live], [outcomes[t][1] for t in live],
             [deltas[t] for t in live],
         )

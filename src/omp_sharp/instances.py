@@ -19,7 +19,7 @@ from .errors import (
     OutOfSharpRegion,
     ParameterOutOfRange,
 )
-from .linalg import as_matrix, as_vector, columns_submatrix, least_squares_stack, norms
+from .linalg import as_matrix, as_matrix_stack, as_vector, least_squares_stack, norms
 from .omp import SparseSignal
 from .rip import in_sharp_region
 
@@ -29,8 +29,8 @@ NOISE_LINF = "linf_bounded"
 #: Absolute slack allowed when checking a noise vector against its bound.
 BOUND_SLACK = 1e-12
 
-#: Draws sample_linf_noise makes before giving up on a matrix whose A^T v
-#: keeps vanishing.
+#: Draws linf_noises makes for a trial before giving up on a matrix whose
+#: A^T v keeps vanishing.
 NOISE_ATTEMPTS = 100
 
 
@@ -270,37 +270,31 @@ EXAMPLES = {
 }
 
 
-def lemma1_gap(A, x, subset, delta):
-    """Selection-gap bound for one partially-completed recovery state.
+def lemma1_gaps(A, signals, subsets, deltas):
+    """Selection-gap bound for each matrix of the stack ``A`` in one
+    partially-completed recovery state: its signal x, its subset and its
+    delta.
 
-    ``subset`` (1-based) must be a proper subset of the support of ``x``,
-    and ``delta`` is the RIC of ``A`` of order |support|+1, such as
-    exact_ric's.  Returns lhs_gap, the difference of the max absolute
-    correlations of on-support and off-support columns against the residual
-    direction projected off the columns of ``subset``, and rhs_bound, the
-    closed-form lower bound.  Raises RankDeficient when those columns are
-    numerically dependent.  This is _lemma1_gaps on a stack of one.
-    """
-    A = as_matrix(A)
-    subset = frozenset(int(i) for i in subset)
-    if not (subset < x.support):
-        raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(x.support)}")
-    columns_submatrix(A, x.support)  # the support names columns of A
-    [gap], failures = _lemma1_gaps(A[None], [x], [subset], [delta])
-    if failures:
-        raise failures[0]
-    return gap
-
-
-def _lemma1_gaps(A, signals, subsets, deltas):
-    """lemma1_gap for each matrix of the stack ``A`` with its signal, subset
-    and delta, each subset a proper subset of its signal's support.  Trials
-    whose subsets and supports have the same sizes share each step, as one
+    Each subset (1-based) must be a proper subset of the support of its x,
+    and each delta is the RIC of its matrix of order |support|+1, such as
+    exact_rics gives.  A trial's gap is lhs_gap, the difference of the max
+    absolute correlations of on-support and off-support columns against
+    the residual direction projected off the columns of its subset, and
+    rhs_bound, the closed-form lower bound.  Trials whose subsets and
+    supports have the same sizes share each step, as one
     least_squares_stack call or stacked product that is bit-identical to
     its one-trial form.  Returns each trial's gap, and the RankDeficient of
     each trial whose subset's columns are numerically dependent, by
-    position (its gap is None); raises the RankDeficient of a subset larger
-    than A is tall."""
+    position (its gap is None).  Raises DimensionMismatch on a non-finite
+    stack or a signal not as wide as A, NotProperSubset, and the
+    RankDeficient of a subset larger than A is tall."""
+    A = as_matrix_stack(A)
+    subsets = [frozenset(int(i) for i in subset) for subset in subsets]
+    for x, subset in zip(signals, subsets):
+        if x.n != A.shape[2]:
+            raise DimensionMismatch(f"signal of length {x.n} for {A.shape[2]}-column matrices")
+        if not subset < x.support:
+            raise NotProperSubset(f"{sorted(subset)} is not a proper subset of {sorted(x.support)}")
     gaps, failures, groups = [None] * len(A), {}, {}
     for t, (x, subset) in enumerate(zip(signals, subsets)):
         groups.setdefault((len(subset), len(x.support)), []).append(t)
@@ -333,42 +327,27 @@ def _lemma1_gaps(A, signals, subsets, deltas):
     return gaps, failures
 
 
-def sample_l2_noise(m, epsilon, seed):
-    """Noise vector uniform on the epsilon-ball: ||v||_2 <= epsilon."""
+def l2_noises(rngs, m, epsilon):
+    """A noise vector uniform on the epsilon-ball, ||v||_2 <= epsilon, for
+    each generator of ``rngs``: the noise vectors of length m as rows."""
     if not epsilon > 0:
         raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
     if not m >= 1:
         raise ParameterOutOfRange(f"noise length must be >= 1, got {m}")
-    return _l2_noises([_as_rng(seed)], m, epsilon)[0]
-
-
-def sample_linf_noise(A, epsilon, seed):
-    """Noise vector with ||A^T v||_inf <= epsilon, the level drawn uniformly.
-
-    Raises DegenerateMatrix when A^T v vanishes for NOISE_ATTEMPTS
-    consecutive draws.
-    """
-    if not epsilon > 0:
-        raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
-    A = as_matrix(A)
-    V, failures = _linf_noises([_as_rng(seed)], A[None], epsilon)
-    if failures:
-        raise failures[0]
-    return V[0]
-
-
-def _l2_noises(rngs, m, epsilon):
-    """sample_l2_noise for each generator of ``rngs``: the noise vectors as
-    rows."""
     V, level = _directions(rngs, m, lambda V, trials: norms(V), math.inf)
     scales = [epsilon * rng.uniform() ** (1.0 / m) / lv for rng, lv in zip(rngs, level)]
     return V[:, :, 0] * np.array(scales)[:, None]
 
 
-def _linf_noises(rngs, A, epsilon):
-    """sample_linf_noise for each matrix of the stack ``A`` and its
-    generator: the noise vectors as rows, and the DegenerateMatrix of each
-    trial that fails, by position (its row is zero)."""
+def linf_noises(rngs, A, epsilon):
+    """A noise vector v with ||A^T v||_inf <= epsilon, the level drawn
+    uniformly, for each matrix of the stack ``A`` and its generator: the
+    noise vectors as rows, and a DegenerateMatrix, by position, for each
+    trial whose A^T v vanished for NOISE_ATTEMPTS consecutive draws (its
+    row is zero)."""
+    if not epsilon > 0:
+        raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
+    A = as_matrix_stack(A)
     V, level = _directions(
         rngs, A.shape[1],
         lambda V, trials: np.abs(A[trials].swapaxes(1, 2) @ V).max(1, keepdims=True),
@@ -385,8 +364,8 @@ def _linf_noises(rngs, A, epsilon):
 
 def _directions(rngs, m, levels, attempts):
     """Each generator's noise direction, a stack of m x 1 columns, and its
-    level, as each one-trial sampler draws them: the direction, drawn again
-    alone while its level is zero, up to ``attempts`` draws in all.
+    level, drawn as for its trial alone: the direction, drawn again alone
+    while its level is zero, up to ``attempts`` draws in all.
     ``levels(V, trials)`` gives the levels of the directions ``V`` of the
     trials ``trials`` (a slice), 1 x 1 each; the first levels are one
     stacked call.  A direction whose level stays zero keeps level 0."""
@@ -403,43 +382,30 @@ def _directions(rngs, m, levels, attempts):
     return V, level
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def random_matrices_with_ric(m, n, delta_cap, rngs):
+    """A random m x n matrix (1 <= n <= m) whose RIC of every order is below
+    ``delta_cap`` for each generator of ``rngs``, stacked on a leading axis.
 
-
-def random_matrix_with_ric(m, n, delta_cap, seed):
-    """Random m x n matrix (n <= m) whose RIC of every order is below
-    ``delta_cap``.
-
-    Built as an orthonormal-column embedding of an n x n factor whose squared
+    Each is an orthonormal-column embedding of an n x n factor whose squared
     singular values are drawn from [1 - delta_cap, 1 + delta_cap] with both
     endpoints attained, so the top-order RIC equals delta_cap exactly and
-    lower orders fall strictly inside (0, delta_cap].
+    lower orders fall strictly inside (0, delta_cap].  Each generator draws,
+    in order, the squared singular values, two n x n Gaussian factors and
+    the m x n Gaussian embedding.  The QR factorizations and products then
+    run once over the whole stack, and each matrix equals the one a stack
+    of one builds.
     """
-    return random_matrices_with_ric(m, n, delta_cap, [seed])[0]
-
-
-def random_matrices_with_ric(m, n, delta_cap, seeds):
-    """random_matrix_with_ric for each seed or generator of ``seeds``,
-    stacked on a leading axis.
-
-    Each generator draws what random_matrix_with_ric draws, in the same
-    order: the squared singular values, two n x n Gaussian factors and the
-    m x n Gaussian embedding.  The QR factorizations and products then run
-    once over the whole stack, and each matrix equals the one built alone.
-    """
+    if n < 1:
+        raise ParameterOutOfRange(f"need n >= 1, got {m}x{n}")
     if n > m:
         raise DimensionMismatch(f"need n <= m, got {m}x{n}")
     if not 0.0 < delta_cap < 1.0:
         raise ParameterOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
-    count = len(seeds)
+    count = len(rngs)
     squared = np.empty((count, n))
     factors = np.empty((2, count, n, n))
     embeddings = np.empty((count, m, n))
-    for t, seed in enumerate(seeds):
-        rng = _as_rng(seed)
+    for t, rng in enumerate(rngs):
         squared[t] = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
         rng.standard_normal(out=factors[0, t])
         rng.standard_normal(out=factors[1, t])

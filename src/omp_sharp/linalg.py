@@ -1,13 +1,12 @@
 """Dense linear-algebra substrate.
 
-Input validation, column selection, least squares over a stack of
-systems, and stacked vector norms.  All index sets handled here are
-1-based, matching the serialized formats used by the CLI.
+Input validation, least squares over a stack of systems, and stacked
+vector norms.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateIndex, IndexOutOfRange, RankDeficient
+from .errors import DimensionMismatch, RankDeficient
 
 #: Relative magnitude below which an R-factor diagonal entry marks rank deficiency.
 RANK_TOLERANCE = 1e-12
@@ -36,22 +35,6 @@ def as_matrix_stack(a):
 def as_vector(u):
     """Validate and return a 1-D float array with finite entries."""
     return _as_finite(u, 1, "vector")
-
-
-def columns_submatrix(A, subset):
-    """Columns of ``A`` indexed by the 1-based index set ``subset``, ascending.
-
-    Raises IndexOutOfRange or DuplicateIndex on a malformed subset.
-    """
-    A = as_matrix(A)
-    indices = list(subset)
-    n = A.shape[1]
-    for i in indices:
-        if not (isinstance(i, (int, np.integer)) and 1 <= i <= n):
-            raise IndexOutOfRange(f"column index {i} outside [1, {n}]")
-    if len(set(indices)) != len(indices):
-        raise DuplicateIndex(f"duplicate column indices in {indices}")
-    return A[:, [i - 1 for i in sorted(indices)]]
 
 
 def least_squares_stack(A_S, Y):

@@ -1,7 +1,7 @@
-"""One-trial references shared by the test files: the noise samplers and
-the selection gap as they ran one trial at a time, written out here so
-that the package's stacked forms are checked against code they do not
-share."""
+"""One-trial references shared by the test files: the random matrix
+builder, the noise samplers and the selection gap as they ran one trial
+at a time, written out here so that the package's stacked forms are
+checked against code they do not share."""
 
 import math
 
@@ -11,8 +11,22 @@ from omp_sharp.errors import DegenerateMatrix
 from omp_sharp.instances import NOISE_ATTEMPTS
 
 
+def reference_random_matrix_with_ric(m, n, delta_cap, rng):
+    """random_matrices_with_ric as it built one matrix alone: one QR per
+    factor."""
+    squared = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
+    squared[0] = 1.0 - delta_cap
+    if n > 1:
+        squared[-1] = 1.0 + delta_cap
+    W1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    W2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    B = (W1 * np.sqrt(squared)) @ W2.T
+    Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    return Q @ B
+
+
 def reference_l2_noise(m, epsilon, rng):
-    """sample_l2_noise as it drew one vector alone."""
+    """l2_noises as it drew one vector alone."""
     direction = rng.standard_normal(m)
     norm = np.linalg.norm(direction)
     while norm == 0.0:
@@ -23,7 +37,7 @@ def reference_l2_noise(m, epsilon, rng):
 
 
 def reference_linf_noise(A, epsilon, rng):
-    """sample_linf_noise as it drew one vector alone."""
+    """linf_noises as it drew one vector alone."""
     for _ in range(NOISE_ATTEMPTS):
         v = rng.standard_normal(A.shape[0])
         level = float(np.max(np.abs(A.T @ v)))
@@ -34,7 +48,7 @@ def reference_linf_noise(A, epsilon, rng):
 
 
 def reference_lemma1_gap(A, x, subset, delta):
-    """lemma1_gap as it ran one trial at a time: the part of the signal off
+    """lemma1_gaps as it ran one trial at a time: the part of the signal off
     the subset, projected off the subset's columns by a least-squares solve
     through a Householder QR."""
     remaining = sorted(x.support - set(subset))

@@ -587,6 +587,12 @@ def test_experiment_config_missing_experiment_exit_3(tmp_path):
         ({"experiment": "ComparisonTable", "trials": 50}, "does not read config fields ['trials']"),
         ({"experiment": "Example1", "deltas": [0.3], "seed": 0, "margin": 1.1, "m": 3}, "['m']"),
         ({"experiment": "Theorem1Sweep", "deltas": [], "trials": 1}, "deltas must be non-empty"),
+        ({"experiment": "ComparisonTable", "epsilons": [math.nan]}, "epsilons must be finite"),
+        ({"experiment": "Theorem1Sweep", "margin": math.inf, "trials": 1}, "margin must be finite"),
+        ({"experiment": "Theorem4Demo", "gamma_fractions": [math.nan]},
+         "gamma_fractions must be finite"),
+        ({"experiment": "Theorem2Sweep", "epsilons": [0.0], "trials": 1}, "epsilons must be > 0"),
+        ({"experiment": "Theorem3Demo", "epsilons": [-1.0]}, "epsilons must be > 0"),
     ],
 )
 def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):

@@ -19,7 +19,7 @@ from omp_sharp.experiments import (
     run_experiment,
     write_experiment_outputs,
 )
-from omp_sharp.instances import NOISE_L2, NOISE_LINF, random_matrix_with_ric
+from omp_sharp.instances import NOISE_L2, NOISE_LINF
 from omp_sharp.omp import (
     CorrelationLInf,
     ResidualL2,
@@ -31,7 +31,12 @@ from omp_sharp.omp import (
 )
 from omp_sharp.rip import exact_ric
 
-from references import reference_l2_noise, reference_lemma1_gap, reference_linf_noise
+from references import (
+    reference_l2_noise,
+    reference_lemma1_gap,
+    reference_linf_noise,
+    reference_random_matrix_with_ric,
+)
 
 
 def test_config_validation():
@@ -54,6 +59,30 @@ def test_config_validation():
     for margin in (0.0, -2.0):
         with pytest.raises(ParameterOutOfRange, match="margin"):
             ExperimentConfig(experiment="Theorem1Sweep", margin=margin)
+    # a noise level at most 0 is refused alike by every experiment that reads it
+    for name in ("Theorem1Sweep", "Theorem2Sweep", "Theorem3Demo", "ComparisonTable"):
+        for epsilon in (0.0, -0.5):
+            with pytest.raises(ParameterOutOfRange, match="epsilons must be > 0"):
+                ExperimentConfig(experiment=name, epsilons=[0.5, epsilon])
+    # JSON's NaN, Infinity and 1e400 parse to non-finite floats; finite
+    # extremes stay allowed
+    for fields in (dict(experiment="ComparisonTable", epsilons=[math.nan]),
+                   dict(experiment="Theorem1Sweep", margin=math.inf),
+                   dict(experiment="Theorem2Sweep", epsilons=[-math.inf]),
+                   dict(experiment="Theorem4Demo", gamma_fractions=[math.nan]),
+                   dict(experiment="Theorem3Demo", delta_fractions=[math.nan]),
+                   dict(experiment="Example1", deltas=[math.inf])):
+        name = next(key for key in fields if key != "experiment")
+        with pytest.raises(ParameterOutOfRange, match=f"{name} must be finite"):
+            ExperimentConfig(**fields)
+        doc = json.loads(json.dumps(fields))
+        with pytest.raises(ParameterOutOfRange, match=f"{name} must be finite"):
+            ExperimentConfig.from_json_dict(doc)
+    with pytest.raises(ParameterOutOfRange, match="epsilons must be finite"):
+        ExperimentConfig.from_json_dict(json.loads(
+            '{"experiment": "Theorem1Sweep", "epsilons": [1e400]}'))
+    ExperimentConfig(experiment="Theorem2Sweep", margin=1e307)
+    ExperimentConfig(experiment="Theorem4Demo", gamma_fractions=[1.0])
     for name in ("Theorem1Sweep", "Theorem2Sweep", "Lemma1Suite"):
         with pytest.raises(ParameterOutOfRange):
             ExperimentConfig(experiment=name, k_values=[1, 8], n=8)
@@ -220,7 +249,7 @@ def test_failed_trial_becomes_an_error_row(monkeypatch, experiment, function, ca
 def test_trial_whose_noise_fails_fails_alone(monkeypatch):
     # only linf noise can fail: an l2 direction of m >= 1 entries has a
     # nonzero norm
-    stacked = experiments.inst._linf_noises
+    stacked = experiments.inst.linf_noises
 
     def failing_second_trial(*args):
         V, failures = stacked(*args)
@@ -229,7 +258,7 @@ def test_trial_whose_noise_fails_fails_alone(monkeypatch):
 
     cfg = ExperimentConfig(experiment="Theorem2Sweep", seed=6, k_values=[2], trials=3)
     _, expected, _ = run_experiment(cfg)
-    monkeypatch.setattr(experiments.inst, "_linf_noises", failing_second_trial)
+    monkeypatch.setattr(experiments.inst, "linf_noises", failing_second_trial)
     _, records, _ = run_experiment(cfg)
     failed = [r for r in records if r["error"] is not None]
     assert [(r["cell_index"], r["trial_index"]) for r in failed] == [(0, 1), (1, 1)]
@@ -408,7 +437,7 @@ def reference_sufficiency_trial(config, cell_index, trial_index, K, delta, epsil
     its own matrix build and exact_ric calls, then the noise, signal and OMP."""
     rng = experiments._rng(config, cell_index, trial_index)
     m, n = config.m, config.n
-    A = random_matrix_with_ric(m, n, delta, rng)
+    A = reference_random_matrix_with_ric(m, n, delta, rng)
     delta_exact = exact_ric(A, K + 1).delta
     if linf:
         delta2 = min(exact_ric(A, 2).delta, delta_exact)
@@ -533,7 +562,7 @@ def reference_lemma1_trial(config, cell_index, trial_index, omega_size):
     then its signal and subset."""
     rng = experiments._rng(config, cell_index, trial_index)
     cap = 0.9 * (1.0 / math.sqrt(omega_size + 1))
-    A = random_matrix_with_ric(config.m, config.n, cap, rng)
+    A = reference_random_matrix_with_ric(config.m, config.n, cap, rng)
     delta = exact_ric(A, omega_size + 1).delta
     support = sorted(int(i) + 1 for i in rng.choice(config.n, size=omega_size, replace=False))
     values = np.zeros(config.n)

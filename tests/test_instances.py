@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omp_sharp import instances
 from omp_sharp.errors import (
     DegenerateMatrix,
     DimensionMismatch,
     GammaOutOfRange,
-    IndexOutOfRange,
     NotProperSubset,
     OutOfSharpRegion,
     ParameterOutOfRange,
@@ -32,18 +30,22 @@ from omp_sharp.instances import (
     example2_a_bound,
     example3_a_bound,
     l2_gamma_bound,
-    lemma1_gap,
+    l2_noises,
+    lemma1_gaps,
     linf_gamma_bound,
+    linf_noises,
     orthonormal_complement_of_ones,
     random_matrices_with_ric,
-    random_matrix_with_ric,
-    sample_l2_noise,
-    sample_linf_noise,
 )
 from omp_sharp.omp import FixedIterations, SparseSignal, run_omp
 from omp_sharp.rip import exact_ric
 
-from references import reference_l2_noise, reference_lemma1_gap, reference_linf_noise
+from references import (
+    reference_l2_noise,
+    reference_lemma1_gap,
+    reference_linf_noise,
+    reference_random_matrix_with_ric,
+)
 
 GRID = [(K, f / math.sqrt(K + 1)) for K in (1, 2, 3, 5) for f in (0.3, 0.9)]
 
@@ -221,6 +223,15 @@ def test_example3_epsilon_scales_with_delta():
 # --------------------------------------------------------------- lemma gap
 
 
+def lemma1_gap(A, x, subset, delta):
+    """lemma1_gaps on a stack of one: the gap, or the RankDeficient it
+    reports raised."""
+    [gap], failures = lemma1_gaps(np.asarray(A)[None], [x], [subset], [delta])
+    if failures:
+        raise failures[0]
+    return gap
+
+
 def test_lemma1_gap_requires_proper_subset():
     A = np.eye(3)
     x = SparseSignal(np.array([1.0, 1.0, 0.0]))
@@ -275,8 +286,10 @@ def test_lemma1_gap_rejects_what_its_inputs_cannot_mean():
     x = SparseSignal(np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DimensionMismatch, match="non-finite"):
         lemma1_gap(np.array([[1.0, np.nan, 0.0]]), x, [], 0.1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DimensionMismatch, match="signal of length 3 for 2-column"):
         lemma1_gap(np.eye(2), x, [1], 0.1)  # x is longer than A is wide
+    with pytest.raises(DimensionMismatch, match="signal of length 3 for 4-column"):
+        lemma1_gap(np.eye(4), x, [1], 0.1)  # and shorter
 
 
 def reference_projection_gap(A, x, subset, delta):
@@ -321,7 +334,7 @@ def gap_stacks(draw):
 @given(gap_stacks())
 def test_stacked_gaps_equal_one_trial_at_a_time(stack):
     A, signals, subsets, deltas = stack
-    gaps, failures = instances._lemma1_gaps(A, signals, subsets, deltas)
+    gaps, failures = lemma1_gaps(A, signals, subsets, deltas)
     assert failures == {}
     for a, x, subset, delta, gap in zip(A, signals, subsets, deltas, gaps):
         assert gap == reference_lemma1_gap(a, x, subset, delta)
@@ -335,7 +348,7 @@ def test_stacked_gap_fails_only_the_rank_deficient_trial():
     A = np.stack([np.eye(4)[:, :3], np.eye(4)[:, :3], np.eye(4)[:, 1:]])
     A[1, :, 0] = 0.0  # the subset's one column vanishes
     x = SparseSignal(np.array([1.0, -2.0, 0.0]))
-    gaps, failures = instances._lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
+    gaps, failures = lemma1_gaps(A, [x] * 3, [[1]] * 3, [0.0] * 3)
     assert list(failures) == [1] and gaps[1] is None
     assert isinstance(failures[1], RankDeficient)
     with pytest.raises(RankDeficient, match=re.escape(str(failures[1]))):
@@ -354,25 +367,24 @@ def test_stacked_noise_equals_one_trial_at_a_time(linf):
     stacked = [np.random.default_rng([9, t]) for t in range(len(A))]
     alone = [np.random.default_rng([9, t]) for t in range(len(A))]
     if linf:
-        V, failures = instances._linf_noises(stacked, A, 0.7)
+        V, failures = linf_noises(stacked, A, 0.7)
     else:
-        V, failures = instances._l2_noises(stacked, 6, 0.7), {}
+        V, failures = l2_noises(stacked, 6, 0.7), {}
     for t, (a, rng) in enumerate(zip(A, alone)):
-        # the public sampler, a stack of one, on a generator of its own
-        public = np.random.default_rng([9, t])
+        # the sampler on a stack of one, with a generator of its own
+        public = [np.random.default_rng([9, t])]
+        one, one_failures = linf_noises(public, a[None], 0.7) if linf else (
+            l2_noises(public, 6, 0.7), {})
         if linf and t == 3:
             with pytest.raises(DegenerateMatrix):
                 reference_linf_noise(a, 0.7, rng)
-            with pytest.raises(DegenerateMatrix, match=f"{NOISE_ATTEMPTS} consecutive draws"):
-                sample_linf_noise(a, 0.7, public)
             assert str(failures[t]) == f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws"
-            assert not V[t].any()
+            assert str(one_failures[0]) == str(failures[t])
+            assert not V[t].any() and not one[0].any()
             continue
         v = reference_linf_noise(a, 0.7, rng) if linf else reference_l2_noise(6, 0.7, rng)
         assert np.array_equal(V[t], v)
-        assert np.array_equal(
-            sample_linf_noise(a, 0.7, public) if linf else sample_l2_noise(6, 0.7, public), v
-        )
+        assert np.array_equal(one[0], v) and one_failures == {}
     assert list(failures) == ([3] if linf else [])
     # each generator is left where a lone draw leaves it
     assert [g.random() for g in stacked] == [g.random() for g in alone]
@@ -381,49 +393,49 @@ def test_stacked_noise_equals_one_trial_at_a_time(linf):
 def test_sample_l2_noise_rejects_an_empty_vector():
     # a length-0 direction has norm 0 on every draw
     with pytest.raises(ParameterOutOfRange, match="noise length must be >= 1, got 0"):
-        sample_l2_noise(0, 1.0, 0)
+        l2_noises([np.random.default_rng(0)], 0, 1.0)
+    for epsilon in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterOutOfRange, match="epsilon must be > 0"):
+            l2_noises([np.random.default_rng(0)], 6, epsilon)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
 def test_sample_l2_noise_inside_ball(seed, eps):
-    v = sample_l2_noise(6, eps, seed)
+    [v] = l2_noises([np.random.default_rng(seed)], 6, eps)
     assert np.linalg.norm(v) <= eps + 1e-12
 
 
 def test_sample_linf_noise_gives_up_on_a_zero_matrix():
-    with pytest.raises(DegenerateMatrix, match=f"{NOISE_ATTEMPTS} consecutive draws"):
-        sample_linf_noise(np.zeros((3, 2)), 1.0, 0)
+    V, failures = linf_noises([np.random.default_rng(0)], np.zeros((1, 3, 2)), 1.0)
+    assert list(failures) == [0] and not V.any()
+    assert isinstance(failures[0], DegenerateMatrix)
+    assert str(failures[0]) == f"A^T v vanished for {NOISE_ATTEMPTS} consecutive draws"
+    # what the sampler cannot mean is refused before any draw
+    for epsilon in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterOutOfRange, match="epsilon must be > 0"):
+            linf_noises([np.random.default_rng(0)], np.ones((1, 3, 2)), epsilon)
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        linf_noises([np.random.default_rng(0)], np.full((1, 3, 2), np.inf), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
 def test_sample_linf_noise_inside_bound(seed, eps):
     A = np.random.default_rng(seed).standard_normal((5, 7))
-    v = sample_linf_noise(A, eps, seed)
+    V, failures = linf_noises([np.random.default_rng(seed)], A[None], eps)
+    v = V[0]
+    assert failures == {}
     assert np.max(np.abs(A.T @ v)) <= eps + 1e-12
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.8))
 def test_random_matrix_with_ric_caps_every_order(seed, cap):
-    A = random_matrix_with_ric(8, 5, cap, seed)
+    [A] = random_matrices_with_ric(8, 5, cap, [np.random.default_rng(seed)])
     for K in (1, 2, 5):
         assert exact_ric(A, K).delta <= cap + 1e-10
     assert exact_ric(A, 5).delta == pytest.approx(cap, abs=1e-10)
-
-
-def reference_random_matrix_with_ric(m, n, delta_cap, rng):
-    """The generator as it was before it was stacked: one QR per factor."""
-    squared = rng.uniform(1.0 - delta_cap, 1.0 + delta_cap, size=n)
-    squared[0] = 1.0 - delta_cap
-    if n > 1:
-        squared[-1] = 1.0 + delta_cap
-    W1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    W2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    B = (W1 * np.sqrt(squared)) @ W2.T
-    Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    return Q @ B
 
 
 @pytest.mark.parametrize("m, n", [(8, 8), (14, 8), (24, 24), (7, 2), (2, 2)])
@@ -434,7 +446,7 @@ def test_stacked_matrices_equal_one_at_a_time(m, n):
     reference = [np.random.default_rng(s) for s in seeds]
     A = random_matrices_with_ric(m, n, 0.4, stacked)
     assert A.shape == (len(seeds), m, n)
-    assert np.array_equal(A, [random_matrix_with_ric(m, n, 0.4, g) for g in alone])
+    assert np.array_equal(A, [random_matrices_with_ric(m, n, 0.4, [g])[0] for g in alone])
     assert np.array_equal(A, [reference_random_matrix_with_ric(m, n, 0.4, g) for g in reference])
     # each generator is left where a lone build leaves it
     after = [[g.random() for g in gens] for gens in (stacked, alone, reference)]
@@ -442,8 +454,13 @@ def test_stacked_matrices_equal_one_at_a_time(m, n):
 
 
 def test_stacked_matrices_reject_what_one_matrix_rejects():
+    rngs = [np.random.default_rng(t) for t in range(3)]
     with pytest.raises(DimensionMismatch):
-        random_matrices_with_ric(5, 8, 0.4, [0, 1])
+        random_matrices_with_ric(5, 8, 0.4, rngs)
     with pytest.raises(ParameterOutOfRange):
-        random_matrices_with_ric(8, 5, 1.0, [0, 1])
+        random_matrices_with_ric(8, 5, 1.0, rngs)
+    with pytest.raises(ParameterOutOfRange, match="need n >= 1"):
+        random_matrices_with_ric(3, 0, 0.5, rngs)
+    # each refusal comes before any draw
+    assert [g.random() for g in rngs] == [np.random.default_rng(t).random() for t in range(3)]
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omp_sharp.errors import DuplicateIndex, IndexOutOfRange, RankDeficient
-from omp_sharp.linalg import columns_submatrix, least_squares_stack, norms
+from omp_sharp.errors import RankDeficient
+from omp_sharp.linalg import least_squares_stack, norms
 
 
 def random_matrix(seed, m, n, unit_columns=False):
@@ -13,36 +13,6 @@ def random_matrix(seed, m, n, unit_columns=False):
     if unit_columns:
         A /= np.linalg.norm(A, axis=0)
     return A
-
-
-# ---------------------------------------------------------------- submatrix
-
-
-def test_columns_submatrix_identity_selection():
-    I = np.eye(2)
-    np.testing.assert_array_equal(columns_submatrix(I, [2]), [[0.0], [1.0]])
-
-
-def test_columns_submatrix_full_selection():
-    A = random_matrix(0, 4, 6)
-    np.testing.assert_array_equal(columns_submatrix(A, range(1, 7)), A)
-
-
-def test_columns_submatrix_is_ascending():
-    A = random_matrix(1, 3, 4)
-    np.testing.assert_array_equal(
-        columns_submatrix(A, [3, 1]), A[:, [0, 2]]
-    )
-
-
-def test_columns_submatrix_rejects_bad_indices():
-    A = np.eye(3)
-    with pytest.raises(IndexOutOfRange):
-        columns_submatrix(A, [0])
-    with pytest.raises(IndexOutOfRange):
-        columns_submatrix(A, [4])
-    with pytest.raises(DuplicateIndex):
-        columns_submatrix(A, [2, 2])
 
 
 # ------------------------------------------------------------ least squares
