@@ -27,10 +27,11 @@ from .omp import (
     CorrelationLInf,
     FixedIterations,
     ResidualL2,
+    check_omp_inputs,
     linf_stopping_threshold,
     run_omp,
 )
-from .rip import DEFAULT_BUDGET, exact_ric, linf_threshold_rics
+from .rip import DEFAULT_BUDGET, _subset_count, exact_ric, linf_threshold_rics
 from .serialize import (
     format_matrix_text,
     instance_to_json_dict,
@@ -162,6 +163,8 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
     A = read_matrix(matrix_file)
     y = read_vector(measurement_file)
     make_rule = _parse_rule(rule_spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm)
+    # the rule --exact-ric makes is a linf one, which no iteration cap limits
+    check_omp_inputs(y, A, None if use_exact_ric else make_rule(), max_iterations)
     rng = None if tie_seed is None else np.random.default_rng(tie_seed)
     with _open_output(output) as fh:
         trace = run_omp(y, A, make_rule(), max_iterations=max_iterations, tie_break_rng=rng)
@@ -181,6 +184,8 @@ def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = read_matrix(matrix_file)
     orders = range(1, order + 1) if all_orders else [order]
+    for k in orders:
+        _subset_count(A.shape[1], k, budget)
     with _open_output(output) as fh:
         reports = [exact_ric(A, k, budget=budget).to_json_dict() for k in orders]
         write_json({"reports": reports} if all_orders else reports[0], fh)
@@ -236,19 +241,19 @@ def construct_cmd(ctx, kind, sparsity, delta, epsilon, gamma_fraction, gamma, a_
         if gamma is not None:
             _reject_unused(ctx, ("gamma_fraction",), "overridden by --gamma")
     K = sparsity
+    if kind in inst.COUNTEREXAMPLES:
+        build, gamma_bound = inst.COUNTEREXAMPLES[kind]
+        if gamma is None:
+            gamma = gamma_fraction * gamma_bound(K, delta, epsilon)
+        instance = build(K, delta, epsilon, gamma)
+    else:
+        build, default_a = inst.EXAMPLES[kind]
+        instance = build(delta, default_a(delta) if a_value is None else a_value)
+        K = 1
     with contextlib.ExitStack() as outputs:
         fh = outputs.enter_context(_open_output(output))
         matrix_fh = None if matrix_out is None else outputs.enter_context(
             _open_output(matrix_out))
-        if kind in inst.COUNTEREXAMPLES:
-            build, gamma_bound = inst.COUNTEREXAMPLES[kind]
-            if gamma is None:
-                gamma = gamma_fraction * gamma_bound(K, delta, epsilon)
-            instance = build(K, delta, epsilon, gamma)
-        else:
-            build, default_a = inst.EXAMPLES[kind]
-            instance = build(delta, default_a(delta) if a_value is None else a_value)
-            K = 1
         doc = {
             "instance": instance_to_json_dict(instance),
             "certification": _certification(instance, K),

@@ -573,7 +573,7 @@ def _bare_linf(instance):
 def _corrected_linf(instance):
     delta = instance.metadata["delta"]
     threshold = linf_stopping_threshold(1, delta, delta, instance.epsilon)
-    return CorrelationLInf(threshold), f"linf:{threshold}", "1", 1
+    return CorrelationLInf(threshold), f"linf:{instance.epsilon}", "1", 1
 
 
 def _l2(instance):

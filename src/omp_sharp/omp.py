@@ -179,9 +179,37 @@ def _kept(keep, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
+def _max_iterations(A, rules, max_iterations):
+    """``max_iterations`` for the m x n matrices of ``A`` (None is min(m,
+    n)), checked to lie in [1, min(m, n)] and to be at least the count of
+    every FixedIterations of ``rules``; raises InvalidOrder otherwise."""
+    cap = min(A.shape[-2:])
+    if max_iterations is None:
+        max_iterations = cap
+    if not (1 <= max_iterations <= cap):
+        raise InvalidOrder(f"max_iterations {max_iterations} outside [1, {cap}]")
+    for rule in rules:
+        if isinstance(rule, FixedIterations) and rule.count > max_iterations:
+            raise InvalidOrder(
+                f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
+            )
+    return max_iterations
+
+
+def check_omp_inputs(y, A, rule, max_iterations=None):
+    """The checks run_omp makes of its inputs before its loop, for a caller
+    that refuses them before it starts: DimensionMismatch unless ``y`` has
+    one entry per row of the matrix ``A``, and InvalidOrder unless
+    ``max_iterations`` suits A and ``rule`` (see _max_iterations).  Returns
+    ``max_iterations`` resolved."""
+    if np.shape(y) != A.shape[:1]:
+        raise DimensionMismatch(f"matrix has {A.shape[0]} rows but y has shape {np.shape(y)}")
+    return _max_iterations(A, [rule], max_iterations)
+
+
 def _solve(Y, A, rules, max_iterations, tie_break_rng):
-    """The OMP loop of run_omp and run_omps, on validated inputs: problem i
-    is ``Y[i]``, ``A[i]`` and ``rules[i]``.
+    """The OMP loop of run_omp and run_omps, on validated inputs (see
+    _max_iterations): problem i is ``Y[i]``, ``A[i]`` and ``rules[i]``.
 
     The problems run in lockstep.  Pass k of the loop starts from the
     residual r^k, with r^0 = y: one product A^T r^k gives its correlations,
@@ -200,17 +228,6 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     not finite; its trace is None.
     """
     count, m, n = A.shape
-    cap = min(m, n)
-    if max_iterations is None:
-        max_iterations = cap
-    if not (1 <= max_iterations <= cap):
-        raise InvalidOrder(f"max_iterations {max_iterations} outside [1, {cap}]")
-    for rule in rules:
-        if isinstance(rule, FixedIterations) and rule.count > max_iterations:
-            raise InvalidOrder(
-                f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
-            )
-
     finite = np.isfinite(Y).all(axis=1)
     problem = np.flatnonzero(finite)
     # A[i][:, selected[problem[i]]] = Q[i, :k].T @ R[i, :k, :k]: the rows of
@@ -347,7 +364,7 @@ def run_omps(Y, A, rules):
         )
     if len(rules) != len(A):
         raise DimensionMismatch(f"{len(rules)} rules for {len(A)} problems")
-    return _solve(Y, A, rules, None, None)
+    return _solve(Y, A, rules, _max_iterations(A, rules, None), None)
 
 
 def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
@@ -377,8 +394,7 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     """
     A = as_matrix(A)
     y = np.asarray(y, dtype=float)
-    if y.shape != A.shape[:1]:
-        raise DimensionMismatch(f"matrix has {A.shape[0]} rows but y has shape {y.shape}")
+    max_iterations = check_omp_inputs(y, A, rule, max_iterations)
     [trace], failures = _solve(y[None], A[None], [rule], max_iterations, tie_break_rng)
     if failures:
         raise failures[0]

@@ -58,7 +58,7 @@ class RicReport:
     ``witness_subset`` is 1-based ascending; ``witness_eigenvalue`` is the
     extremal Gram eigenvalue on that subset.  ``subsets_evaluated`` subsets
     had their blocks eigensolved and ``subsets_pruned`` were skipped (see
-    subset_spectra); the two sum to C(cols, K).
+    _search); the two sum to C(cols, K).
     """
 
     order: int
@@ -108,12 +108,12 @@ def _peel_order(gram):
 
 
 def _may_bound(n, K):
-    """Whether the walk of subset_spectra over the K-subsets of n columns
-    may compute a bound.
+    """Whether the walk of _search over the K-subsets of n columns may
+    compute a bound.
 
     Every bound covers more than _BOUND_MIN_SUBSETS subsets, all of them
     K-subsets of the columns after the first, so when C(n - 1, K) is at most
-    that the walk computes none, whatever the threshold, and yields every
+    that the walk computes none, whatever the best delta, and screens every
     subset in lexicographic order.  This holds at every order on 8 columns.
     """
     return math.comb(n - 1, K) > _BOUND_MIN_SUBSETS
@@ -129,148 +129,6 @@ def _moment_bound(blocks):
         E2 = E @ E
         E4 = np.matmul(E2, E2, out=E)  # in E's place: one block-sized array less
         return np.einsum("...ij,...ij->...", E4, E4) ** 0.125
-
-
-def subset_spectra(gram, K, threshold):
-    """Gram spectra of the K-subsets of columns, screened against ``threshold``.
-
-    Yields ``(subsets, eigenvalues, solved)`` per chunk of at most _CHUNK
-    subsets: the 0-based column indices, one ascending subset per row, the
-    ascending eigenvalues of each principal K x K block of ``gram`` (a
-    stack of Gram matrices on leading axes, which the last two then carry
-    too), and a mask of the blocks eigensolved (the others' rows are 0).
-
-    ``threshold`` is a callable returning the largest delta found so far
-    per matrix (-inf before any).  Each chunk is screened by _moment_bound:
-    each matrix's block of largest bound is solved first, then only the
-    blocks whose bound is at least max(threshold, that block's delta) less
-    PRUNE_TOLERANCE * (1 + bound), so every subset that can tie with the
-    largest delta is solved.  A chunk that keeps no block is not yielded.
-
-    With a single Gram matrix, the walk is also a depth-first
-    branch-and-bound over the columns taken in an order c_0, c_1, ... (see
-    below).  Under a prefix P, the subsets from P + (c_i,) onward are P
-    plus a subset of the columns c_i, c_i+1, ..., so their Gram blocks are
-    principal submatrices of the block on P and those columns.  By Cauchy
-    interlacing their deltas are at most that block's
-    ``max(1 - lambda_min, lambda_max - 1)``.  The walk skips them all, and
-    never yields them, when that bound is below ``threshold()`` by more
-    than PRUNE_TOLERANCE times the block's largest eigenvalue.  Pending
-    subsets are yielded before each bound so that ``threshold()`` is
-    current.
-
-    When the root's first bound (on every column but c_0) is worth
-    computing, the columns are taken in the order of _peel_order, so that
-    the trailing blocks, which the bounds near the root cover, are as near
-    an isometry as one greedy pass makes them.  On Gaussian matrices this
-    makes the share of subsets pruned both larger and less dependent on the
-    draw than in the given column order.  Otherwise the walk keeps the given
-    order (c_i = i), and the subsets come in lexicographic order; the few
-    bounds it may still compute near the end of the root cover small blocks.
-
-    A bound is computed only where it can pay off: on a set of more than
-    _BOUND_MIN_SUBSETS subsets, and when the subsets walked if it fails
-    number at least the block's column count cubed over _BOUND_CUBE_RATIO.
-    """
-    n = gram.shape[-1]
-    grams = gram.reshape(-1, n, n)
-    count = len(grams)
-    matrices = np.arange(count)
-    bounding = gram.ndim == 2
-    order = None
-    pending = []
-    pending_count = 0
-
-    def solve(m, rows):
-        """Eigenvalues of the blocks of matrices ``m`` on subsets ``rows``."""
-        return np.concatenate([
-            np.linalg.eigvalsh(grams[m[i : i + _CHUNK, None, None],
-                                     rows[i : i + _CHUNK, :, None], rows[i : i + _CHUNK, None, :]])
-            for i in range(0, len(m), _CHUNK)])
-
-    def flush():
-        nonlocal pending_count
-        if not pending_count:
-            return
-        subsets = np.concatenate(pending)
-        pending.clear()
-        pending_count = 0
-        if order is not None:
-            subsets = np.sort(order[subsets], axis=1)
-        for start in range(0, len(subsets), _CHUNK):
-            idx = subsets[start : start + _CHUNK]
-            eigenvalues = np.zeros((count, len(idx), K))
-            step = max(1, _CHUNK // len(idx))  # matrices whose blocks fit one gather
-            bound = np.concatenate([
-                _moment_bound(grams[j : j + step, idx[:, :, None], idx[:, None, :]])
-                for j in range(0, count, step)])
-            slack = PRUNE_TOLERANCE * (1.0 + bound)
-            best = np.reshape(threshold(), (-1, 1))
-            todo = ~(bound < best - slack)
-            top = bound.argmax(axis=1)
-            m = todo[matrices, top].nonzero()[0]  # the others keep no subset
-            if not len(m):
-                continue
-            eigenvalues[m, top[m]] = solve(m, idx[top[m]])
-            low, high = eigenvalues[matrices, top, 0], eigenvalues[matrices, top, -1]
-            best = np.maximum(best, np.maximum(1.0 - low, high - 1.0)[:, None])
-            todo &= ~(bound < best - slack)
-            todo[m, top[m]] = False
-            solved = todo.copy()
-            solved[m, top[m]] = True
-            m, s = todo.nonzero()
-            if len(m):
-                eigenvalues[m, s] = solve(m, idx[s])
-            yield (idx, eigenvalues.reshape(*gram.shape[:-2], len(idx), K),
-                   solved.reshape(*gram.shape[:-2], len(idx)))
-
-    def worth_bounding(prefix, i, need):
-        """True when bounding ``prefix`` + range(i, n) can pay for itself."""
-        return (math.comb(n - i, need) > _BOUND_MIN_SUBSETS
-                and math.comb(n - i - 1, need - 1) * _BOUND_CUBE_RATIO
-                >= (len(prefix) + n - i) ** 3)
-
-    def pruned(columns):
-        """True when no K-subset of ``columns`` can beat threshold()."""
-        best = threshold()
-        if best == -math.inf:
-            return False
-        if order is not None:
-            columns = order[columns]
-        w = np.linalg.eigvalsh(gram[np.ix_(columns, columns)])
-        bound = max(1.0 - w[0], w[-1] - 1.0)
-        return bound < best - PRUNE_TOLERANCE * abs(w[-1])
-
-    def walk(prefix, start, need):
-        """Subsets ``prefix`` + T for every ``need``-subset T of range(start, n).
-
-        The block on ``prefix`` + range(start, n) is not bounded again: the
-        caller has already bounded the same columns, or judged it not worth
-        it (at the root there is nothing to bound against yet).
-        """
-        nonlocal pending_count
-        for i in range(start, n - need + 1):
-            if bounding and i > start and worth_bounding(prefix, i, need):
-                yield from flush()
-                if pruned(list(prefix) + list(range(i, n))):
-                    return
-            if math.comb(n - i - 1, need - 1) <= _BOUND_MIN_SUBSETS:
-                # the children from i on are small: emit them as one table
-                table = _combinations(n - i, need)
-                rows = np.empty((len(table), K), dtype=np.intp)
-                rows[:, : len(prefix)] = prefix
-                rows[:, len(prefix) :] = table + i
-                pending.append(rows)
-                pending_count += len(rows)
-                if pending_count >= _CHUNK:
-                    yield from flush()
-                return
-            yield from walk(prefix + (i,), i + 1, need - 1)
-
-    if bounding and worth_bounding((), 1, K):
-        order = _peel_order(gram)
-    yield from walk((), 0, K)
-    yield from flush()
 
 
 def _subset_count(n, K, budget):
@@ -290,75 +148,164 @@ def _subset_count(n, K, budget):
     return total
 
 
-def _chunk_best(subsets, eigenvalues, solved):
-    """The largest delta of one chunk of subset_spectra, per matrix.
-
-    ``eigenvalues`` and ``solved`` are as subset_spectra yields them,
-    matrices on the leading axis, and a solved subset's delta is
-    ``max(1 - lambda_min, lambda_max - 1)`` of its block.  Returns
-    ``(delta, row, eigenvalue)``, one entry per matrix: the largest delta,
-    the row of ``subsets`` attaining it, and that subset's extremal
-    eigenvalue.  Among rows that tie, the lexicographically smallest subset
-    wins, since the walk need not be lexicographic.
-    """
-    low, high = eigenvalues[..., 0], eigenvalues[..., -1]
-    deltas = np.where(solved, np.maximum(1.0 - low, high - 1.0), -math.inf)
-    matrices = np.arange(len(deltas))
-    row = deltas.argmax(axis=1)
-    delta = deltas[matrices, row]
-    ties = deltas == delta[:, None]
-    if np.count_nonzero(ties) > len(row):
-        rank = np.empty(len(subsets), dtype=np.intp)
-        rank[np.lexsort(subsets.T[::-1])] = np.arange(len(subsets))
-        row = np.argmin(np.where(ties, rank, len(subsets)), axis=1)
-    low, high = low[matrices, row], high[matrices, row]
-    return delta, row, np.where(1.0 - low >= high - 1.0, low, high)
-
-
 def _search(A, K, budget):
     """The order-K report of every matrix of the validated stack ``A``.
 
-    Each matrix's subsets are screened against its best delta so far (see
-    subset_spectra).  A larger stack gets one walk per matrix when the walk
-    may bound (see _may_bound), and otherwise one walk in the same chunks
-    for the whole stack, each eigensolve covering every matrix, so counters
-    too are those of exact_ric.  Across chunks the larger delta wins, and of
-    equal ones the lexicographically smaller subset.  Raises InvalidOrder or
-    BudgetExceeded (see _subset_count) before any subset is evaluated.
+    Raises InvalidOrder or BudgetExceeded (see _subset_count) before any
+    subset is evaluated.  A larger stack gets one search per matrix when the
+    walk may bound (see _may_bound), and otherwise one search in the same
+    chunks for the whole stack, each eigensolve covering every matrix, so
+    counters too are those of exact_ric.
+
+    The walk hands the K-subsets of columns to a leaf screen in chunks of at
+    most _CHUNK.  The screen takes, per matrix, the moment bound of each
+    principal K x K block of its Gram matrix (see _moment_bound), solves
+    each matrix's block of largest bound first, then only the blocks whose
+    bound is at least max(best delta so far, that block's delta) less
+    PRUNE_TOLERANCE * (1 + bound), so every subset that can tie with the
+    largest delta is solved.  A subset's delta is ``max(1 - lambda_min,
+    lambda_max - 1)`` of its block, and after each chunk every matrix keeps
+    the best of its best so far and its blocks just solved: the larger delta
+    wins, and of equal ones the lexicographically smaller subset, since the
+    walk need not be lexicographic.
+
+    With a single Gram matrix, the walk is also a depth-first
+    branch-and-bound over the columns taken in an order c_0, c_1, ... (see
+    below).  Under a prefix P, the subsets from P + (c_i,) onward are P
+    plus a subset of the columns c_i, c_i+1, ..., so their Gram blocks are
+    principal submatrices of the block on P and those columns.  By Cauchy
+    interlacing their deltas are at most that block's
+    ``max(1 - lambda_min, lambda_max - 1)``.  The walk skips them all when
+    that bound is below the best delta by more than PRUNE_TOLERANCE times
+    the block's largest eigenvalue.  Pending subsets are screened before
+    each bound so that the best delta is current.
+
+    When the root's first bound (on every column but c_0) is worth
+    computing, the columns are taken in the order of _peel_order, so that
+    the trailing blocks, which the bounds near the root cover, are as near
+    an isometry as one greedy pass makes them.  On Gaussian matrices this
+    makes the share of subsets pruned both larger and less dependent on the
+    draw than in the given column order.  Otherwise the walk keeps the given
+    order (c_i = i), and the subsets come in lexicographic order; the few
+    bounds it may still compute near the end of the root cover small blocks.
+
+    A bound is computed only where it can pay off: on a set of more than
+    _BOUND_MIN_SUBSETS subsets, and when the subsets walked if it fails
+    number at least the block's column count cubed over _BOUND_CUBE_RATIO.
     """
     count, _, n = A.shape
     total = _subset_count(n, K, budget)
     if count != 1 and _may_bound(n, K):
         return [report for a in A for report in _search(a[None], K, budget)]
+    bounding = count == 1  # the walk bounds a single Gram matrix only
+    grams = (A[0].T @ A[0])[None] if bounding else A.swapaxes(1, 2) @ A
+    matrices = np.arange(count)
     best_delta = np.full(count, -math.inf)
     best_subset = np.zeros((count, K), dtype=np.intp)
     best_eigenvalue = np.zeros(count)
     evaluated = np.zeros(count, dtype=np.intp)
-    if count == 1:  # subset_spectra's walk bounds a single Gram matrix only
-        spectra = subset_spectra(A[0].T @ A[0], K, lambda: best_delta[0])
-    else:
-        spectra = subset_spectra(A.swapaxes(1, 2) @ A, K, lambda: best_delta)
-    for subsets, eigenvalues, solved in spectra:
-        solved = solved.reshape(count, len(subsets))
-        evaluated += solved.sum(axis=1)
-        delta, row, eigenvalue = _chunk_best(
-            subsets, eigenvalues.reshape(count, len(subsets), K), solved)
-        witness = subsets[row]
-        better = delta > best_delta
-        for b in (delta == best_delta).nonzero()[0].tolist():
-            better[b] = witness[b].tolist() < best_subset[b].tolist()
-        best_delta = np.where(better, delta, best_delta)
-        best_subset = np.where(better[:, None], witness, best_subset)
-        best_eigenvalue = np.where(better, eigenvalue, best_eigenvalue)
+    order = None
+    pending = []
+    pending_count = 0
+
+    def solve(m, rows):
+        """Eigenvalues of the blocks of matrices ``m`` on subsets ``rows``."""
+        return np.concatenate([
+            np.linalg.eigvalsh(grams[m[i : i + _CHUNK, None, None],
+                                     rows[i : i + _CHUNK, :, None], rows[i : i + _CHUNK, None, :]])
+            for i in range(0, len(m), _CHUNK)])
+
+    def screen():
+        """Screen and solve the pending subsets; keep each matrix's best."""
+        nonlocal pending_count, best_delta, best_subset, best_eigenvalue, evaluated
+        if not pending_count:
+            return
+        subsets = np.concatenate(pending)
+        pending.clear()
+        pending_count = 0
+        if order is not None:
+            subsets = np.sort(order[subsets], axis=1)
+        for start in range(0, len(subsets), _CHUNK):
+            idx = subsets[start : start + _CHUNK]
+            step = max(1, _CHUNK // len(idx))  # matrices whose blocks fit one gather
+            bound = np.concatenate([
+                _moment_bound(grams[j : j + step, idx[:, :, None], idx[:, None, :]])
+                for j in range(0, count, step)])
+            slack = PRUNE_TOLERANCE * (1.0 + bound)
+            todo = ~(bound < best_delta[:, None] - slack)
+            top = bound.argmax(axis=1)
+            m = todo[matrices, top].nonzero()[0]  # the others keep no subset
+            if not len(m):
+                continue
+            values = solve(m, idx[top[m]])
+            top_delta = np.maximum(1.0 - values[:, 0], values[:, -1] - 1.0)
+            # a block's bound is at most its matrix's top one, so the rows
+            # of the others are already all False
+            todo[m] &= ~(bound[m] < np.maximum(best_delta[m], top_delta)[:, None] - slack[m])
+            todo[m, top[m]] = False
+            more, s = todo.nonzero()
+            if len(more):
+                values = np.concatenate([values, solve(more, idx[s])])
+            m, rows = np.concatenate([m, more]), idx[np.concatenate([top[m], s])]
+            evaluated += np.bincount(m, minlength=count)
+            low, high = values[:, 0], values[:, -1]
+            eigenvalue = np.where(1.0 - low >= high - 1.0, low, high)
+            # each matrix's best so far and its blocks just solved, best first
+            m = np.concatenate([matrices, m])
+            delta = np.concatenate([best_delta, np.maximum(1.0 - low, high - 1.0)])
+            rows = np.concatenate([best_subset, rows])
+            eigenvalue = np.concatenate([best_eigenvalue, eigenvalue])
+            rank = np.lexsort((*rows.T[::-1], -delta, m))
+            first = rank[np.searchsorted(m[rank], matrices)]
+            best_delta, best_subset, best_eigenvalue = delta[first], rows[first], eigenvalue[first]
+
+    def worth_bounding(prefix, i, need):
+        """True when bounding ``prefix`` + range(i, n) can pay for itself."""
+        return (math.comb(n - i, need) > _BOUND_MIN_SUBSETS
+                and math.comb(n - i - 1, need - 1) * _BOUND_CUBE_RATIO
+                >= (len(prefix) + n - i) ** 3)
+
+    def pruned(columns):
+        """True when no K-subset of ``columns`` can reach the best delta."""
+        if order is not None:
+            columns = order[columns]
+        w = np.linalg.eigvalsh(grams[0][np.ix_(columns, columns)])
+        bound = max(1.0 - w[0], w[-1] - 1.0)
+        return bound < best_delta[0] - PRUNE_TOLERANCE * abs(w[-1])
+
+    def walk(prefix, start, need):
+        """Screen ``prefix`` + T for every ``need``-subset T of range(start, n).
+
+        The block on ``prefix`` + range(start, n) is not bounded again: the
+        caller has already bounded the same columns, or judged it not worth
+        it (at the root there is nothing to bound against yet).
+        """
+        nonlocal pending_count
+        for i in range(start, n - need + 1):
+            if bounding and i > start and worth_bounding(prefix, i, need):
+                screen()
+                if pruned(list(prefix) + list(range(i, n))):
+                    return
+            if math.comb(n - i - 1, need - 1) <= _BOUND_MIN_SUBSETS:
+                # the children from i on are small: emit them as one table
+                table = _combinations(n - i, need)
+                rows = np.empty((len(table), K), dtype=np.intp)
+                rows[:, : len(prefix)] = prefix
+                rows[:, len(prefix) :] = table + i
+                pending.append(rows)
+                pending_count += len(rows)
+                if pending_count >= _CHUNK:
+                    screen()
+                return
+            walk(prefix + (i,), i + 1, need - 1)
+
+    if bounding and worth_bounding((), 1, K):
+        order = _peel_order(grams[0])
+    walk((), 0, K)
+    screen()
     return [
-        RicReport(
-            order=int(K),
-            delta=d,
-            witness_subset=tuple(i + 1 for i in subset),
-            witness_eigenvalue=w,
-            subsets_evaluated=e,
-            subsets_pruned=total - e,
-        )
+        RicReport(order=int(K), delta=d, witness_subset=tuple(i + 1 for i in subset),
+                  witness_eigenvalue=w, subsets_evaluated=e, subsets_pruned=total - e)
         for d, subset, w, e in zip(best_delta.tolist(), best_subset.tolist(),
                                    best_eigenvalue.tolist(), evaluated.tolist())
     ]

@@ -113,13 +113,25 @@ def test_linf_rule_sparsity_below_one_exit_3(tmp_path, sparsity, deltas):
     assert f"sparsity K must be >= 1, got {sparsity}" in result.stderr
 
 
-def test_omp_run_dimension_mismatch_exit_3(tmp_path):
+def test_omp_run_dimension_mismatch_exit_3(tmp_path, capsys):
     matrix = write_identity(tmp_path)
     y = tmp_path / "y.txt"
     y.write_text("1\n2\n")
     result = run_cli("omp", "run", str(matrix), str(y), "l2:1")
     assert result.returncode == 3
     assert "DimensionMismatch" in result.stderr
+    # each input check runs before the -o file is opened
+    out = tmp_path / "t.json"
+    A, y40 = str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt")
+    for args, error in [
+        ((A, y40, "fixed:30"), "FixedIterations(30) exceeds max_iterations 16"),
+        ((A, y40, "l2:0.01", "--max-iterations", "0"), "max_iterations 0 outside [1, 16]"),
+        ((str(DATA / "ric_gauss_32x16.txt"), y40, "l2:0.01"),
+         "DimensionMismatch: matrix has 32 rows but y has shape (40,)"),
+    ]:
+        run_in_process(["omp", "run", *args, "-o", str(out)], code=3)
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_omp_run_bad_rule_spec_exit_2(tmp_path):
@@ -203,11 +215,26 @@ def test_ric_all_orders_monotone(tmp_path):
         assert r["subsets_evaluated"] + r["subsets_pruned"] == math.comb(3, k)
 
 
-def test_ric_budget_exceeded_exit_4(tmp_path):
+def test_ric_budget_exceeded_exit_4(tmp_path, monkeypatch, capsys):
     matrix = write_identity(tmp_path, 6)
     result = run_cli("ric", str(matrix), "3", "--budget", "2")
     assert result.returncode == 4
     assert "budget" in result.stderr
+    # every requested order is checked before the -o file is opened, and
+    # --all-orders searches no order before it refuses the last one
+    searched = []
+    monkeypatch.setattr(cli, "exact_ric", lambda *args, **kwargs: searched.append(args))
+    out = tmp_path / "r.json"
+    gauss = str(DATA / "ric_gauss_32x16.txt")
+    for args, code, error in [
+        (["99"], 3, "InvalidOrder: order 99 outside [1, 16]"),
+        (["17", "--all-orders"], 3, "InvalidOrder: order 17 outside [1, 16]"),
+        (["8", "--budget", "10"], 4, "C(16, 8) = 12870 subsets exceeds budget 10"),
+        (["8", "--all-orders", "--budget", "100"], 4, "C(16, 2) = 120 subsets exceeds budget 100"),
+    ]:
+        run_in_process(["ric", gauss, *args, "-o", str(out)], code=code)
+        assert error in capsys.readouterr().err
+        assert not out.exists() and searched == []
 
 
 def test_ric_budget_below_one_exit_2(tmp_path):
@@ -403,10 +430,17 @@ def test_option_without_effect_exit_2(tmp_path, args, rejected):
     assert not out.exists()
 
 
-def test_construct_gate_exit_3():
+def test_construct_gate_exit_3(tmp_path, capsys):
     result = run_cli("construct", "example2", "--delta", "0.8")
     assert result.returncode == 3
     assert "ParameterOutOfRange" in result.stderr
+    # the instance is built before either output is opened
+    out, matrix_out = tmp_path / "c.json", tmp_path / "A.txt"
+    for args in (["l2", "-K", "2", "--delta", "0.9"], ["example2", "--delta", "0.8"]):
+        run_in_process(["construct", *args, "-o", str(out), "--matrix-out", str(matrix_out)],
+                       code=3)
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists() and not matrix_out.exists()
 
 
 def test_construct_sparsity_beyond_float_range_exit_3():
@@ -487,22 +521,19 @@ def test_unwritable_output_path_exit_2(tmp_path, args):
     (["ric", str(DATA / "ric_gauss_32x16.txt"), "4", "-o"], cli, "exact_ric"),
     (["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01",
       "-o"], cli, "run_omp"),
-    (["construct", "l2", "--delta", "0.4", "-o"], cli.inst.COUNTEREXAMPLES, "l2"),
-    (["construct", "l2", "--delta", "0.4", "--matrix-out"], cli.inst.COUNTEREXAMPLES, "l2"),
+    (["construct", "l2", "--delta", "0.4", "-o"], cli, "_certification"),
+    (["construct", "l2", "--delta", "0.4", "--matrix-out"], cli, "_certification"),
 ], ids=["ric -o", "omp run -o", "construct -o", "construct --matrix-out"])
 def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, args, owner, work):
     """Inputs are read and checked, the output is opened, and only then does
-    the command compute."""
+    the command compute.  A construction's instance is built as its check
+    (the build does no search); its work is the certification."""
     calls = []
 
     def record(*a, **k):
         calls.append(a)
 
-    if isinstance(owner, dict):
-        # a construction's work is both its gamma bound and its builder
-        monkeypatch.setitem(owner, work, (record, record))
-    else:
-        monkeypatch.setattr(owner, work, record)
+    monkeypatch.setattr(owner, work, record)
     run_in_process([*args, str(tmp_path / "missing" / "out.json")], code=2)
     assert calls == []
 

@@ -18,7 +18,6 @@ from omp_sharp.rip import (
     exact_rics,
     in_sharp_region,
     linf_threshold_rics,
-    subset_spectra,
 )
 
 
@@ -296,24 +295,57 @@ def test_ties_go_to_the_lexicographically_first_subset_in_any_walk_order():
     )
 
 
-def test_ordered_walk_yields_every_subset_once_in_ascending_rows():
+def screened_subsets(monkeypatch, gram):
+    """Record the subsets of every chunk the leaf screen takes, read back
+    from the blocks' off-diagonal entries of ``gram``, which must all
+    differ, and checked to be ascending; returns the list of chunks, each a
+    list of 0-based subsets."""
+    n = len(gram)
+    pairs = {gram[i, j]: (i, j) for i, j in combinations(range(n), 2)}
+    assert len(pairs) == math.comb(n, 2)
+    chunks = []
+    moment_bound = rip._moment_bound
+
+    def recording(blocks):
+        chunk = [(pairs[B[0, 1]][0], *(pairs[B[p, p + 1]][1] for p in range(len(B) - 1)))
+                 for B in blocks[0]]
+        assert all((B == gram[np.ix_(S, S)]).all() for B, S in zip(blocks[0], chunk))
+        chunks.append(chunk)
+        return moment_bound(blocks)
+
+    monkeypatch.setattr(rip, "_moment_bound", recording)
+    return chunks
+
+
+def test_ordered_walk_yields_every_subset_once_in_ascending_rows(monkeypatch):
     A = unit_column_matrix(4, 10, 16)
-    gram = A.T @ A
-    chunks = list(subset_spectra(gram, 6, lambda: -math.inf))
-    subsets = np.concatenate([subsets for subsets, _, _ in chunks])
-    eigenvalues = np.concatenate([values for _, values, _ in chunks])
-    solved = np.concatenate([solved for _, _, solved in chunks])
-    rows = [tuple(S) for S in subsets]
-    assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
-    assert all(len(subsets) <= _CHUNK for subsets, _, _ in chunks)
-    assert sorted(rows) == list(combinations(range(16), 6))
+    chunks = screened_subsets(monkeypatch, A.T @ A)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: a.ndim == 3 and solved.append(len(a)) or eigvalsh(a))
+    report = exact_ric(A, 6)
+    rows = [S for chunk in chunks for S in chunk]
+    assert len(chunks) > 1 and all(len(chunk) <= _CHUNK for chunk in chunks)
+    assert len(set(rows)) == len(rows)  # no subset is screened twice
     assert rows != sorted(rows)  # the walk took the columns out of order
-    # against -inf every chunk solves at least its block of largest bound
-    assert all(solved.any() for _, _, solved in chunks)
-    assert solved.sum() == 94 and not eigenvalues[~solved].any()
-    for S, values in zip(subsets[solved], eigenvalues[solved]):
-        expected = np.linalg.eigvalsh(gram[np.ix_(S, S)])
-        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-13)
+    assert report.subsets_evaluated == sum(solved)
+    assert (report.delta, report.witness_subset, report.witness_eigenvalue) == (
+        reference_ric(A, 6)
+    )
+    # with both skip rules off, every subset is screened once and solved
+    chunks.clear()
+    monkeypatch.setattr(rip, "PRUNE_TOLERANCE", math.inf)
+    report = exact_ric(A, 6)
+    rows = [S for chunk in chunks for S in chunk]
+    assert len(chunks) > 1  # C(16, 6) = 8008 spans more than one chunk
+    assert all(len(chunk) <= _CHUNK for chunk in chunks)
+    assert sorted(rows) == list(combinations(range(16), 6))
+    assert rows != sorted(rows)
+    assert (report.subsets_evaluated, report.subsets_pruned) == (8008, 0)
+    assert (report.delta, report.witness_subset, report.witness_eigenvalue) == (
+        reference_ric(A, 6)
+    )
 
 
 def test_gaussian_searches_prune_steadily_across_draws():
@@ -333,18 +365,20 @@ def test_small_searches_run_as_one_batch(monkeypatch):
     """Below the bounding size every subset goes to the screen in one chunk,
     as the sweeps' 8-column orders always do: one eigensolve of the block
     of largest bound, and one more only if other blocks can still tie."""
-    gram = unit_column_matrix(5, 14, 8).T @ unit_column_matrix(5, 14, 8)
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
+    A = unit_column_matrix(5, 14, 8)
+    chunks, solves = [], []
+    eigvalsh, moment_bound = np.linalg.eigvalsh, rip._moment_bound
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(rip, "_moment_bound",
+                        lambda blocks: chunks.append(blocks.shape[1]) or moment_bound(blocks))
     # at order 1 every delta of the unit-norm columns is round-off, so all tie
     for K, expected in zip(range(1, 9), ([1, 7], [1], [1], [1], [1], [1], [1, 2], [1])):
         solves.clear()
-        chunks = list(subset_spectra(gram, K, lambda: 0.0))
-        assert len(chunks) == 1
-        assert len(chunks[0][0]) == math.comb(8, K)
-        assert solves == expected and chunks[0][2].sum() == sum(expected)
-    report = exact_ric(unit_column_matrix(5, 14, 8), 4)
+        chunks.clear()
+        report = exact_ric(A, K)
+        assert chunks == [math.comb(8, K)]
+        assert solves == expected and report.subsets_evaluated == sum(expected)
+    report = exact_ric(A, 4)
     assert (report.subsets_evaluated, report.subsets_pruned) == (1, 69)
 
 
@@ -376,17 +410,17 @@ def test_wide_low_order_search_computes_no_bound(monkeypatch):
 
 def test_a_chunk_the_screen_keeps_nothing_of_is_neither_solved_nor_reduced(monkeypatch):
     """Of the wide order-2 search's chunks, only those whose largest moment
-    bound reaches the best delta so far make an eigensolve and a reduction."""
+    bound reaches the best delta so far make an eigensolve and a reduction
+    (the lexsort that keeps the best)."""
     A = np.random.default_rng(8).standard_normal((150, 500)) / math.sqrt(150)
-    # against -inf the screen keeps every chunk's block of largest bound, so
-    # every chunk the walk forms is yielded
-    chunks = sum(1 for _ in subset_spectra(A.T @ A, 2, lambda: -math.inf))
-    solves, reduced = [], []
-    eigvalsh, chunk_best = np.linalg.eigvalsh, rip._chunk_best
+    chunks, solves, reduced = [], [], []
+    eigvalsh, moment_bound, lexsort = np.linalg.eigvalsh, rip._moment_bound, np.lexsort
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
-    monkeypatch.setattr(rip, "_chunk_best", lambda *a: reduced.append(1) or chunk_best(*a))
+    monkeypatch.setattr(rip, "_moment_bound", lambda b: chunks.append(1) or moment_bound(b))
+    monkeypatch.setattr(np, "lexsort", lambda keys: reduced.append(1) or lexsort(keys))
     assert exact_ric(A, 2).subsets_evaluated == 5
-    assert chunks == 58 and solves == [1] * 5 and len(reduced) == 5
+    # the screen takes every chunk the walk forms
+    assert len(chunks) == 58 and solves == [1] * 5 and len(reduced) == 5
 
 
 def test_report_json_carries_the_work_counters():
