@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or parse error or an unwritable output path,
 
 import contextlib
 import json
+import math
 import sys
 
 import click
@@ -183,6 +184,8 @@ def omp_run(ctx, matrix_file, measurement_file, rule_spec, sparsity, use_exact_r
 def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = read_matrix(matrix_file)
+    # ORDER itself too: below 1 the range 1..ORDER of --all-orders is empty
+    _subset_count(A.shape[1], order, math.inf)
     orders = range(1, order + 1) if all_orders else [order]
     for k in orders:
         _subset_count(A.shape[1], k, budget)

@@ -90,21 +90,14 @@ def _combinations(n, k):
     return table
 
 
-def _peel_order(gram):
-    """The columns of ``gram``, ordered so that each tail of the order spans
-    a block near an isometry.
+def _column_order(gram):
+    """The columns of ``gram`` by descending row energy of E = gram - I,
+    sum_j E_ij**2, each column's share of the deviation from an isometry.
 
-    Repeatedly takes, from the columns left, the one with the largest entry
-    in the eigenvector of the block's extremal eigenvalue (the one farther
-    from 1), and puts it next in the order.  One eigensolve per column.
+    The sort is stable, so columns of equal energy keep their given order.
     """
-    rest = list(range(gram.shape[0]))
-    order = []
-    while len(rest) > 1:
-        w, V = np.linalg.eigh(gram[np.ix_(rest, rest)])
-        v = V[:, 0] if 1.0 - w[0] >= w[-1] - 1.0 else V[:, -1]
-        order.append(rest.pop(int(np.argmax(np.abs(v)))))
-    return np.array(order + rest, dtype=np.intp)
+    E = gram - np.eye(len(gram))
+    return np.argsort(-np.einsum("ij,ij->i", E, E), kind="stable")
 
 
 def _may_bound(n, K):
@@ -181,13 +174,13 @@ def _search(A, K, budget):
     each bound so that the best delta is current.
 
     When the root's first bound (on every column but c_0) is worth
-    computing, the columns are taken in the order of _peel_order, so that
-    the trailing blocks, which the bounds near the root cover, are as near
-    an isometry as one greedy pass makes them.  On Gaussian matrices this
-    makes the share of subsets pruned both larger and less dependent on the
-    draw than in the given column order.  Otherwise the walk keeps the given
-    order (c_i = i), and the subsets come in lexicographic order; the few
-    bounds it may still compute near the end of the root cover small blocks.
+    computing, the columns are taken in the order of _column_order, so that
+    the trailing blocks, which the bounds near the root cover, hold the
+    columns that deviate least from an isometry.  On Gaussian matrices this
+    makes the share of subsets the bounds skip larger than in the given
+    column order.  Otherwise the walk keeps the given order (c_i = i), and
+    the subsets come in lexicographic order; the few bounds it may still
+    compute near the end of the root cover small blocks.
 
     A bound is computed only where it can pay off: on a set of more than
     _BOUND_MIN_SUBSETS subsets, and when the subsets walked if it fails
@@ -300,7 +293,7 @@ def _search(A, K, budget):
             walk(prefix + (i,), i + 1, need - 1)
 
     if bounding and worth_bounding((), 1, K):
-        order = _peel_order(grams[0])
+        order = _column_order(grams[0])
     walk((), 0, K)
     screen()
     return [

@@ -229,6 +229,8 @@ def test_ric_budget_exceeded_exit_4(tmp_path, monkeypatch, capsys):
     for args, code, error in [
         (["99"], 3, "InvalidOrder: order 99 outside [1, 16]"),
         (["17", "--all-orders"], 3, "InvalidOrder: order 17 outside [1, 16]"),
+        # 1..ORDER is empty here, so ORDER itself is checked
+        (["0", "--all-orders"], 3, "InvalidOrder: order 0 outside [1, 16]"),
         (["8", "--budget", "10"], 4, "C(16, 8) = 12870 subsets exceeds budget 10"),
         (["8", "--all-orders", "--budget", "100"], 4, "C(16, 2) = 120 subsets exceeds budget 100"),
     ]:
@@ -247,9 +249,9 @@ def test_ric_budget_below_one_exit_2(tmp_path):
     assert run_cli("ric", str(matrix), "2", "--budget", "15").returncode == 0
 
 
-# ``ric`` reports frozen from the search before it was one loop over a
-# stack, compared byte for byte, so the witness eigenvalue's bits and the
-# work counters are covered too.  The matrices are seeded draws:
+# ``ric`` reports compared byte for byte, so the witness eigenvalue's bits
+# and the work counters are covered too; the counters also follow the
+# walk's column order.  The matrices are seeded draws:
 #     ric_gauss_32x16.txt   default_rng(8101).standard_normal((32, 16)) / sqrt(32)
 #     ric_unit_24x30.txt    default_rng(8102).standard_normal((24, 30)), unit columns
 DATA = Path(__file__).parent / "data"
