@@ -1,23 +1,33 @@
-"""File formats: matrix/vector text files, instance JSON, and CSV helpers.
+r"""File formats: matrix/vector text files, instance JSON, and CSV helpers.
 
 The matrix text format is one row per line, decimal floats separated by
 single commas, no header.  Values are printed with 17 significant digits so
 every float64 round-trips exactly.
 
-``parse_matrix_text`` parses a text and ``read_matrix`` a file, by one
-parser.  A file's lines are those of the open file, each split again by
-``str.splitlines``, so they are the lines of ``read_text(path)`` without
-its text ever being held whole, and the peak memory of a read tracks the
-parsed array.  One ``np.loadtxt`` pass parses them; wherever it could
-differ from the per-line ``float`` loop, that loop parses the whole text
-instead and names the bad line, so both accept the same inputs, give the
-same values and raise the same errors.
+``read_matrix`` parses a file and ``parse_matrix_text`` a text (as its UTF-8
+bytes) by one reader with two paths.  The block reader counts the file's
+``\n`` bytes, which bounds its rows, then reads blocks of whole lines
+(about 64 KiB each) and hands each block to ``orjson.loads`` as one JSON
+array of rows, copied into a preallocated array; the peak memory of a read
+tracks that array.  It takes a block only where JSON and ``float`` agree:
+the bytes ``0-9 + - . e E , space \t \n`` and ``\r`` before ``\n``, no
+integer ``-0`` (JSON's int 0 drops the sign), rows of one width and finite
+values.  Anything else sends the whole input to the per-line ``float`` loop,
+the reference: what is accepted, the values and the error messages are its
+alone.  For a file it takes the lines of the open file, each split again by
+``str.splitlines``, so they are the lines of ``read_text(path)`` without its
+text ever being held whole.  A pipe, which can be read only once, is read
+into memory first.
 """
 
+import array
+import codecs
 import csv
 import functools
+import io
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -47,9 +57,13 @@ def read_text(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        message = f"{path}: line {line}: not UTF-8 text ({exc.reason})"
-        raise ParseError(message, line=line) from None
+        raise _not_utf8(path, exc, 1) from None
+
+
+def _not_utf8(path, exc, line):
+    """The ParseError for ``exc``, raised decoding bytes that start on ``line``."""
+    line += exc.object.count(b"\n", 0, exc.start)
+    return ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})", line=line)
 
 
 def parse_matrix_text(text):
@@ -58,58 +72,97 @@ def parse_matrix_text(text):
     Entries must be finite: "nan", "inf" and overflowing literals such as
     "1e999" are rejected.
     """
-    return _parse(text.splitlines(), lambda: text)
+    matrix = _read_blocks(io.BytesIO(text.encode("utf-8", "surrogatepass")))
+    return _parse_lines(text.splitlines()) if matrix is None else matrix
 
 
 def read_matrix(path):
     """``parse_matrix_text(read_text(path))``, parsed as the file is read."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse((part for line in fh for part in line.splitlines()),
-                      lambda: read_text(path))
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe, such as a shell's <(...), is read once
+            fh = io.BytesIO(fh.read())
+        matrix = _read_blocks(fh)
+        if matrix is not None:
+            return matrix
+        fh.seek(0)
+        _check_utf8(fh, path)
+        fh.seek(0)
+        lines = io.TextIOWrapper(fh, encoding="utf-8")
+        return _parse_lines(part for line in lines for part in line.splitlines())
 
 
-def _parse(lines, whole_text):
-    """The matrix whose text splits into ``lines`` by ``str.splitlines``.
-
-    numpy's C text reader parses the non-blank lines in one pass, with the
-    same correctly rounded conversion as ``float``.  Where it refuses a line
-    (UnicodeDecodeError, for bytes that do not decode, is a ValueError),
-    there are no rows (it would warn) or an entry is non-finite, the line
-    loop parses ``whole_text()`` instead: what is accepted, its values and
-    the error messages are the line loop's alone."""
-    rows = _loadtxt_rows(lines)
-    try:
-        first = next(rows, None)
-        if first is not None:
-            matrix = np.loadtxt(itertools.chain((first,), rows), delimiter=",",
-                                comments=None, ndmin=2)
-            if np.isfinite(matrix).all():
-                return matrix
-    except ValueError:
-        pass
-    return _parse_lines(whole_text())
+_BLOCK = 1 << 16
+_JSON_BYTES = b"0123456789+-.eE, \t\n\r"
+_INT_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _loadtxt_rows(lines):
-    for line in lines:
-        if "\x1f" in line:
-            # numpy strips "\x1f" around a field as whitespace; float does not
-            raise ValueError("unit separator in line")
-        if line.strip():
-            yield line
+def _read_blocks(fh):
+    """The matrix in the binary stream ``fh`` by the block reader, or None
+    where it cannot vouch for the line loop's result."""
+    import orjson  # loaded on the first parse, not on ``import omp_sharp``
+
+    count, last = 0, b"\n"
+    while chunk := fh.read(_BLOCK):
+        count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        last = chunk[-1:]
+    fh.seek(0)
+    matrix, rows = None, 0
+    while lines := fh.readlines(_BLOCK):
+        block = b"".join(lines)
+        if block.translate(None, _JSON_BYTES) or (
+                b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+            return None
+        lines = [line for line in lines if not line.isspace()]
+        if not lines:
+            continue
+        try:
+            values = orjson.loads(b"[[" + b"],[".join(lines) + b"]]")
+        except orjson.JSONDecodeError:
+            return None
+        if matrix is None:
+            matrix = np.empty((count + (last != b"\n"), len(values[0])))
+        if any(len(row) != matrix.shape[1] for row in values):
+            return None
+        part = matrix[rows:rows + len(values)]
+        part[...] = values
+        rows += len(values)
+        # a zero may be an int -0, which JSON reads as 0
+        if not part.all() and _INT_MINUS_ZERO.search(block):
+            return None
+    # orjson refuses literals out of float range itself; this keeps the
+    # line loop the judge of non-finite entries whatever its version does
+    if matrix is None or not np.isfinite(matrix[:rows]).all():
+        return None
+    return matrix if rows == len(matrix) else matrix[:rows].copy()
 
 
-def _parse_lines(text):
-    """The line loop: each non-blank line parsed by ``float`` and its width
-    checked, then the first line with a non-finite entry named (it also
-    parses the few literals only ``float`` accepts: ``1_0``, non-ASCII
-    digits)."""
+def _check_utf8(fh, path):
+    """Raise ``read_text(path)``'s ParseError if the binary stream ``fh`` is
+    not UTF-8, reading it in blocks."""
+    decode, line = codecs.getincrementaldecoder("utf-8")().decode, 1
+    while True:
+        chunk = fh.read(_BLOCK)
+        try:
+            decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # the bytes held back from the last chunk hold no line break
+            raise _not_utf8(path, exc, line) from None
+        if not chunk:
+            return
+        line += chunk.count(b"\n")
+
+
+def _parse_lines(lines):
+    """The line loop: each non-blank line of ``lines`` parsed by ``float``
+    and its width checked, then the first line with a non-finite entry named
+    (it also parses the literals that JSON refuses and ``float`` accepts:
+    ``1_0``, ``.5``, ``1.``, ``+1``, ``00``, non-ASCII digits and blanks)."""
     numbers, rows = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            row = [float(cell) for cell in line.split(",")]
+            row = array.array("d", map(float, line.split(",")))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
         if rows and len(row) != len(rows[0]):

@@ -1,14 +1,20 @@
+import decimal
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omp_sharp
 from omp_sharp.errors import ParseError
 from omp_sharp.instances import NOISE_L2, Instance, build_counterexample_l2
 from omp_sharp.omp import SparseSignal
@@ -109,12 +115,17 @@ def outcome(parse, text):
 # Every character class a line split, a field strip or a float literal can
 # treat specially: str.splitlines breaks lines at \r, \x0b, \x0c, \x1c, \x85
 # and \u2028, which a file-based reader would instead keep inside a field;
-# \x1f is whitespace to str.isspace but not to float.
+# \x1f is whitespace to str.isspace but not to float.  The second group is
+# what only JSON reads differently from float: -0 is JSON's int 0, brackets
+# and literals build other values, 00 is refused, and integers too wide for
+# 64 bits are converted by another route.
 ADVERSARIAL_TOKENS = [
     *"0123456789.,+-e_#\"'",
     "nan", "inf", "1e999", "\u0661",
     " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
     "\u2028", "\u3000", "\xa0", "\x00",
+    "-0", "[", "]", "{", "}", "true", "null", "NaN", "Infinity", "00",
+    "1234567890123456789012345", "18446744073709551616",
 ]
 
 
@@ -132,8 +143,9 @@ def with_separator(literal, at):
 def valid_matrix_texts(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     fmt = draw(st.sampled_from(["%.17g", "%r", "%.3e", "%.6f"]))
-    cell = st.tuples(BLANKS, st.floats(-1e300, 1e300), st.integers(0, 30), BLANKS).map(
-        lambda c: c[0] + with_separator(fmt % c[1], c[2]) + c[3]
+    literal = st.floats(-1e300, 1e300).map(fmt.__mod__) | st.sampled_from(["0", "-0", "-0.0"])
+    cell = st.tuples(BLANKS, literal, st.integers(0, 30), BLANKS).map(
+        lambda c: c[0] + with_separator(c[1], c[2]) + c[3]
     )
     blank_line = st.sampled_from(["", " ", "\t", "\xa0 "])
     lines = []
@@ -171,6 +183,20 @@ def near_valid_texts(draw):
 )
 def test_parser_matches_line_loop_on_adversarial_text(text):
     assert outcome(parse_matrix_text, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1,\r2\n", "1\r,2\n", "1,2\r\r\n3,4\n", "-0\n", "1,-0\r\n", "-0,1e-0\n", "0,-0.0,-0e0\n",
+    "1,2],[3,4\n", "[1,2]\n", "true\n", "1,null\n", "\"1\"\n", "00,1\n", "1.,2\n", ".5,+1\n",
+    "1,2,\n", "1\n1,2\n", "18446744073709551616,-1234567890123456789012345\n", "1,\ud800\n",
+])
+def test_json_hazards_get_the_line_loops_outcome(tmp_path, text):
+    """Texts that JSON and float read differently (a lone \\r is whitespace to
+    JSON, -0 its int 0) or that only one of them accepts."""
+    path = tmp_path / "A.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    assert outcome(parse_matrix_text, text) == outcome(reference_parse, text)
+    assert outcome(read_matrix, path) == outcome(read_whole, path)
 
 
 def test_undecodable_file_is_a_parse_error_naming_its_line(tmp_path):
@@ -233,6 +259,37 @@ def test_stream_reader_matches_whole_text_path(scratch_file, data):
     assert outcome(read_vector, scratch_file) == outcome(read_whole_vector, scratch_file)
 
 
+@pytest.mark.parametrize("bad", INVALID_UTF8)
+def test_undecodable_byte_past_the_first_block_names_its_line(tmp_path, bad):
+    """A bad byte 300 KB into a file, after a valid two-byte character that
+    straddles the 64 KiB mark, is named on its line, as by ``read_text``."""
+    head = b"1.5,2.5\n" * 8191 + b"1.5,2.5\xc2\xa0\n"  # \xc2 is byte 65535
+    path = tmp_path / "A.txt"
+    path.write_bytes(head + b"1.5,2.5\n" * 30000 + b"1.5," + bad + b"\n3,4\n")
+    assert outcome(read_matrix, path) == outcome(read_whole, path)
+    assert outcome(read_matrix, path)[2] == 38193
+
+
+@pytest.mark.parametrize("data", [b"1,2\r\n3,4\n", b"1_0,2\x0b3,4\n", b"1,2\n3,\xff\n"])
+def test_stream_reader_reads_a_pipe_as_a_file(tmp_path, data):
+    """A path that is a pipe, such as a shell's <(...), can be read only once;
+    it reads as a file of the same bytes, on either path."""
+    path = tmp_path / "A.txt"
+    path.write_bytes(data)
+    read, write = os.pipe()
+    try:
+        os.write(write, data)
+        os.close(write)
+        pipe = f"/dev/fd/{read}"
+        got = outcome(read_matrix, pipe)
+    finally:
+        os.close(read)
+    expected = outcome(read_matrix, path)
+    if expected[0] == "error":  # the message names the path
+        expected = (expected[0], expected[1].replace(str(path), pipe), expected[2])
+    assert got == expected
+
+
 def test_stream_reader_reads_plain_files_without_the_whole_text(tmp_path, monkeypatch):
     A = np.random.default_rng(3).standard_normal((5, 4))
     matrix, vector = tmp_path / "A.txt", tmp_path / "y.txt"
@@ -266,19 +323,54 @@ def test_stream_reader_empty_file_names_no_rows_without_a_warning(tmp_path, capf
 
 def test_stream_reader_peak_memory_tracks_the_array(tmp_path):
     """Reading a 400x1000 file of 17-digit entries (about 9 MB of text)
-    allocates at most 1.5 times the array's 3.2 MB, plus 1 MiB.  The whole
-    text, its lines and numpy's copy of them took 6.3 times the array."""
+    allocates at most 1.5 times the array's 3.2 MB, plus 1 MiB, with LF or
+    CRLF line ends.  The whole text, its lines and numpy's copy of them took
+    6.3 times the array."""
     A = np.random.default_rng(11).standard_normal((400, 1000))
     path = tmp_path / "A.txt"
-    path.write_text(format_matrix_text(A))
-    tracemalloc.start()
-    try:
-        B = read_matrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(B, A)
-    assert peak < 1.5 * A.nbytes + 2**20, peak / A.nbytes
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(format_matrix_text(A).replace("\n", newline).encode())
+        tracemalloc.start()
+        try:
+            B = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(B, A)
+        assert peak < 1.5 * A.nbytes + 2**20, (newline, peak / A.nbytes)
+
+
+def test_block_reader_converts_as_float_does(tmp_path, monkeypatch):
+    """Over 200,000 random finite float64 bit patterns, each printed with
+    %.17g, %r and %.25e, and about 20,000 exact decimals halfway between
+    adjacent doubles are read to float's value, bit for bit, without the
+    line loop."""
+    rng = np.random.default_rng(2021)
+    patterns = rng.integers(0, 2**64, size=201_000, dtype=np.uint64).view(np.float64)
+    rows = [(x, x, x) for x in patterns[np.isfinite(patterns)].tolist()]
+    texts = ["%.17g,%r,%.25e" % row for row in rows]
+    halves = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+    halves = halves[np.isfinite(halves)]
+    low = np.abs(halves)
+    high = np.nextafter(low, np.inf)
+    exact = decimal.Context(prec=2000)  # holds every sum of two doubles
+    for sign, a, b in zip(np.signbit(halves).tolist(), low.tolist(), high.tolist()):
+        if math.isfinite(b):
+            half = exact.divide(exact.add(decimal.Decimal(a), decimal.Decimal(b)), 2)
+            texts.append(",".join([("-" if sign else "") + str(half)] * 3))
+    path = tmp_path / "A.txt"
+    path.write_text("\n".join(texts) + "\n")
+    expected = np.array([[float(cell) for cell in text.split(",")] for text in texts])
+    monkeypatch.setattr("omp_sharp.serialize._parse_lines", None)
+    assert read_matrix(path).tobytes() == expected.tobytes()
+
+
+def test_import_leaves_orjson_unloaded():
+    """orjson is loaded by the first parse, not by importing the package."""
+    root = str(Path(omp_sharp.__file__).resolve().parent.parent)
+    code = "import omp_sharp, omp_sharp.cli, sys; sys.exit('orjson' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_blank_lines_skipped():
