@@ -54,11 +54,8 @@ from .omp import (
 from .rip import RicReport, exact_ric, in_sharp_region
 from .serialize import (
     format_matrix_text,
-    format_vector_text,
-    instance_from_json_dict,
     instance_to_json_dict,
     parse_matrix_text,
-    parse_vector_text,
 )
 
 __version__ = "1.0.0"

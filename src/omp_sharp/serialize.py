@@ -10,14 +10,14 @@ bytes) by one reader with two paths.  The block reader counts the file's
 (about 64 KiB each) and hands each block to ``orjson.loads`` as one JSON
 array of rows, copied into a preallocated array; the peak memory of a read
 tracks that array.  It takes a block only where JSON and ``float`` agree:
-the bytes ``0-9 + - . e E , space \t \n`` and ``\r`` before ``\n``, no
-integer ``-0`` (JSON's int 0 drops the sign), rows of one width and finite
-values.  Anything else sends the whole input to the per-line ``float`` loop,
-the reference: what is accepted, the values and the error messages are its
-alone.  For a file it takes the lines of the open file, each split again by
-``str.splitlines``, so they are the lines of ``read_text(path)`` without its
-text ever being held whole.  A pipe, which can be read only once, is read
-into memory first.
+the bytes ``0-9 + - . e E , space \t \n`` and ``\r`` before ``\n``, rows
+of one width and finite values; an integer ``-0``, which JSON reads as the
+int 0, is read again as ``-0.0``.  Anything else sends the whole input to
+the per-line ``float`` loop, the reference: what is accepted, the values and
+the error messages are its alone.  For a file it takes the lines of the open
+file, each split again by ``str.splitlines``, so they are the lines of
+``read_text(path)`` without its text ever being held whole.  A pipe, which
+can be read only once, is read into memory first.
 """
 
 import array
@@ -32,9 +32,7 @@ import re
 import numpy as np
 
 from .errors import ParseError
-from .instances import Instance
-from .linalg import as_matrix, as_vector
-from .omp import SparseSignal
+from .linalg import as_matrix
 
 
 def format_float(x):
@@ -44,10 +42,6 @@ def format_float(x):
 def format_matrix_text(A):
     A = as_matrix(A)
     return "\n".join(",".join(format_float(x) for x in row) for row in A) + "\n"
-
-
-def format_vector_text(u):
-    return "\n".join(format_float(x) for x in as_vector(u)) + "\n"
 
 
 def read_text(path):
@@ -93,7 +87,9 @@ def read_matrix(path):
 
 _BLOCK = 1 << 16
 _JSON_BYTES = b"0123456789+-.eE, \t\n\r"
-_INT_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+# an integer -0 token, not the exponent of 1e-0 (looked behind last, so that
+# a search skips to each "-0" at the speed of a plain substring search)
+_INT_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])(?<![eE]-0)")
 
 
 def _read_blocks(fh):
@@ -115,8 +111,9 @@ def _read_blocks(fh):
         lines = [line for line in lines if not line.isspace()]
         if not lines:
             continue
+        doc = b"[[" + b"],[".join(lines) + b"]]"
         try:
-            values = orjson.loads(b"[[" + b"],[".join(lines) + b"]]")
+            values = orjson.loads(doc)
         except orjson.JSONDecodeError:
             return None
         if matrix is None:
@@ -126,9 +123,9 @@ def _read_blocks(fh):
         part = matrix[rows:rows + len(values)]
         part[...] = values
         rows += len(values)
-        # a zero may be an int -0, which JSON reads as 0
-        if not part.all() and _INT_MINUS_ZERO.search(block):
-            return None
+        # a zero may be an int -0, which JSON reads as 0: read it as -0.0
+        if not part.all() and _INT_MINUS_ZERO.search(doc):
+            part[...] = orjson.loads(_INT_MINUS_ZERO.sub(b"-0.0", doc))
     # orjson refuses literals out of float range itself; this keeps the
     # line loop the judge of non-finite entries whatever its version does
     if matrix is None or not np.isfinite(matrix[:rows]).all():
@@ -180,22 +177,15 @@ def _parse_lines(lines):
     return matrix
 
 
-def _as_vector(A):
+def read_vector(path):
+    """The vector in the file at ``path``: a matrix file, read by
+    ``read_matrix``, with a single row or a single column."""
+    A = read_matrix(path)
     if A.shape[0] == 1:
         return A[0].copy()
     if A.shape[1] == 1:
         return A[:, 0].copy()
     raise ParseError(f"expected a vector, got a {A.shape[0]}x{A.shape[1]} matrix")
-
-
-def parse_vector_text(text):
-    """A vector file is a matrix file with a single row or a single column."""
-    return _as_vector(parse_matrix_text(text))
-
-
-def read_vector(path):
-    """``parse_vector_text(read_text(path))``, parsed as the file is read."""
-    return _as_vector(read_matrix(path))
 
 
 def instance_to_json_dict(instance):
@@ -209,23 +199,14 @@ def instance_to_json_dict(instance):
     }
 
 
-def instance_from_json_dict(doc):
-    return Instance(
-        A=np.array(doc["A"], dtype=float),
-        x=SparseSignal(np.array(doc["x"], dtype=float)),
-        v=np.array(doc["v"], dtype=float),
-        epsilon=float(doc["epsilon"]),
-        noise_model=doc["noise_model"],
-        metadata=dict(doc.get("metadata", {})),
-    )
-
-
 def write_json(obj, fh):
     """``json.dump(obj, fh, indent=2)`` and a newline, in the same bytes, by
     one call of json's C encoder per container (``indent`` alone would take
     its Python one): a flat container is then done, any other has its own
-    containers as null in it and walks them.  Each chunk is written as it is
-    made, by ``fh.write`` looked up once (click's stdout forwards lookups)."""
+    containers as null in it and walks them.  A flat list or tuple of floats
+    is encoded by orjson instead where its bytes are json's (``_floats``).
+    Each chunk is written as it is made, by ``fh.write`` looked up once
+    (click's stdout forwards lookups)."""
     _write_json(obj, fh.write, 1, set())
     fh.write("\n")
 
@@ -240,6 +221,37 @@ def _layout(depth):
     return encoder.encode, inner, inner[:-2]
 
 
+def _floats(values, inner):
+    """``values``, a list or tuple of exact floats, as json's encoder writes
+    it with ``inner`` between items, by ``orjson.dumps``; or None where
+    json's encoder is to write it.
+
+    orjson writes the shortest digits, as ``repr`` does, but lays out nonzero
+    |x| < 1e-4 and |x| >= 1e16 its own way (``0.00001`` for ``1e-05``,
+    ``1e16`` for ``1e+16``), so those are written by ``repr``.  A list of
+    mostly such values, whose cost is then ``repr``'s as in json, is left to
+    json, as is one with NaN or an infinity (``NaN`` and ``Infinity`` to
+    json, null to orjson).  Every other token must be plain
+    ``-digits.digits``: of the JSON numbers orjson writes, those with no
+    letter and one ``.``."""
+    import orjson  # loaded on the first write, not on ``import omp_sharp``
+
+    x = np.abs(np.array(values))
+    odd = np.flatnonzero((x < 1e-4) & (x != 0) | (x >= 1e16)).tolist()
+    if 2 * len(odd) > len(values) or not np.isfinite(x).all():
+        return None
+    data = orjson.dumps(values)[1:-1]
+    tokens = data.split(b",") if odd else [data]
+    for i in odd:
+        tokens[i] = b"0.0"
+    data = b",".join(tokens)
+    if data.translate(None, b"0123456789-.,") or data.count(b".") != len(values):
+        return None
+    for i in odd:
+        tokens[i] = repr(values[i]).encode()
+    return "[" + b",".join(tokens).decode().replace(",", "," + inner) + "]"
+
+
 def _write_json(value, write, depth, path):
     """Write ``value`` with its items at ``depth``; ``path`` holds the ids of
     the containers around it, so a circular one is refused as json does."""
@@ -247,8 +259,10 @@ def _write_json(value, write, depth, path):
     is_dict = isinstance(value, dict)
     items = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
     encode, inner, outer = _layout(depth)
-    if not any(map(issubclass, set(map(type, items)), itertools.repeat(containers))):
-        text = encode(value)
+    types = set(map(type, items))
+    if not any(map(issubclass, types, itertools.repeat(containers))):
+        flat = type(value) in (list, tuple) and types == {float}  # not a namedtuple
+        text = flat and _floats(value, inner) or encode(value)
         write(text[0] + inner + text[1:-1] + outer + text[-1] if items else text)
         return
     if id(value) in path:

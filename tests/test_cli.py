@@ -10,7 +10,7 @@ import pytest
 
 import omp_sharp
 from omp_sharp import cli, rip
-from omp_sharp.serialize import format_matrix_text, format_vector_text
+from omp_sharp.serialize import format_matrix_text
 
 # The directory this process imported omp_sharp from, put first on the child
 # process's path so that the CLI under test is the same source.
@@ -83,7 +83,7 @@ def test_exact_ric_linf_rule_tolerates_round_off_in_delta_2(tmp_path):
     matrix = tmp_path / "A.txt"
     matrix.write_text(format_matrix_text(A))
     y = tmp_path / "y.txt"
-    y.write_text(format_vector_text(A @ np.array([1.0, 0.0, 2.0, 0.0, 0.0, 0.0])))
+    y.write_text(format_matrix_text((A @ np.array([1.0, 0.0, 2.0, 0.0, 0.0, 0.0]))[:, None]))
     result = run_cli(
         "omp", "run", str(matrix), str(y), "linf:0.01", "--sparsity", "2", "--exact-ric"
     )
@@ -352,7 +352,7 @@ def test_exact_ric_linf_rule_searches_each_order_once(tmp_path, monkeypatch, spa
 def test_unit_norm_on_other_columns_exit_3(tmp_path, deltas):
     # the columns of this matrix have norms from 0.89 to 1.18
     y = tmp_path / "y.txt"
-    y.write_text(format_vector_text(np.ones(32)))
+    y.write_text(format_matrix_text(np.ones((32, 1))))
     result = run_cli("omp", "run", str(DATA / "ric_gauss_32x16.txt"), str(y), "linf:0.01",
                      "--sparsity", "2", "--unit-norm", *deltas)
     assert result.returncode == 3, result.stderr

@@ -1,3 +1,4 @@
+import collections
 import decimal
 import io
 import json
@@ -15,17 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omp_sharp
+from omp_sharp import serialize
 from omp_sharp.errors import ParseError
 from omp_sharp.instances import NOISE_L2, Instance, build_counterexample_l2
-from omp_sharp.omp import SparseSignal
+from omp_sharp.omp import FixedIterations, SparseSignal, run_omp
 from omp_sharp.serialize import (
     format_float,
     format_matrix_text,
-    format_vector_text,
-    instance_from_json_dict,
     instance_to_json_dict,
     parse_matrix_text,
-    parse_vector_text,
     read_matrix,
     read_text,
     read_vector,
@@ -34,6 +33,32 @@ from omp_sharp.serialize import (
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def format_vector_text(u):
+    """A vector file: one entry per line."""
+    return format_matrix_text(np.asarray(u, dtype=float)[:, None])
+
+
+def parse_vector_text(text):
+    """The vector in a matrix text with a single row or a single column, as
+    ``read_vector`` reads a file."""
+    A = parse_matrix_text(text)
+    if 1 not in A.shape:
+        raise ParseError(f"expected a vector, got a {A.shape[0]}x{A.shape[1]} matrix")
+    return A.ravel()
+
+
+def instance_from_json_dict(doc):
+    """The instance of a ``construct`` document, validated again by ``Instance``."""
+    return Instance(
+        A=np.array(doc["A"], dtype=float),
+        x=SparseSignal(np.array(doc["x"], dtype=float)),
+        v=np.array(doc["v"], dtype=float),
+        epsilon=float(doc["epsilon"]),
+        noise_model=doc["noise_model"],
+        metadata=dict(doc.get("metadata", {})),
+    )
 
 
 @settings(max_examples=200)
@@ -365,8 +390,27 @@ def test_block_reader_converts_as_float_does(tmp_path, monkeypatch):
     assert read_matrix(path).tobytes() == expected.tobytes()
 
 
+def test_block_reader_keeps_the_sign_of_an_integer_minus_zero(tmp_path, monkeypatch):
+    """format_matrix_text writes -0.0 as -0, which JSON reads as the int 0;
+    the block reader reads it as -0.0, as the line loop does, and leaves the
+    exponent of 1e-0 as it is."""
+    A = np.random.default_rng(5).standard_normal((150, 500))
+    A[::7, ::11] = -0.0
+    A[3] = 0.0
+    text = format_matrix_text(A) + ",".join(["1e-0", "-1E-0", "-0", "-0e0", "-0.0"] * 100) + "\n"
+    assert "-0," in text and "\n-0," in text
+    path = tmp_path / "A.txt"
+    path.write_text(text)
+    expected = reference_parse(text)
+    monkeypatch.setattr("omp_sharp.serialize._parse_lines", None)
+    for B in (read_matrix(path), parse_matrix_text(text)):
+        assert np.array_equal(B, expected) and B.tobytes() == expected.tobytes()
+        assert np.signbit(B[:-1:7, ::11]).all() and not np.signbit(B[3]).any()
+
+
 def test_import_leaves_orjson_unloaded():
-    """orjson is loaded by the first parse, not by importing the package."""
+    """orjson is loaded by the first parse or float list written, not by
+    importing the package."""
     root = str(Path(omp_sharp.__file__).resolve().parent.parent)
     code = "import omp_sharp, omp_sharp.cli, sys; sys.exit('orjson' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
@@ -414,6 +458,7 @@ def test_write_json_has_the_bytes_of_json_dumps(doc):
     [0.0, -0.0, math.nan, math.inf, -math.inf, "caf\xe9  \"\\\n", {}, []],
     {"a": [1.5, {"b": [], 2.5: ()}], None: {True: "x"}, 3: [[[]]]},
     [[1, 2], (3, 4.0)], {}, [], (), 7, "text", None,
+    collections.namedtuple("Pair", "a b")(1.5, 2e-5), [collections.namedtuple("One", "a")(-0.0)],
 ])
 def test_write_json_edge_documents(doc):
     fh = io.StringIO()
@@ -446,6 +491,99 @@ def test_write_json_refuses_a_circular_container():
     fh = io.StringIO()
     write_json([shared, {"again": shared}], fh)
     assert fh.getvalue() == json.dumps([shared, {"again": shared}], indent=2) + "\n"
+
+
+def edge_floats():
+    """Every power of ten from 1e-330 to 1e308 and the floats one ulp either
+    side, subnormals, the edges 1e-4 and 1e16 where ``repr`` changes layout,
+    and the largest float, with both signs (so 0.0 and -0.0)."""
+    tens = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    subnormals = np.random.default_rng(4).integers(1, 2**52, size=300).view(np.float64)
+    edges = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), subnormals, edges])
+    values = np.concatenate([values, -values])
+    return values[np.isfinite(values)].tolist()
+
+
+def float_lists():
+    """Lists of 500 finite floats, fewer than half of each outside
+    1e-4 <= |x| < 1e16, so that the orjson path takes them: 2000 lists of
+    random float64 bit patterns, 200 with any exponent (nearly all outside)
+    and 300 with an exponent inside, then the edge floats 200 a list among
+    such patterns, each list shuffled."""
+    rng = np.random.default_rng(2028)
+    edges = edge_floats()
+    bits = rng.integers(0, 2**64, size=(2000 + len(edges) // 200 + 1, 500), dtype=np.uint64)
+    exponents = rng.integers(1023 - 13, 1023 + 53, size=(len(bits), 300), dtype=np.uint64)
+    bits[:, 200:] = bits[:, 200:] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 1.0
+    values[2000:, :200].flat[:len(edges)] = edges
+    return rng.permuted(values, axis=1).tolist()
+
+
+def at_depth(values, depth):
+    """A document holding ``values`` as a flat list whose items are at
+    ``depth``, a tuple at depth 3."""
+    return values if depth == 1 else [values] if depth == 2 else {"a": [tuple(values)]}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_float_lists_have_the_bytes_of_json_dumps(monkeypatch, depth):
+    """Over 10^6 random float64 bit patterns in lists of 500, and the edges of
+    repr's layout, the orjson path is taken and writes json.dumps's bytes at
+    each depth."""
+    taken = []
+    floats = serialize._floats
+    monkeypatch.setattr(serialize, "_floats", lambda *args: taken.append(floats(*args)) or taken[-1])
+    lists = float_lists()
+    for values in lists:
+        doc = at_depth(values, depth)
+        fh = io.StringIO()
+        write_json(doc, fh)
+        assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert len(taken) == len(lists) and None not in taken
+
+
+def test_trace_float_lists_go_through_orjson(monkeypatch):
+    """A trace of a 150x500, K = 15 run hands every correlation list and its
+    final estimate to orjson.dumps.  A list holding NaN, an infinity, an
+    np.float64 or an int does not go to it, nor one mostly outside
+    1e-4 <= |x| < 1e16, and each keeps json's bytes."""
+    import orjson
+
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((150, 500))
+    A /= np.linalg.norm(A, axis=0)
+    doc = run_omp(A[:, :15] @ rng.standard_normal(15), A, FixedIterations(15)).to_json_dict()
+    seen, dumps = [], orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda value: seen.append(value) or dumps(value))
+    fh = io.StringIO()
+    write_json(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+    lists = [it["correlations"] for it in doc["iterations"]] + [doc["final_estimate"]]
+    assert len(lists) == 16 and list(map(id, seen)) == list(map(id, lists))
+    seen.clear()
+    for values in ([1.0, math.nan], [math.inf, 2.0, 3.0], [1.0, -math.inf, 1e300],
+                   [1.0, np.float64(2.0)], [1.0, 2], [2.5, True], [1e-5, 0.5, -1e20]):
+        for doc in (values, {"a": values}, [tuple(values)]):
+            fh = io.StringIO()
+            write_json(doc, fh)
+            assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert seen == []
+
+
+@pytest.mark.parametrize("layout", [b"[1,2.5]", b"[1.0e0,2.5]", b"[1.0E0,2.5]", b"[+1.0,2.5]", b"[1.0,null]"])
+def test_float_list_in_another_layout_is_written_by_json(monkeypatch, layout):
+    """Where orjson writes a token otherwise than as -digits.digits, as
+    another version might, json's encoder writes the list."""
+    import orjson
+
+    monkeypatch.setattr(orjson, "dumps", lambda value: layout)
+    for doc in ([1.0, 2.5], {"a": (1.0, 2.5)}):
+        fh = io.StringIO()
+        write_json(doc, fh)
+        assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_instance_json_revalidates_noise_bound():
