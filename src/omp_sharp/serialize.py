@@ -5,19 +5,20 @@ single commas, no header.  Values are printed with 17 significant digits so
 every float64 round-trips exactly.
 
 ``read_matrix`` parses a file and ``parse_matrix_text`` a text (as its UTF-8
-bytes) by one reader with two paths.  The block reader counts the file's
-``\n`` bytes, which bounds its rows, then reads blocks of whole lines
-(about 64 KiB each) and hands each block to ``orjson.loads`` as one JSON
-array of rows, copied into a preallocated array; the peak memory of a read
-tracks that array.  It takes a block only where JSON and ``float`` agree:
-the bytes ``0-9 + - . e E , space \t \n`` and ``\r`` before ``\n``, rows
-of one width and finite values; an integer ``-0``, which JSON reads as the
-int 0, is read again as ``-0.0``.  Anything else sends the whole input to
-the per-line ``float`` loop, the reference: what is accepted, the values and
-the error messages are its alone.  For a file it takes the lines of the open
-file, each split again by ``str.splitlines``, so they are the lines of
-``read_text(path)`` without its text ever being held whole.  A pipe, which
-can be read only once, is read into memory first.
+bytes) by one reader with two paths.  The block reader counts the ``\n``
+bytes, which bound the rows of a preallocated array, then reads 64 KiB
+blocks cut at their last ``\n`` (a longer line is held until it ends), each
+one JSON array of rows for ``orjson.loads``, less the empty rows of blank
+lines; the peak memory of a read tracks that array.  It takes a block only
+where JSON and ``float`` agree: the bytes ``0-9 + - . e E , space \t \n``
+and ``\r`` before ``\n``, rows of one width and finite values; an integer
+``-0``, which JSON reads as the int 0, is read again as ``-0.0``.  Anything
+else sends the whole input to the per-line ``float`` loop, the reference:
+what is accepted, the values and the error messages are its alone.  For a
+file it takes the lines of the open file, each split again by
+``str.splitlines``, so they are the lines of ``read_text(path)`` without its
+text ever being held whole.  A pipe, which can be read only once, is read
+into memory first.
 """
 
 import array
@@ -27,6 +28,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -102,30 +104,34 @@ def _read_blocks(fh):
         count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
         last = chunk[-1:]
     fh.seek(0)
-    matrix, rows = None, 0
-    while lines := fh.readlines(_BLOCK):
-        block = b"".join(lines)
-        if block.translate(None, _JSON_BYTES) or (
-                b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
-            return None
-        lines = [line for line in lines if not line.isspace()]
-        if not lines:
+    matrix, rows, held = None, 0, []
+    for chunk in itertools.chain(iter(functools.partial(fh.read, _BLOCK), b""), [b""]):
+        cut = chunk.rfind(b"\n") + 1
+        if chunk and not cut:  # a line longer than a block, joined once whole
+            held.append(chunk)
             continue
-        doc = b"[[" + b"],[".join(lines) + b"]]"
+        doc = b"".join([b"[[", *held, memoryview(chunk)[:cut], b"]]"])
+        held = [chunk[cut:]]
+        if doc.translate(None, _JSON_BYTES) != b"[[]]" or (
+                b"\r" in doc and doc.count(b"\r") != doc.count(b"\r\n")):
+            return None
+        doc = doc.replace(b"\n", b"],[")  # a blank line is an empty row
         try:
-            values = orjson.loads(doc)
+            values = list(filter(None, orjson.loads(doc)))
         except orjson.JSONDecodeError:
             return None
+        if not values:
+            continue
         if matrix is None:
             matrix = np.empty((count + (last != b"\n"), len(values[0])))
-        if any(len(row) != matrix.shape[1] for row in values):
+        if set(map(len, values)) != {matrix.shape[1]}:
             return None
         part = matrix[rows:rows + len(values)]
         part[...] = values
         rows += len(values)
         # a zero may be an int -0, which JSON reads as 0: read it as -0.0
         if not part.all() and _INT_MINUS_ZERO.search(doc):
-            part[...] = orjson.loads(_INT_MINUS_ZERO.sub(b"-0.0", doc))
+            part[...] = list(filter(None, orjson.loads(_INT_MINUS_ZERO.sub(b"-0.0", doc))))
     # orjson refuses literals out of float range itself; this keeps the
     # line loop the judge of non-finite entries whatever its version does
     if matrix is None or not np.isfinite(matrix[:rows]).all():
@@ -200,86 +206,80 @@ def instance_to_json_dict(instance):
 
 
 def write_json(obj, fh):
-    """``json.dump(obj, fh, indent=2)`` and a newline, in the same bytes, by
-    one call of json's C encoder per container (``indent`` alone would take
-    its Python one): a flat container is then done, any other has its own
-    containers as null in it and walks them.  A flat list or tuple of floats
-    is encoded by orjson instead where its bytes are json's (``_floats``).
-    Each chunk is written as it is made, by ``fh.write`` looked up once
-    (click's stdout forwards lookups)."""
-    _write_json(obj, fh.write, 1, set())
+    """``json.dump(obj, fh, indent=2)`` and a newline, in the same bytes:
+    by one ``orjson.dumps`` call where ``_fast_json`` can vouch for it, else
+    by ``json.dumps``, whose errors are raised before anything is written."""
+    fh.write(_fast_json(obj) or json.dumps(obj, indent=2))
     fh.write("\n")
 
 
-@functools.cache
-def _layout(depth):
-    """json's C encoder that puts each item on a line indented to ``depth``
-    (it never gets a container in a container, so it skips the circular
-    check), that line break, and the one before the closing bracket."""
-    inner = "\n" + "  " * depth
-    encoder = json.JSONEncoder(separators=("," + inner, ": "), check_circular=False)
-    return encoder.encode, inner, inner[:-2]
-
-
-def _floats(values, inner):
-    """``values``, a list or tuple of exact floats, as json's encoder writes
-    it with ``inner`` between items, by ``orjson.dumps``; or None where
-    json's encoder is to write it.
-
-    orjson writes the shortest digits, as ``repr`` does, but lays out nonzero
-    |x| < 1e-4 and |x| >= 1e16 its own way (``0.00001`` for ``1e-05``,
-    ``1e16`` for ``1e+16``), so those are written by ``repr``.  A list of
-    mostly such values, whose cost is then ``repr``'s as in json, is left to
-    json, as is one with NaN or an infinity (``NaN`` and ``Infinity`` to
-    json, null to orjson).  Every other token must be plain
-    ``-digits.digits``: of the JSON numbers orjson writes, those with no
-    letter and one ``.``."""
+def _fast_json(obj):
+    """``json.dumps(obj, indent=2)`` by orjson where ``obj`` is ``_plain``,
+    orjson writes ``_PROBES`` as json does and refuses nothing, else None."""
     import orjson  # loaded on the first write, not on ``import omp_sharp``
 
-    x = np.abs(np.array(values))
-    odd = np.flatnonzero((x < 1e-4) & (x != 0) | (x >= 1e16)).tolist()
-    if 2 * len(odd) > len(values) or not np.isfinite(x).all():
+    if not (_plain(obj) and _vouched(orjson.dumps, orjson.OPT_INDENT_2)):
         return None
-    data = orjson.dumps(values)[1:-1]
-    tokens = data.split(b",") if odd else [data]
-    for i in odd:
-        tokens[i] = b"0.0"
-    data = b",".join(tokens)
-    if data.translate(None, b"0123456789-.,") or data.count(b".") != len(values):
+    try:
+        return _repr_tokens(orjson.dumps(obj, option=orjson.OPT_INDENT_2)).decode()
+    except (orjson.JSONEncodeError, ValueError):
         return None
-    for i in odd:
-        tokens[i] = repr(values[i]).encode()
-    return "[" + b",".join(tokens).decode().replace(",", "," + inner) + "]"
 
 
-def _write_json(value, write, depth, path):
-    """Write ``value`` with its items at ``depth``; ``path`` holds the ids of
-    the containers around it, so a circular one is refused as json does."""
-    containers = (list, tuple, dict)
-    is_dict = isinstance(value, dict)
-    items = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
-    encode, inner, outer = _layout(depth)
-    types = set(map(type, items))
-    if not any(map(issubclass, types, itertools.repeat(containers))):
-        flat = type(value) in (list, tuple) and types == {float}  # not a namedtuple
-        text = flat and _floats(value, inner) or encode(value)
-        write(text[0] + inner + text[1:-1] + outer + text[-1] if items else text)
-        return
-    if id(value) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(value))
-    nested = [isinstance(item, containers) for item in items]
-    stub = [None if inside else item for item, inside in zip(items, nested)]
-    # one line per item, as no key or scalar encodes to a line break
-    text = encode(dict(zip(value, stub)) if is_dict else stub)
-    head = text[0] + inner
-    for line, item, inside in zip(text[1:-1].split("," + inner), items, nested):
-        write(head + (line[:-4] if inside else line))  # a container less its null
-        if inside:
-            _write_json(item, write, depth + 1, path)
-        head = "," + inner
-    write(outer + text[-1])
-    path.remove(id(value))
+def _plain(value, depth=0):
+    """Whether ``value`` is, to 255 levels (so not circular), of the exact
+    types dict (``str`` keys), list, tuple, str (no DEL or non-ASCII, which
+    json escapes and orjson does not), int, float (finite), bool and None."""
+    if type(value) is dict:
+        if set(map(type, value)) - {str}:
+            return False
+        value = [*value, *value.values()]
+    elif type(value) not in (list, tuple):
+        value = [value]
+    types = set(map(type, value))
+    if types == {float}:  # a finite sum has finite items; a sum may overflow
+        return math.isfinite(sum(value)) or all(map(math.isfinite, value))
+    return depth < 255 and types <= {dict, list, tuple, str, int, float, bool, type(None)} and all(
+        _plain(item, depth + 1) if type(item) in (dict, list, tuple)
+        else item.isascii() and "\x7f" not in item if type(item) is str
+        else type(item) is not float or math.isfinite(item) for item in value)
+
+
+def _repr_tokens(data):
+    """orjson's indented ``data`` with each float token that ``repr`` lays
+    out otherwise (``1e-7``, ``1e16``, ``0.00001``) written by ``repr``.  A
+    token runs from a space (or the start) to ``\n``, ``,\n`` (or the end),
+    so none is in a string, whose quote would come before the line break."""
+    hits = [match.start() for match in re.finditer(rb"e(?:-[0-9](?![0-9])|[0-9])", data)]
+    hit = data.find(b"0.0000")
+    while hit >= 0:
+        hits.append(hit)
+        hit = data.find(b"0.0000", hit + 6)
+    parts, done = [], 0
+    for hit in sorted(hits):
+        start, end = data.rfind(b" ", 0, hit) + 1, data.find(b"\n", hit)
+        token = data[start:end if end >= 0 else len(data)].removesuffix(b",")
+        if not token.translate(None, b"0123456789+-.eE"):
+            parts += [data[done:start], repr(float(token)).encode()]
+            done = start + len(token)
+    return b"".join(parts + [data[done:]])
+
+
+# every token layout and escape, nested and at the top
+_PROBES = ({"floats": [0.0, -0.0, 1.0, -2.5, 0.1, 123.456, 1e-4, 9.99e-5, 1e-05, -1.5e-06, 1e-07,
+                       1e-10, -1.5e-99, 5e-324, 1e15, 1e16, -1.5e16, 1e22, 1.7976931348623157e308],
+            "".join(map(chr, range(127))): [0, -1, 2**64 - 1, -2**63, True, False, None, "", ()]},
+           [{}], 1e-05, 1e16, 7, "x", None, [])
+
+
+@functools.lru_cache(maxsize=1)
+def _vouched(dumps, option):
+    """Whether ``dumps`` and ``_repr_tokens`` write ``_PROBES`` as json does."""
+    try:
+        return all(_repr_tokens(dumps(probe, option=option))
+                   == json.dumps(probe, indent=2).encode() for probe in _PROBES)
+    except (TypeError, ValueError):  # orjson's JSONEncodeError is a TypeError
+        return False
 
 
 def write_csv(path, header, rows):

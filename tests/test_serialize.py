@@ -1,18 +1,24 @@
 import collections
+import dataclasses
+import datetime
 import decimal
+import enum
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import uuid
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omp_sharp
@@ -408,8 +414,114 @@ def test_block_reader_keeps_the_sign_of_an_integer_minus_zero(tmp_path, monkeypa
         assert np.signbit(B[:-1:7, ::11]).all() and not np.signbit(B[3]).any()
 
 
+BLOCK = serialize._BLOCK
+
+
+def across_blocks(width, lines, final=True):
+    """A matrix text of ``width`` columns whose each (line, ending, shift)
+    has its line ending start ``shift`` bytes past a multiple of the block
+    size, the gap before it filled with rows of 0.25, the last of them
+    padded with spaces; without its last line ending unless ``final``."""
+    row = ",".join(["0.25"] * width) + "\n"
+    text = ""
+    for line, ending, shift in lines:
+        room = len(text) + 2 * len(row) + len(line)
+        end = max(1, -(-(room - shift) // BLOCK)) * BLOCK + shift
+        rows, rest = divmod(end - len(text) - len(line), len(row))
+        text += row * (rows - 1) + row[:-1] + " " * rest + "\n" + line + ending
+    return text if final else text[:-len(lines[-1][1])]
+
+
+@st.composite
+def lines_across_blocks(draw):
+    """(width, lines, final) for ``across_blocks``: rows (some with -0 or
+    longer than a block), blank and whitespace-only lines, and a run of
+    blank lines longer than a block, each ending with LF or CRLF at or
+    beside a block boundary."""
+    width = draw(st.integers(1, 3))
+    cell = finite_floats.map("%.17g".__mod__) | st.sampled_from(["-0", "0", "-0.0", "1e-0", "-0e0"])
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    line = row | row.map(lambda r: r + " " * 70_000) | st.sampled_from(["", " ", "\t ", "\n" * 70_000])
+    ending = st.sampled_from(["\n", "\r\n"])
+    lines = draw(st.lists(st.tuples(line, ending, st.integers(-2, 2)), min_size=2, max_size=4))
+    return width, lines, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines_across_blocks())
+@example((2, [("1.5,2.5", "\r\n", -1), ("3.5,-4", "\r\n", -1)], True))  # \r | \n at the cut
+@example((2, [("1,2" + " " * 70_000, "\n", 0), ("3,4" + " " * 70_000, "\r\n", 1)], True))
+@example((2, [("", "\n", -1), (" \t", "\n", 0), ("", "\r\n", -2), ("  ", "\n", 1)], True))
+@example((1, [("\n" * 70_000, "\n", 0), ("5", "\n", 0)], True))  # a block of blank lines
+@example((2, [("1,2", "\n", 0), ("-0,3", "\n", 2)], True))  # -0 first in a later block
+@example((3, [("1,2,3", "\n", 0), ("4,5,6", "\r\n", 1)], False))
+def test_block_reader_across_block_cuts(scratch_file, case):
+    """Texts over several 64 KiB blocks, cut in a CRLF, in a line longer
+    than a block, beside blank and whitespace-only lines, with a block of
+    blank lines, an integer -0 first seen in a later block and no last line
+    break, are read by the block reader alone to the line loop's bytes."""
+    text = across_blocks(*case)
+    assert len(text) > BLOCK
+    scratch_file.write_bytes(text.encode())
+    expected = outcome(reference_parse, text)
+    assert expected[0] == "matrix"
+    with mock.patch.object(serialize, "_parse_lines", None):
+        assert outcome(read_matrix, scratch_file) == expected
+        assert outcome(parse_matrix_text, text) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(lines_across_blocks(), st.sampled_from(["1_0", "+1", ".5", "1e999", "nan", "x", "0x1", "1,\x0c2"]),
+       st.integers(1, 4))
+def test_bad_byte_past_the_first_block_gets_the_line_loops_outcome(scratch_file, case, bad, at):
+    """A token JSON and float read differently, after a first block the
+    block reader took, sends the whole text to the line loop."""
+    width, lines, final = case
+    lines = lines[:at] + [(",".join([bad] + ["7"] * (width - 1)), "\n", 0)] + lines[at:]
+    text = across_blocks(width, lines, final)
+    assert text.index(bad) > BLOCK
+    scratch_file.write_bytes(text.encode())
+    expected = outcome(reference_parse, text)
+    assert outcome(read_matrix, scratch_file) == outcome(read_whole, scratch_file) == expected
+    assert outcome(parse_matrix_text, text) == expected
+
+
+class SpiedChunk(bytes):
+    """A chunk read from a file, counting the concatenations it is in."""
+    concatenations = 0
+
+    def __add__(self, other):
+        SpiedChunk.concatenations += 1
+        return bytes(self) + other
+
+    def __radd__(self, other):
+        SpiedChunk.concatenations += 1
+        return other + bytes(self)
+
+
+class SpiedFile(io.BytesIO):
+    def read(self, size=-1):
+        return SpiedChunk(super().read(size))
+
+
+def test_one_line_vector_is_read_without_a_copy_per_block(tmp_path, monkeypatch):
+    """A 1x200,000 vector file, one line over about 70 blocks, is held as
+    its chunks and joined once: no chunk is concatenated, where each
+    += would copy the line so far again."""
+    v = np.random.default_rng(17).standard_normal(200_000)
+    data = format_matrix_text(v[None, :]).encode()
+    assert len(data) > 60 * BLOCK
+    path = tmp_path / "v.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(serialize, "_parse_lines", None)
+    monkeypatch.setattr(SpiedChunk, "concatenations", 0)
+    assert serialize._read_blocks(SpiedFile(data)).tobytes() == v.tobytes()
+    assert SpiedChunk.concatenations == 0
+    assert read_vector(path).tobytes() == v.tobytes()
+
+
 def test_import_leaves_orjson_unloaded():
-    """orjson is loaded by the first parse or float list written, not by
+    """orjson is loaded by the first parse or JSON document written, not by
     importing the package."""
     root = str(Path(omp_sharp.__file__).resolve().parent.parent)
     code = "import omp_sharp, omp_sharp.cli, sys; sys.exit('orjson' in sys.modules)"
@@ -493,6 +605,110 @@ def test_write_json_refuses_a_circular_container():
     assert fh.getvalue() == json.dumps([shared, {"again": shared}], indent=2) + "\n"
 
 
+def odd_floats():
+    """Floats that orjson lays out otherwise than repr, both signs: 300 in
+    (1e-9, 1e-4) and 300 at or above 1e16, log-uniform, and the edges."""
+    rng = np.random.default_rng(29)
+    values = np.concatenate([10.0 ** rng.uniform(-9, -4, 300), 10.0 ** rng.uniform(16, 308, 300),
+                             [1.0000000000000001e-09, 1e-08, 1e-07, 1e-06, 1e-05, 9.999999999999999e-05,
+                              1e16, 1.7976931348623157e308]])
+    return np.concatenate([values, -values]).tolist()
+
+
+def placed(x):
+    """``x`` as a dict value, an item nested in lists and dicts, and the
+    whole document."""
+    return [{"v": x}, [[1, {"a": [x, "s"]}]], {"k": {"l": [None, x]}, "m": x}, x]
+
+
+def written(doc):
+    """write_json's text for ``doc`` and whether orjson wrote it."""
+    taken, fast = [], serialize._fast_json
+    with mock.patch.object(serialize, "_fast_json", lambda obj: taken.append(fast(obj)) or taken[-1]):
+        fh = io.StringIO()
+        write_json(doc, fh)
+    return fh.getvalue(), taken[0] is not None
+
+
+def test_odd_floats_anywhere_have_the_bytes_of_json_dumps():
+    values = odd_floats()
+    for x in values:
+        for doc in placed(x):
+            text, fast = written(doc)
+            assert text == json.dumps(doc, indent=2) + "\n" and fast
+    doc = {"all": values, "nested": [placed(x) for x in values[::7]]}
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n", True)
+
+
+LOOKALIKES = ["1e5", " 0.00001,", "e-7", "x 1e16", " 1e16", "0.00001", "-1e-7,", " e1", "1.5e-7\n", " 1e16\n"]
+
+
+@pytest.mark.parametrize("doc", [
+    LOOKALIKES, {s: s for s in LOOKALIKES}, {s: [1e-07, s, 1e16] for s in LOOKALIKES},
+    [[s, 1e-05] for s in LOOKALIKES], *LOOKALIKES,
+])
+def test_strings_that_look_like_odd_tokens_are_kept(doc):
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n", True)
+
+
+def nested(depth, x):
+    """``x`` at the bottom of ``depth`` containers, lists and dicts in turn."""
+    for level in range(depth):
+        x = [x] if level % 2 else {"k": x}
+    return x
+
+
+@pytest.mark.parametrize("doc, fast", [
+    (["a\x7f", 1e-07], False), ({"\x7f": 1e16}, False), ({"caf\xe9": 1e-05}, False),
+    (["\u2028", 1e16], False), ("\ud800", False), ("\x7f", False),
+    ([2**64, 1e-07], False), ({"a": -2**63 - 1}, False), (10**40, False), ([2**64 - 1, -2**63, 1e16], True),
+    ({"a": math.nan}, False), ([1, -math.inf], False), ({"b": [1.0, "s", math.inf]}, False),
+    (nested(254, 1e-07), True), (nested(255, 1e16), None), (nested(256, 1e-05), False),
+    (nested(300, 1e-07), False),
+])
+def test_documents_orjson_writes_otherwise_go_to_json(doc, fast):
+    """DEL and non-ASCII text (which json escapes), ints outside 64 bits,
+    NaN and infinities beside other types (orjson writes null) and nesting
+    past 255 levels are written by json; the rest by orjson (at 255 levels,
+    by whichever orjson's own limit allows)."""
+    text, taken = written(doc)
+    assert text == json.dumps(doc, indent=2) + "\n" and fast in (None, taken)
+
+
+def test_non_str_keys_go_to_json_whatever_orjson_accepts(monkeypatch):
+    """json writes float, int, bool and None keys as strings, 1e16 as
+    "1e+16"; an orjson that took such keys (as with OPT_NON_STR_KEYS) and
+    wrote "1e16" would not be given them."""
+    import orjson
+
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda value, option=0: dumps(value, option=option | orjson.OPT_NON_STR_KEYS))
+    for doc in ({1e16: 1.0}, {"a": {1e-05: [1]}}, {True: 1, None: 2, 3: 4.5}):
+        assert written(doc) == (json.dumps(doc, indent=2) + "\n", False)
+
+
+class Color(enum.Enum):
+    RED = 1
+
+
+@dataclasses.dataclass
+class Point:
+    x: float = 1.5
+
+
+@pytest.mark.parametrize("value", [Color.RED, uuid.UUID(int=7), datetime.date(2020, 1, 2), Point(), np.zeros(2)])
+def test_write_json_refuses_what_only_orjson_encodes(value):
+    """Types orjson encodes natively and json refuses get json's TypeError,
+    and nothing is written."""
+    for doc in (value, [1.0, value], {"a": {"b": value}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        fh = io.StringIO()
+        with pytest.raises(TypeError) as info:
+            write_json(doc, fh)
+        assert str(info.value) == str(expected.value) and fh.getvalue() == ""
+
+
 def edge_floats():
     """Every power of ten from 1e-330 to 1e308 and the floats one ulp either
     side, subnormals, the edges 1e-4 and 1e16 where ``repr`` changes layout,
@@ -534,8 +750,8 @@ def test_float_lists_have_the_bytes_of_json_dumps(monkeypatch, depth):
     repr's layout, the orjson path is taken and writes json.dumps's bytes at
     each depth."""
     taken = []
-    floats = serialize._floats
-    monkeypatch.setattr(serialize, "_floats", lambda *args: taken.append(floats(*args)) or taken[-1])
+    fast = serialize._fast_json
+    monkeypatch.setattr(serialize, "_fast_json", lambda *args: taken.append(fast(*args)) or taken[-1])
     lists = float_lists()
     for values in lists:
         doc = at_depth(values, depth)
@@ -546,10 +762,11 @@ def test_float_lists_have_the_bytes_of_json_dumps(monkeypatch, depth):
 
 
 def test_trace_float_lists_go_through_orjson(monkeypatch):
-    """A trace of a 150x500, K = 15 run hands every correlation list and its
-    final estimate to orjson.dumps.  A list holding NaN, an infinity, an
-    np.float64 or an int does not go to it, nor one mostly outside
-    1e-4 <= |x| < 1e16, and each keeps json's bytes."""
+    """Once orjson has written the probes as json does, a trace of a 150x500,
+    K = 15 run, its correlation lists and final estimate with it, is encoded
+    by exactly one orjson.dumps call.  A document
+    holding NaN, an infinity or an np.float64 does not go to it, and each
+    keeps json's bytes."""
     import orjson
 
     rng = np.random.default_rng(9)
@@ -557,33 +774,56 @@ def test_trace_float_lists_go_through_orjson(monkeypatch):
     A /= np.linalg.norm(A, axis=0)
     doc = run_omp(A[:, :15] @ rng.standard_normal(15), A, FixedIterations(15)).to_json_dict()
     seen, dumps = [], orjson.dumps
-    monkeypatch.setattr(orjson, "dumps", lambda value: seen.append(value) or dumps(value))
+    monkeypatch.setattr(orjson, "dumps", lambda value, **options: seen.append(value) or dumps(value, **options))
+    write_json([1.0], io.StringIO())  # the probes, run once for this dumps
+    seen.clear()
     fh = io.StringIO()
     write_json(doc, fh)
     assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
-    lists = [it["correlations"] for it in doc["iterations"]] + [doc["final_estimate"]]
-    assert len(lists) == 16 and list(map(id, seen)) == list(map(id, lists))
-    seen.clear()
-    for values in ([1.0, math.nan], [math.inf, 2.0, 3.0], [1.0, -math.inf, 1e300],
-                   [1.0, np.float64(2.0)], [1.0, 2], [2.5, True], [1e-5, 0.5, -1e20]):
+    assert list(map(id, seen)) == [id(doc)]
+    for values, taken in (([1.0, math.nan], False), ([math.inf, 2.0, 3.0], False),
+                          ([1.0, -math.inf, 1e300], False), ([1.0, np.float64(2.0)], False),
+                          ([1.0, 2], True), ([2.5, True], True), ([1e-5, 0.5, -1e20], True)):
         for doc in (values, {"a": values}, [tuple(values)]):
+            seen.clear()
             fh = io.StringIO()
             write_json(doc, fh)
             assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
-    assert seen == []
+            assert seen == ([doc] if taken else [])
 
 
 @pytest.mark.parametrize("layout", [b"[1,2.5]", b"[1.0e0,2.5]", b"[1.0E0,2.5]", b"[+1.0,2.5]", b"[1.0,null]"])
 def test_float_list_in_another_layout_is_written_by_json(monkeypatch, layout):
-    """Where orjson writes a token otherwise than as -digits.digits, as
-    another version might, json's encoder writes the list."""
+    """Where orjson writes the floats of [1.0, 2.5] as in ``layout``, as
+    another version might, in every document it is given (the probes too),
+    json writes every document."""
     import orjson
 
-    monkeypatch.setattr(orjson, "dumps", lambda value: layout)
-    for doc in ([1.0, 2.5], {"a": (1.0, 2.5)}):
+    dumps, tokens = orjson.dumps, dict(zip([b"1.0", b"2.5"], layout[1:-1].split(b",")))
+    token = re.compile(rb"(?<![0-9.e])(?:1\.0|2\.5)(?![0-9])")
+    monkeypatch.setattr(orjson, "dumps", lambda value, **options: token.sub(
+        lambda match: tokens[match[0]], dumps(value, **options)))
+    for doc in ([1.0, 2.5], {"a": (1.0, 2.5)}, 1.0, {"b": [3, "x"]}):
         fh = io.StringIO()
         write_json(doc, fh)
         assert fh.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_orjson_refusing_a_probe_leaves_every_document_to_json(monkeypatch):
+    """An orjson that refuses a probe document (here the int 7) is not
+    used, and its error does not escape."""
+    import orjson
+
+    dumps = orjson.dumps
+
+    def refusing(value, **options):
+        if value == 7:
+            raise orjson.JSONEncodeError("refused")
+        return dumps(value, **options)
+
+    monkeypatch.setattr(orjson, "dumps", refusing)
+    doc = {"a": [1.0, 2.5]}
+    assert written(doc) == (json.dumps(doc, indent=2) + "\n", False)
 
 
 def test_instance_json_revalidates_noise_bound():
