@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_matrix_stack, as_vector, least_squares_stack, norms
 from .omp import SparseSignal
-from .rip import in_sharp_region
+from .rip import _sharp_denominator, in_sharp_region
 
 NOISE_L2 = "l2_bounded"
 NOISE_LINF = "linf_bounded"
@@ -121,12 +121,13 @@ def counterexample_operator(K, delta):
 
 def l2_gamma_bound(K, delta, epsilon):
     """Open upper bound on the signal magnitude for the l2-noise construction."""
-    return math.sqrt(1.0 - delta) * epsilon / (1.0 - math.sqrt(K + 1) * delta)
+    denominator = _sharp_denominator(K, delta)
+    return math.sqrt(1.0 - delta) * epsilon / denominator
 
 
 def linf_gamma_bound(K, delta, epsilon):
     """Open upper bound on the signal magnitude for the linf-noise construction."""
-    return 2.0 * epsilon / (1.0 - math.sqrt(K + 1) * delta)
+    return 2.0 * epsilon / _sharp_denominator(K, delta)
 
 
 def _check_gamma(gamma, bound):

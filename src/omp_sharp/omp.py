@@ -15,10 +15,9 @@ from .errors import (
     DimensionMismatch,
     InvalidDeltaOrder,
     InvalidOrder,
-    OutOfSharpRegion,
 )
 from .linalg import RANK_TOLERANCE, as_matrix, as_matrix_stack, as_vector, norms
-from .rip import in_sharp_region
+from .rip import _sharp_denominator
 
 #: Relative gap below which two correlation magnitudes count as tied.
 TIE_TOLERANCE = 1e-12
@@ -405,9 +404,7 @@ def min_magnitude_threshold_l2(K, delta, epsilon):
     """Minimum-magnitude bound 2*eps / (1 - sqrt(K+1)*delta) for l2 noise."""
     if epsilon < 0:
         raise InvalidOrder(f"epsilon must be >= 0, got {epsilon}")
-    if not in_sharp_region(K, delta):
-        raise OutOfSharpRegion(f"delta {delta} not < 1/sqrt({K + 1})")
-    return 2.0 * epsilon / (1.0 - math.sqrt(K + 1) * delta)
+    return 2.0 * epsilon / _sharp_denominator(K, delta)
 
 
 def _linf_factor(K, delta2, deltaK1, unit_norm_columns):
@@ -439,9 +436,7 @@ def min_magnitude_threshold_linf(K, delta2, deltaK1, epsilon, unit_norm_columns=
     if epsilon < 0:
         raise InvalidOrder(f"epsilon must be >= 0, got {epsilon}")
     factor = _linf_factor(K, delta2, deltaK1, unit_norm_columns)
-    if not in_sharp_region(K, deltaK1):
-        raise OutOfSharpRegion(f"delta {deltaK1} not < 1/sqrt({K + 1})")
-    return 2.0 / (1.0 - math.sqrt(K + 1) * deltaK1) * factor * epsilon
+    return 2.0 / _sharp_denominator(K, deltaK1) * factor * epsilon
 
 
 def prior_art_ric_bound(K):

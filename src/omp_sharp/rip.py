@@ -1,14 +1,14 @@
 """Exact restricted isometry constants by branch-and-bound subset enumeration."""
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidOrder
+from .errors import BudgetExceeded, DegenerateDenominator, InvalidOrder, OutOfSharpRegion
 from .linalg import as_matrix, as_matrix_stack
 
 #: Default cap on C(cols, K), the number of subsets an order-K search covers.
@@ -22,13 +22,6 @@ DEFAULT_BUDGET = 10**6
 #: round-off of the eigensolver and of the bound, so a skipped subset can
 #: never have a computed delta reaching the best one.
 PRUNE_TOLERANCE = 1e-10
-
-#: Distance from 1 within which in_sharp_region compares delta^2 (K+1) with 1
-#: on exact rationals.  Outside it the float product decides: its roundings
-#: (the square and the product; K + 1 is taken as a float only up to 2**53,
-#: where it is exact) move it by at most about 2.3e-16 relative, far less
-#: than this.
-SHARP_REGION_BAND = 1e-12
 
 # Subsets are screened in chunks of at most this size, and an eigensolve
 # covers at most this many blocks; neither changes a report.
@@ -352,22 +345,25 @@ def linf_threshold_rics(A, K, unit_norm_columns=False):
 
 
 def in_sharp_region(K, delta):
-    """True iff delta < 1/sqrt(K+1), with the boundary strictly excluded.
-
-    The answer is that of delta^2 * (K+1) < 1 on exact rationals, so
-    boundary values such as delta = 0.5 with K = 3 are never misclassified
-    by floating-point rounding.  The float product, off by at most a few
-    units of round-off, decides every case outside SHARP_REGION_BAND of 1;
-    only the cases inside it, and every K + 1 above 2**53, are compared as
-    rationals.
-    """
+    """True iff delta < 1/sqrt(K+1), with the boundary strictly excluded:
+    p^2 (K+1) < q^2 on the integers of delta = p/q, exact for every float,
+    numpy float or int delta and every integer K, numpy's included."""
     if K < 1:
         raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
     if not (0.0 <= delta < 1.0):
         raise InvalidOrder(f"delta must lie in [0, 1), got {delta}")
-    if K + 1 <= 2**53:
-        product = delta * delta * (K + 1)
-        if abs(product - 1.0) > SHARP_REGION_BAND:
-            return product < 1.0
-    return Fraction(delta) ** 2 * (K + 1) < 1
+    p, q = float(delta).as_integer_ratio()
+    return p * p * (operator.index(K) + 1) < q * q
+
+
+def _sharp_denominator(K, delta):
+    """1 - sqrt(K+1) * delta, the denominator of every sharp-condition bound:
+    OutOfSharpRegion unless in_sharp_region(K, delta), and DegenerateDenominator
+    where delta is inside the region but the float difference rounds to 0."""
+    if not in_sharp_region(K, delta):
+        raise OutOfSharpRegion(f"delta {delta} not in (0, 1/sqrt({K + 1}))")
+    denominator = 1.0 - math.sqrt(K + 1) * delta
+    if denominator <= 0:
+        raise DegenerateDenominator(f"1 - sqrt({K + 1}) * {delta} = {denominator} <= 0")
+    return denominator
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -438,7 +439,9 @@ def test_construct_gate_exit_3(tmp_path, capsys):
     assert "ParameterOutOfRange" in result.stderr
     # the instance is built before either output is opened
     out, matrix_out = tmp_path / "c.json", tmp_path / "A.txt"
-    for args in (["l2", "-K", "2", "--delta", "0.9"], ["example2", "--delta", "0.8"]):
+    # on the boundary K = 3, delta = 0.5 the gamma bound's 1 - sqrt(4) * 0.5 is 0
+    for args in (["l2", "-K", "2", "--delta", "0.9"], ["example2", "--delta", "0.8"],
+                 ["l2", "-K", "3", "--delta", "0.5"], ["linf", "-K", "3", "--delta", "0.5"]):
         run_in_process(["construct", *args, "-o", str(out), "--matrix-out", str(matrix_out)],
                        code=3)
         assert "error: " in capsys.readouterr().err
@@ -636,6 +639,30 @@ def test_experiment_config_out_of_range_exit_3(tmp_path, doc, message):
     assert "ParameterOutOfRange" in result.stderr and message in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["Theorem3Demo", "Theorem4Demo"])
+def test_demo_on_sharp_boundary_is_an_error_row(tmp_path, capsys, experiment):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": experiment, "k_values": [1, 3],
+                                    "deltas": [0.5]}))
+    run_in_process(["experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv")])
+    capsys.readouterr()
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["K"] for row in rows} == {"1", "3"}
+    for row in rows:
+        boundary = row["K"] == "3"
+        assert (row["error"] == "OutOfSharpRegion: delta 0.5 not in (0, 1/sqrt(4))") == boundary
+
+
+def test_comparison_table_degenerate_sharp_denominator_exit_3(tmp_path, capsys):
+    # inside the sharp region at K = 1, yet 1 - sqrt(2) * delta rounds to 0.0
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "ComparisonTable", "k_values": [1],
+                                    "deltas": [0.7071067811865475]}))
+    run_in_process(["experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv")], code=3)
+    assert "error: DegenerateDenominator: " in capsys.readouterr().err
 
 
 def test_help_screens():

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omp_sharp.errors import (
+    DegenerateDenominator,
     DegenerateMatrix,
     DimensionMismatch,
     GammaOutOfRange,
+    InvalidOrder,
     NotProperSubset,
     OutOfSharpRegion,
     ParameterOutOfRange,
@@ -116,6 +118,18 @@ def test_operator_rejects_boundary():
         counterexample_operator(3, 0.5)
     with pytest.raises(OutOfSharpRegion):
         counterexample_operator(2, 0.0)
+
+
+def test_gamma_bounds_gate_the_sharp_denominator():
+    for bound in (l2_gamma_bound, linf_gamma_bound):
+        with pytest.raises(OutOfSharpRegion, match=r"not in \(0, 1/sqrt\(4\)\)"):
+            bound(3, 0.5, 1.0)
+        # inside the sharp region at K = 1, yet 1 - sqrt(2) * delta rounds to 0.0
+        with pytest.raises(DegenerateDenominator):
+            bound(1, 0.7071067811865475, 1.0)
+        # checked before sqrt(1 - delta) could fail
+        with pytest.raises(InvalidOrder):
+            bound(1, 1.5, 1.0)
 
 
 @pytest.mark.parametrize("K,delta", GRID)

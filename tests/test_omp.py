@@ -645,6 +645,15 @@ def test_min_magnitude_threshold_l2_gates():
         min_magnitude_threshold_l2(3, 0.3, -1.0)
 
 
+def test_thresholds_degenerate_sharp_denominator():
+    # inside the sharp region at K = 1, yet 1 - sqrt(2) * delta rounds to 0.0
+    delta = 0.7071067811865475
+    with pytest.raises(DegenerateDenominator):
+        min_magnitude_threshold_l2(1, delta, 0.5)
+    with pytest.raises(DegenerateDenominator):
+        min_magnitude_threshold_linf(1, 0.1, delta, 0.5)
+
+
 def test_linf_thresholds_frozen():
     assert linf_stopping_threshold(3, 0.3, 0.3, 0.25) == pytest.approx(
         0.8400968443520824, abs=1e-12

@@ -613,6 +613,10 @@ def test_in_sharp_region_values():
     assert not in_sharp_region(3, 0.5)  # exactly on the boundary
     assert in_sharp_region(8, 0.2)
     assert not in_sharp_region(8, 1.0 / 3.0 + 1e-12)
+    # numpy scalars are decided by their values
+    assert not in_sharp_region(3, np.float32(0.5))
+    assert in_sharp_region(np.int64(3), np.float16(0.4995))
+    assert in_sharp_region(3, np.int64(0))
 
 
 def test_in_sharp_region_validation():
@@ -630,7 +634,7 @@ def test_boundary_decided_by_exact_rationals(K, random_delta):
     from fractions import Fraction
 
     def exact(delta):
-        return Fraction(delta) ** 2 * (K + 1) < 1
+        return Fraction(float(delta)) ** 2 * (K + 1) < 1
 
     delta = 1.0 / math.sqrt(K + 1)
     # the float nearest the boundary lands on whichever side its exact
@@ -638,17 +642,20 @@ def test_boundary_decided_by_exact_rationals(K, random_delta):
     assert in_sharp_region(K, delta) == exact(delta)
     if K + 1 in (4, 16):  # boundary is a dyadic rational, exactly representable
         assert not in_sharp_region(K, delta)
-    # its float neighbours, a few units of round-off either side, fall inside
-    # SHARP_REGION_BAND and are decided on rationals too
+    # so do its float neighbours, a few units of round-off either side
     below, above = delta, delta
     for _ in range(4):
         below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
         assert in_sharp_region(K, below) == exact(below)
         assert in_sharp_region(K, above) == exact(above)
-    # just outside the band the float product decides, and agrees
     for factor in (1.0 - 1e-11, 1.0 + 1e-11):
         assert in_sharp_region(K, delta * factor) == exact(delta * factor)
     assert in_sharp_region(K, random_delta) == exact(random_delta)
+    # numpy scalars by their exact values, the boundary rounded to each precision
+    for scalar in (np.float16, np.float32, np.float64):
+        assert in_sharp_region(np.int64(K), scalar(delta)) == exact(scalar(delta))
+    assert in_sharp_region(K, np.float64(random_delta)) == exact(random_delta)
+    assert in_sharp_region(K, np.int64(0))
 
 
 @settings(max_examples=50)
