@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominator,
+    DegenerateMatrix,
     DimensionMismatch,
     InvalidDeltaOrder,
     InvalidOrder,
@@ -222,9 +223,11 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     form: the bits do not depend on the stack.  Only run_omp, on a stack of
     one, passes a ``tie_break_rng``.
 
-    Returns the traces and, by position, the DimensionMismatch of each
-    problem whose measurements (it never enters the loop) or estimate are
-    not finite; its trace is None.
+    Returns the traces and, by position, the error of each problem that
+    fails, whose trace is None: DegenerateMatrix where a pass's correlations
+    A^T r^k are not finite (the products overflowed; the problem leaves the
+    loop then), else DimensionMismatch where its measurements (it never
+    enters the loop) or estimate are not finite.
     """
     count, m, n = A.shape
     finite = np.isfinite(Y).all(axis=1)
@@ -247,6 +250,7 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
     selected = [[] for _ in range(count)]  # 0-based, in selection order
     largest_diagonal = [0.0] * count
     traces = [None] * count
+    failures = {}
     estimates = np.zeros((count, n))
 
     def stop(reasons, k):
@@ -280,9 +284,12 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
                     selected_index=indices[i] + 1, correlations=correlations[i],
                     residual_l2=l2, correlation_linf=linf,
                 ))
+            if not math.isfinite(linf):  # the row's max keeps a NaN
+                failures[p] = DegenerateMatrix(f"correlations A^T r^{k} are not finite")
+                reasons.append((i, None))
             # before the first selection only ||r^0|| counts, so no
             # correlation rule fires on r^0 unless A^T r^0 = 0
-            if rules[p].met(k, l2, linf if k or linf == 0.0 else math.inf):
+            elif rules[p].met(k, l2, linf if k or linf == 0.0 else math.inf):
                 reasons.append((i, STOP_RULE_MET))
             elif k == max_iterations:
                 reasons.append((i, STOP_MAX_ITERATIONS))
@@ -337,8 +344,8 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
         R[:, k:k + 1, k:k + 1] = diagonal
         np.matmul(Q[:, k:k + 1], Y, out=qty[:, k:k + 1])
         residual = Y - Q[:, :k + 1].swapaxes(1, 2) @ qty[:, :k + 1]
-    failures = {p: DimensionMismatch("vector contains non-finite entries") for p in
-                np.flatnonzero(~(finite & np.isfinite(estimates).all(axis=1))).tolist()}
+    for p in np.flatnonzero(~(finite & np.isfinite(estimates).all(axis=1))).tolist():
+        failures.setdefault(p, DimensionMismatch("vector contains non-finite entries"))
     return [None if p in failures else trace for p, trace in enumerate(traces)], failures
 
 
@@ -352,7 +359,7 @@ def run_omps(Y, A, rules):
     leaves the loop as soon as it stops.  Returns one OmpTrace per problem,
     each ``==`` to run_omp's on that problem, and, by position, the error
     run_omp raises on each problem that fails only itself (its trace is
-    None): one whose measurements or estimate are not finite.
+    None): one whose correlations, measurements or estimate are not finite.
     """
     A = as_matrix_stack(A)
     Y = np.asarray(Y, dtype=float)
@@ -384,8 +391,9 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     (as y = 0 is) also ends the loop: with "rule_met" when the rule holds
     for it with ||A^T r||_inf = 0, and "stalled" otherwise.
 
-    Returns an OmpTrace; raises DimensionMismatch when ``y`` or the
-    estimate is not finite.  Rather than raising, the run stops with
+    Returns an OmpTrace; raises DegenerateMatrix when a product A^T r^k is
+    not finite (its entries overflowed), and DimensionMismatch when ``y`` or
+    the estimate is not finite.  Rather than raising, the run stops with
     ``stop_reason`` "rank_deficient" when the new column's component
     orthogonal to the selected ones is at most RANK_TOLERANCE times the
     largest R diagonal, and "stalled" when it re-selects a chosen column

@@ -8,7 +8,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateDenominator, InvalidOrder, OutOfSharpRegion
+from .errors import (
+    BudgetExceeded,
+    DegenerateDenominator,
+    DegenerateMatrix,
+    InvalidOrder,
+    OutOfSharpRegion,
+)
 from .linalg import as_matrix, as_matrix_stack
 
 #: Default cap on C(cols, K), the number of subsets an order-K search covers.
@@ -137,11 +143,13 @@ def _subset_count(n, K, budget):
 def _search(A, K, budget):
     """The order-K report of every matrix of the validated stack ``A``.
 
-    Raises InvalidOrder or BudgetExceeded (see _subset_count) before any
-    subset is evaluated.  A larger stack gets one search per matrix when the
-    walk may bound (see _may_bound), and otherwise one search in the same
-    chunks for the whole stack, each eigensolve covering every matrix, so
-    counters too are those of exact_ric.
+    Raises InvalidOrder or BudgetExceeded (see _subset_count), then
+    DegenerateMatrix where a Gram matrix A^T A is not finite (its products
+    overflowed), before any subset is evaluated.  A larger stack gets one
+    search per matrix when the walk may bound (see _may_bound), and
+    otherwise one search in the same chunks for the whole stack, each
+    eigensolve covering every matrix, so counters too are those of
+    exact_ric.
 
     The walk hands the K-subsets of columns to a leaf screen in chunks of at
     most _CHUNK.  The screen takes, per matrix, the moment bound of each
@@ -185,6 +193,8 @@ def _search(A, K, budget):
         return [report for a in A for report in _search(a[None], K, budget)]
     bounding = count == 1  # the walk bounds a single Gram matrix only
     grams = (A[0].T @ A[0])[None] if bounding else A.swapaxes(1, 2) @ A
+    if not np.isfinite(grams).all():
+        raise DegenerateMatrix("Gram matrix A^T A is not finite")
     matrices = np.arange(count)
     best_delta = np.full(count, -math.inf)
     best_subset = np.zeros((count, K), dtype=np.intp)
@@ -305,8 +315,9 @@ def exact_ric(A, K, budget=DEFAULT_BUDGET):
     subtrees and subsets that cannot reach the best delta, so the report
     equals that of evaluating every subset.  Ties break toward the
     lexicographically smallest subset, so the report is deterministic.
-    Raises BudgetExceeded when C(cols, K) exceeds ``budget``, before any
-    subset is evaluated.
+    Raises BudgetExceeded when C(cols, K) exceeds ``budget``, and
+    DegenerateMatrix when A^T A is not finite, before any subset is
+    evaluated.
     """
     return _search(as_matrix(A)[None], K, budget)[0]
 
@@ -359,10 +370,14 @@ def in_sharp_region(K, delta):
 def _sharp_denominator(K, delta):
     """1 - sqrt(K+1) * delta, the denominator of every sharp-condition bound:
     OutOfSharpRegion unless in_sharp_region(K, delta), and DegenerateDenominator
-    where delta is inside the region but the float difference rounds to 0."""
+    where delta is inside the region but the float difference rounds to 0,
+    and InvalidOrder where K + 1 has no float."""
     if not in_sharp_region(K, delta):
         raise OutOfSharpRegion(f"delta {delta} not in (0, 1/sqrt({K + 1}))")
-    denominator = 1.0 - math.sqrt(K + 1) * delta
+    try:
+        denominator = 1.0 - math.sqrt(K + 1) * delta
+    except OverflowError:  # K + 1 beyond the float range, where delta is 0
+        raise InvalidOrder(f"sparsity K = {K} too large: K + 1 exceeds the float range") from None
     if denominator <= 0:
         raise DegenerateDenominator(f"1 - sqrt({K + 1}) * {delta} = {denominator} <= 0")
     return denominator

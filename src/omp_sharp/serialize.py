@@ -28,7 +28,7 @@ import functools
 import io
 import itertools
 import json
-import math
+import marshal
 import re
 
 import numpy as np
@@ -206,80 +206,30 @@ def instance_to_json_dict(instance):
 
 
 def write_json(obj, fh):
-    """``json.dump(obj, fh, indent=2)`` and a newline, in the same bytes:
-    by one ``orjson.dumps`` call where ``_fast_json`` can vouch for it, else
-    by ``json.dumps``, whose errors are raised before anything is written."""
-    fh.write(_fast_json(obj) or json.dumps(obj, indent=2))
-    fh.write("\n")
+    """``obj`` as JSON indented by two spaces and a newline, written to the
+    text stream ``fh`` by one ``orjson.dumps`` call, in orjson's layout: its
+    floats ``0.00001``, ``1e-7`` and ``1e16`` parse as json's ``1e-05``,
+    ``1e-07`` and ``1e+16`` do.
 
-
-def _fast_json(obj):
-    """``json.dumps(obj, indent=2)`` by orjson where ``obj`` is ``_plain``,
-    orjson writes ``_PROBES`` as json does and refuses nothing, else None."""
+    ``json.dumps(obj, indent=2)`` writes it instead where ``marshal``, which
+    takes exact builtin types and buffers only, refuses it (so an Enum, UUID,
+    date or dataclass, which orjson encodes, gets json's TypeError), where
+    orjson refuses it (an int beyond 64 bits, a non-``str`` key, deep or
+    circular nesting) and where orjson's bytes hold ``null`` (None, NaN,
+    infinities), DEL or non-ASCII text, which json escapes.  Errors are
+    raised before anything is written.
+    """
     import orjson  # loaded on the first write, not on ``import omp_sharp``
 
-    if not (_plain(obj) and _vouched(orjson.dumps, orjson.OPT_INDENT_2)):
-        return None
     try:
-        return _repr_tokens(orjson.dumps(obj, option=orjson.OPT_INDENT_2)).decode()
-    except (orjson.JSONEncodeError, ValueError):
-        return None
-
-
-def _plain(value, depth=0):
-    """Whether ``value`` is, to 255 levels (so not circular), of the exact
-    types dict (``str`` keys), list, tuple, str (no DEL or non-ASCII, which
-    json escapes and orjson does not), int, float (finite), bool and None."""
-    if type(value) is dict:
-        if set(map(type, value)) - {str}:
-            return False
-        value = [*value, *value.values()]
-    elif type(value) not in (list, tuple):
-        value = [value]
-    types = set(map(type, value))
-    if types == {float}:  # a finite sum has finite items; a sum may overflow
-        return math.isfinite(sum(value)) or all(map(math.isfinite, value))
-    return depth < 255 and types <= {dict, list, tuple, str, int, float, bool, type(None)} and all(
-        _plain(item, depth + 1) if type(item) in (dict, list, tuple)
-        else item.isascii() and "\x7f" not in item if type(item) is str
-        else type(item) is not float or math.isfinite(item) for item in value)
-
-
-def _repr_tokens(data):
-    """orjson's indented ``data`` with each float token that ``repr`` lays
-    out otherwise (``1e-7``, ``1e16``, ``0.00001``) written by ``repr``.  A
-    token runs from a space (or the start) to ``\n``, ``,\n`` (or the end),
-    so none is in a string, whose quote would come before the line break."""
-    hits = [match.start() for match in re.finditer(rb"e(?:-[0-9](?![0-9])|[0-9])", data)]
-    hit = data.find(b"0.0000")
-    while hit >= 0:
-        hits.append(hit)
-        hit = data.find(b"0.0000", hit + 6)
-    parts, done = [], 0
-    for hit in sorted(hits):
-        start, end = data.rfind(b" ", 0, hit) + 1, data.find(b"\n", hit)
-        token = data[start:end if end >= 0 else len(data)].removesuffix(b",")
-        if not token.translate(None, b"0123456789+-.eE"):
-            parts += [data[done:start], repr(float(token)).encode()]
-            done = start + len(token)
-    return b"".join(parts + [data[done:]])
-
-
-# every token layout and escape, nested and at the top
-_PROBES = ({"floats": [0.0, -0.0, 1.0, -2.5, 0.1, 123.456, 1e-4, 9.99e-5, 1e-05, -1.5e-06, 1e-07,
-                       1e-10, -1.5e-99, 5e-324, 1e15, 1e16, -1.5e16, 1e22, 1.7976931348623157e308],
-            "".join(map(chr, range(127))): [0, -1, 2**64 - 1, -2**63, True, False, None, "", ()]},
-           [{}], 1e-05, 1e16, 7, "x", None, [])
-
-
-@functools.lru_cache(maxsize=1)
-def _vouched(dumps, option):
-    """Whether ``dumps`` and ``_repr_tokens`` write ``_PROBES`` as json does."""
-    try:
-        return all(_repr_tokens(dumps(probe, option=option))
-                   == json.dumps(probe, indent=2).encode() for probe in _PROBES)
+        marshal.dumps(obj)
+        data = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     except (TypeError, ValueError):  # orjson's JSONEncodeError is a TypeError
-        return False
+        data = None
+    if data is None or b"null" in data or b"\x7f" in data or not data.isascii():
+        fh.write(json.dumps(obj, indent=2) + "\n")
+    else:
+        fh.write(data.decode())
 
 
 def write_csv(path, header, rows):

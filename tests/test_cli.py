@@ -454,6 +454,32 @@ def test_construct_sparsity_beyond_float_range_exit_3():
     assert "OutOfSharpRegion" in result.stderr
 
 
+def test_construct_sparsity_beyond_float_range_at_delta_0_exit_3(capsys):
+    # delta = 0 is inside the sharp region for every K, but K + 1 has no float
+    run_in_process(["construct", "l2", "-K", str(10**400), "--delta", "0"], code=3)
+    assert "error: InvalidOrder: sparsity K = 1000" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [["omp", "run", "{A}", "{y}", "fixed:2"], ["ric", "{A}", "2"]],
+                         ids=["omp run", "ric"])
+def test_overflowing_products_exit_3(tmp_path, capsys, args):
+    """Entries scaled by 1e154, all finite, whose A^T y and A^T A overflow:
+    no trace or report, but DegenerateMatrix (at 1e150, omp run recovers
+    columns 2 and 5)."""
+    A = np.random.default_rng(0).standard_normal((6, 10))
+    for scale, code in ((1e150, 0), (1e154, 3)):
+        paths = {"A": tmp_path / "A.txt", "y": tmp_path / "y.txt"}
+        paths["A"].write_text(format_matrix_text(scale * A))
+        paths["y"].write_text(format_matrix_text((scale * A[:, [1, 4]] @ [1.0, -2.0])[:, None]))
+        run_in_process([arg.format(**paths) for arg in args], code=code)
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err.startswith("error: DegenerateMatrix: ")
+        elif args[0] == "omp":
+            assert json.loads(out)["final_support"] == [2, 5]
+
+
 def test_experiment_command(tmp_path):
     cfg = {
         "experiment": "Example2",
@@ -497,6 +523,46 @@ def test_experiment_stdout_has_the_bytes_of_the_summary_file(tmp_path):
                      "--summary", str(summary), text=False)
     assert result.returncode == 0, result.stderr
     assert result.stdout == summary.read_bytes()
+
+
+# Every JSON producer writes orjson's indented layout of its own document,
+# unless something in it sent it to json.dumps (see serialize.write_json).
+PRODUCERS = [
+    ["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "l2:0.01"],
+    ["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt"), "fixed:5"],
+    ["omp", "run", str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k2.txt"), "linf:0.01",
+     "--sparsity", "2", "--exact-ric"],
+    ["ric", str(DATA / "ric_unit_24x30.txt"), "4"],
+    ["ric", str(DATA / "ric_gauss_32x16.txt"), "6", "--all-orders"],
+    ["construct", "l2", "-K", "2", "--delta", "0.4"],
+    ["construct", "linf", "-K", "2", "--delta", "0.3"],
+    ["construct", "example1", "--delta", "0.5"],
+    ["construct", "example2", "--delta", "0.5"],
+    ["construct", "example3", "--delta", "0.5"],
+    ["experiment", "{config}", "--csv", "{csv}"],
+]
+
+
+@pytest.mark.parametrize("args", PRODUCERS, ids=lambda args: " ".join(args[:1] + args[-2:]))
+def test_output_has_the_layout_of_orjson(tmp_path, capsys, args):
+    import orjson
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "ComparisonTable"}))
+    run_in_process([arg.format(config=config, csv=tmp_path / "out.csv") for arg in args])
+    out = capsys.readouterr().out.encode()
+    assert out == orjson.dumps(json.loads(out), option=orjson.OPT_INDENT_2) + b"\n"
+
+
+def test_summary_echoing_a_seed_beyond_64_bits_is_written_by_json(tmp_path, capsys):
+    """orjson refuses an int outside 64 bits, so json.dumps writes the
+    summary, and it parses back to the seed."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "Theorem1Sweep", "seed": 2**70, "trials": 2}))
+    run_in_process(["experiment", str(config), "--csv", str(tmp_path / "out.csv")])
+    out = capsys.readouterr().out
+    assert json.loads(out)["seed"] == 2**70
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 UNWRITABLE = [

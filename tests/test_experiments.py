@@ -268,8 +268,8 @@ def test_trial_whose_noise_fails_fails_alone(monkeypatch):
     ]
 
 
-#: Signals so large that the measurements, or the estimate, overflow in
-#: some trials and not others.
+#: Signals so large that the measurements, the estimate or the products
+#: A^T y overflow in some trials and not others.
 OVERFLOW_CONFIG = dict(experiment="Theorem2Sweep", seed=3, margin=1e307, trials=3)
 
 
@@ -292,7 +292,7 @@ def test_each_cell_solves_its_trials_in_one_stacked_call(monkeypatch):
         calls[cell_index] = calls.get(cell_index, 0) + 1
         assert len(rules) == solving[cell_index]
         traces, failures = stacked(Y, A, rules)
-        failed.extend(failures)
+        failed.extend(failures.values())
         return traces, failures
 
     def alone(*args, **kwargs):
@@ -307,8 +307,9 @@ def test_each_cell_solves_its_trials_in_one_stacked_call(monkeypatch):
     assert records == expected
     assert not hasattr(experiments, "run_omp")
     assert calls == {c: 1 for c, count in solving.items() if count}
-    # the overflowing trials fail in their cells' stacked solves
-    assert len(failed) == 5
+    # the overflowing trials fail in their cells' stacked solves: five whose
+    # measurements or estimate overflow, one whose A^T y does
+    assert sorted(type(error).__name__ for error in failed) == ["DegenerateMatrix"] + ["DimensionMismatch"] * 5
 
 
 @pytest.mark.parametrize("name", ["Example1", "Example2", "Example3"])

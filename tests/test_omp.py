@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from omp_sharp import omp
 from omp_sharp.errors import (
     DegenerateDenominator,
+    DegenerateMatrix,
     DimensionMismatch,
     InvalidDeltaOrder,
     InvalidOrder,
@@ -174,6 +175,32 @@ def test_stacked_failures_are_the_errors_of_each_problem_alone():
         else:
             assert_same_trace(traces[i], run_omp(y, a, rule))
             assert_same_trace(traces[i], incremental_omp(y, a, rule))
+
+
+def overflowing_problem(scale):
+    """y = A[:, [1, 4]] @ [1, -2] on the 6 x 10 Gaussian A of default_rng(0),
+    y and A both scaled by ``scale``.  Every entry is finite, but at 1e154
+    the products A^T y overflow."""
+    A = scale * np.random.default_rng(0).standard_normal((6, 10))
+    return A[:, [1, 4]] @ [1.0, -2.0], A
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_correlations_fail_the_run():
+    y, A = overflowing_problem(1e150)
+    assert run_omp(y, A, FixedIterations(2)).final_support == {2, 5}
+    y_big, A_big = overflowing_problem(1e154)
+    assert np.isfinite(A_big).all() and np.isfinite(y_big).all()
+    with pytest.raises(DegenerateMatrix, match=r"^correlations A\^T r\^0 are not finite$"):
+        run_omp(y_big, A_big, FixedIterations(2))
+    # in a stack, it fails only its own problem
+    rules = [FixedIterations(2), FixedIterations(2), ResidualL2(1e140)]
+    traces, failures = run_omps(np.stack([y, y_big, y]), np.stack([A, A_big, A]), rules)
+    assert list(failures) == [1] and traces[1] is None
+    assert str(failures[1]) == "correlations A^T r^0 are not finite"
+    assert isinstance(failures[1], DegenerateMatrix)
+    assert_same_trace(traces[0], run_omp(y, A, rules[0]))
+    assert_same_trace(traces[2], run_omp(y, A, rules[2]))
 
 
 def test_dimension_mismatch():

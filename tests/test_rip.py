@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omp_sharp import rip
-from omp_sharp.errors import BudgetExceeded, DimensionMismatch, InvalidOrder
+from omp_sharp.errors import BudgetExceeded, DegenerateMatrix, DimensionMismatch, InvalidOrder
 from omp_sharp.instances import counterexample_operator
 from omp_sharp.omp import linf_stopping_threshold
 from omp_sharp.rip import (
@@ -557,6 +557,20 @@ def test_invalid_order_and_budget():
         exact_rics(np.ones((2, 2, 30)), 15)
     with pytest.raises(DimensionMismatch):
         exact_rics(A, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_gram_is_refused():
+    """A matrix with finite entries whose Gram matrix overflows has no RIC
+    to report: DegenerateMatrix, on one matrix and in a stack, where the
+    search walks the stack at once (10 columns) or matrix by matrix (16)."""
+    A = np.random.default_rng(0).standard_normal((6, 10))
+    assert exact_ric(1e150 * A, 2).delta > 1e300
+    B = np.random.default_rng(1).standard_normal((8, 16))
+    for search in (lambda: exact_ric(1e154 * A, 2), lambda: exact_rics(np.stack([A, 1e154 * A]), 2),
+                   lambda: exact_rics(np.stack([B, 1e154 * B]), 4)):
+        with pytest.raises(DegenerateMatrix, match=r"^Gram matrix A\^T A is not finite$"):
+            search()
 
 
 @settings(max_examples=40, deadline=None)
