@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage or parse error or an unwritable output path,
 
 import contextlib
 import json
-import math
 import sys
 
 import click
@@ -21,7 +20,14 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import instances as inst
-from .errors import BudgetExceeded, InvalidOrder, OmpSharpError, ParameterOutOfRange, ParseError
+from .errors import (
+    BudgetExceeded,
+    OmpSharpError,
+    ParameterOutOfRange,
+    ParseError,
+    check_epsilon,
+    check_order,
+)
 from .experiments import ExperimentConfig, write_experiment_outputs
 from .omp import (
     UNIT_NORM_TOLERANCE,
@@ -40,20 +46,31 @@ from .serialize import (
     read_matrix,
     read_text,
     read_vector,
+    remove_output,
     write_json,
 )
 
 
+@contextlib.contextmanager
 def _open_output(path):
-    """``path`` opened for writing ("-" is stdout); failing, a click.FileError.
+    """``path`` opened for writing ("-" is stdout), failing with a
+    click.FileError, and removed again where the block raises.
 
     A command opens its outputs once its inputs are read and checked, before
-    its computation, so an unwritable path fails before any work; JSON is
-    then encoded straight into the open file by ``write_json``."""
+    its computation, so an unwritable path fails before any work, and a
+    computation that fails leaves no file; JSON is then encoded straight
+    into the open file by ``write_json``."""
     try:
-        return click.open_file(path, "w")
+        fh = click.open_file(path, "w")
     except OSError as exc:
         raise click.FileError(path, exc.strerror) from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if path != "-":
+            remove_output(path)
+        raise
 
 
 def _reject_unused(ctx, names, why):
@@ -90,7 +107,7 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
         elif name == "naive-linf":
             rule = CorrelationLInf(float(value))
         elif name == "linf":
-            epsilon = float(value)
+            epsilon = check_epsilon(float(value))
         else:
             raise click.UsageError(
                 f"unknown rule {name!r}; expected fixed, l2, linf or naive-linf"
@@ -101,8 +118,7 @@ def _parse_rule(spec, A, sparsity, use_exact_ric, delta2, delta_k1, unit_norm):
         return lambda: rule
     if sparsity is None:
         raise click.UsageError("linf rule requires --sparsity")
-    if sparsity < 1:
-        raise InvalidOrder(f"sparsity K must be >= 1, got {sparsity}")
+    check_order(sparsity)
     if not use_exact_ric and (delta2 is None or delta_k1 is None):
         raise click.UsageError("linf rule requires --exact-ric or both --delta2 and --delta-k1")
     if unit_norm:
@@ -185,7 +201,7 @@ def ric_cmd(matrix_file, order, all_orders, budget, output):
     """Exact restricted isometry constant by branch-and-bound enumeration."""
     A = read_matrix(matrix_file)
     # ORDER itself too: below 1 the range 1..ORDER of --all-orders is empty
-    _subset_count(A.shape[1], order, math.inf)
+    check_order(order, "order", most=A.shape[1])
     orders = range(1, order + 1) if all_orders else [order]
     for k in orders:
         _subset_count(A.shape[1], k, budget)
@@ -295,7 +311,10 @@ def experiment_cmd(config_file, csv_path, summary_path):
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # every non-finite result is reported as an error, which numpy's
+        # floating-point warnings would only precede
+        with np.errstate(all="ignore"):
+            cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.FileError as exc:
@@ -317,6 +336,9 @@ def main(argv=None):
         sys.exit(4)
     except OmpSharpError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
+    except MemoryError as exc:  # numpy refused an array too large for memory
+        click.echo(f"error: MemoryError: {exc}", err=True)
         sys.exit(3)
     sys.exit(0)
 

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -22,6 +23,9 @@ from .errors import (
     OmpSharpError,
     ParameterOutOfRange,
     ParseError,
+    check_delta,
+    check_epsilon,
+    check_order,
 )
 from .omp import (
     CorrelationLInf,
@@ -37,7 +41,7 @@ from .omp import (
     run_omps,
 )
 from .rip import exact_ric, exact_rics, linf_threshold_rics
-from .serialize import write_csv, write_json
+from .serialize import remove_output, write_csv, write_json
 
 TRIAL_SCHEMA = "omp-sharp-trials-1"
 COMPARISON_SCHEMA = "omp-sharp-comparison-1"
@@ -167,15 +171,18 @@ class ExperimentConfig:
                 raise ParameterOutOfRange(f"{name} must be non-empty")
         # JSON's NaN and Infinity, and overflowing literals such as 1e400,
         # parse to non-finite floats
-        for name, (valid, is_list, _) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            values = (value or ()) if is_list else [value]
-            if valid is _is_real and not all(map(math.isfinite, values)):
-                raise ParameterOutOfRange(f"{name} must be finite, got {value!r}")
+        for name, values in (("gamma_fractions", self.gamma_fractions), ("margin", [self.margin])):
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                raise ParameterOutOfRange(f"{name} must be finite, got {getattr(self, name)!r}")
+        for K in self.k_values:
+            check_order(K, "k_values")
+        for name in ("delta_fractions", "deltas"):
+            for delta in getattr(self, name) or ():
+                check_delta(delta, name, positive=True)
+        for epsilon in self.epsilons:
+            check_epsilon(epsilon, "epsilons")
         if self.seed < 0:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
-        if any(k < 1 for k in self.k_values):
-            raise ParameterOutOfRange("k_values must be >= 1")
         # an experiment that reads m draws an m x n matrix with orthonormal
         # columns, so n must be at most m, and enumerates its RIC of order
         # K+1, so every K must be at most n - 1
@@ -187,12 +194,6 @@ class ExperimentConfig:
             raise ParameterOutOfRange(
                 f"need n <= m for {self.experiment}, got {self.m}x{self.n}"
             )
-        if any(not 0.0 < f < 1.0 for f in self.delta_fractions):
-            raise ParameterOutOfRange("delta_fractions must lie in (0, 1)")
-        if self.deltas is not None and any(not 0.0 < d < 1.0 for d in self.deltas):
-            raise ParameterOutOfRange("deltas must lie in (0, 1)")
-        if any(not e > 0 for e in self.epsilons):
-            raise ParameterOutOfRange(f"epsilons must be > 0, got {self.epsilons}")
         if self.trials < 1:
             raise ParameterOutOfRange("trials must be >= 1")
         if not self.margin > 0:
@@ -684,16 +685,27 @@ def write_experiment_outputs(config, csv_path, summary_path=None):
 
     Both outputs are opened before the run, the summary first, so a path
     that cannot be written fails before any work, and an unwritable summary
-    leaves no CSV behind.  Records are emitted in (cell index, trial index)
-    order so the file is byte-identical for a fixed config and seed.
+    leaves no CSV behind.  Where the CSV cannot be opened or the run
+    raises, the outputs already opened are removed.  Records are emitted in
+    (cell index, trial index) order so the file is byte-identical for a
+    fixed config and seed.
     """
-    with contextlib.ExitStack() as outputs:
-        summary_file = None if summary_path is None else outputs.enter_context(
-            open(summary_path, "w"))
-        # write_csv writes by path; this open only fails early where it would
-        open(csv_path, "w").close()
-        columns, records, summary = run_experiment(config)
-        write_csv(csv_path, columns, [[record[c] for c in columns] for record in records])
-        if summary_file is not None:
-            write_json(summary, summary_file)
+    opened = []
+    try:
+        with contextlib.ExitStack() as outputs:
+            summary_file = None
+            if summary_path is not None:
+                summary_file = outputs.enter_context(open(summary_path, "w"))
+                opened.append(summary_path)
+            # write_csv writes by path; this open only fails early where it would
+            open(csv_path, "w").close()
+            opened.append(csv_path)
+            columns, records, summary = run_experiment(config)
+            write_csv(csv_path, columns, [[record[c] for c in columns] for record in records])
+            if summary_file is not None:
+                write_json(summary, summary_file)
+    except BaseException:
+        for path in opened:
+            remove_output(path)
+        raise
     return summary

@@ -16,12 +16,15 @@ from .errors import (
     DimensionMismatch,
     GammaOutOfRange,
     NotProperSubset,
-    OutOfSharpRegion,
     ParameterOutOfRange,
+    check_delta,
+    check_epsilon,
+    check_magnitude,
+    check_order,
 )
 from .linalg import as_matrix, as_matrix_stack, as_vector, least_squares_stack, norms
 from .omp import SparseSignal
-from .rip import _sharp_denominator, in_sharp_region
+from .rip import _sharp_denominator
 
 NOISE_L2 = "l2_bounded"
 NOISE_LINF = "linf_bounded"
@@ -59,8 +62,7 @@ class Instance:
                 f"matrix {A.shape} incompatible with x of length {self.x.n} "
                 f"and v of length {v.shape[0]}"
             )
-        if not self.epsilon > 0:
-            raise ParameterOutOfRange(f"epsilon must be > 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         level = self.noise_level()
         if level > self.epsilon + BOUND_SLACK:
             raise ParameterOutOfRange(
@@ -82,8 +84,6 @@ class Instance:
 def orthonormal_complement_of_ones(K):
     """K x (K-1) matrix with orthonormal columns, each orthogonal to the
     all-ones vector.  Deterministic given K; empty for K = 1."""
-    if K < 1:
-        raise ParameterOutOfRange(f"K must be >= 1, got {K}")
     ones = np.full((K, 1), 1.0 / math.sqrt(K))
     Q = np.linalg.qr(ones, mode="complete")[0]
     # qr may flip the sign of the leading column; the complement is unaffected
@@ -101,10 +101,11 @@ def counterexample_operator(K, delta):
     U stacks the orthonormal complement of the ones direction with two
     explicit rows mixing the ones direction and the last coordinate; D scales
     row K (1-based) by sqrt(1-delta) and every other row by sqrt(1+delta),
-    so the Gram spectrum is exactly {1-delta, 1+delta}.
+    so the Gram spectrum is exactly {1-delta, 1+delta}.  delta must lie in
+    (0, 1/sqrt(K+1)), where the gamma bounds are defined: the check is
+    check_delta's, then _sharp_denominator's.
     """
-    if not in_sharp_region(K, delta) or delta <= 0.0:
-        raise OutOfSharpRegion(f"delta {delta} not in (0, 1/sqrt({K + 1}))")
+    _sharp_denominator(K, check_delta(delta, positive=True))
     beta = _beta(K)
     s = math.sqrt(beta * beta + 1.0)
     xi = orthonormal_complement_of_ones(K)
@@ -122,12 +123,12 @@ def counterexample_operator(K, delta):
 def l2_gamma_bound(K, delta, epsilon):
     """Open upper bound on the signal magnitude for the l2-noise construction."""
     denominator = _sharp_denominator(K, delta)
-    return math.sqrt(1.0 - delta) * epsilon / denominator
+    return math.sqrt(1.0 - delta) * check_epsilon(epsilon) / denominator
 
 
 def linf_gamma_bound(K, delta, epsilon):
     """Open upper bound on the signal magnitude for the linf-noise construction."""
-    return 2.0 * epsilon / _sharp_denominator(K, delta)
+    return 2.0 * check_epsilon(epsilon) / _sharp_denominator(K, delta)
 
 
 def _check_gamma(gamma, bound):
@@ -186,7 +187,9 @@ COUNTEREXAMPLES = {
 def counterexample_correlations(noise_model, K, delta, epsilon, gamma):
     """Closed forms for the first-iteration correlation magnitudes:
     (max over the support, max off the support)."""
-    root = math.sqrt(K + 1)
+    check_delta(delta)
+    check_epsilon(epsilon)
+    root = math.sqrt(check_order(K) + 1)
     if noise_model == NOISE_L2:
         return (
             (1.0 - delta / root) * gamma,
@@ -203,12 +206,8 @@ def counterexample_correlations(noise_model, K, delta, epsilon, gamma):
 def build_example1(delta, a):
     """2x2 unit-norm-column instance on which the bare linf stopping rule
     keeps running and picks up the off-support column."""
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRange(f"delta must lie in (0, 1), got {delta}")
-    if not a > (1.0 + delta) / (1.0 - delta):
-        raise ParameterOutOfRange(
-            f"a must exceed (1+delta)/(1-delta) = {(1 + delta) / (1 - delta)}, got {a}"
-        )
+    check_delta(delta, positive=True)
+    check_magnitude(a, (1.0 + delta) / (1.0 - delta))
     root = math.sqrt(1.0 - delta * delta)
     A = np.array([[root, 0.0], [delta, 1.0]])
     return Instance(
@@ -222,10 +221,7 @@ def build_example1(delta, a):
 
 
 def _scaled_identity_example(delta, a, a_bound, epsilon, noise_model):
-    if not 0.0 < delta < 1.0 / math.sqrt(2.0):
-        raise ParameterOutOfRange(f"delta must lie in (0, 1/sqrt(2)), got {delta}")
-    if not 0.0 < a < a_bound:
-        raise ParameterOutOfRange(f"a {a} outside (0, {a_bound})")
+    check_magnitude(a, 0.0, a_bound)
     return Instance(
         A=delta * np.eye(2),
         x=SparseSignal(np.array([a, 0.0]), sparsity=1),
@@ -236,11 +232,17 @@ def _scaled_identity_example(delta, a, a_bound, epsilon, noise_model):
     )
 
 
+#: Examples 2 and 3 take delta in (0, EXAMPLE_DELTA_BOUND).
+EXAMPLE_DELTA_BOUND = 1.0 / math.sqrt(2.0)
+
+
 def example2_a_bound(delta):
+    check_delta(delta, positive=True, below=EXAMPLE_DELTA_BOUND)
     return math.sqrt(2.0 * (1.0 - delta)) / (1.0 - math.sqrt(2.0) * delta)
 
 
 def example3_a_bound(delta):
+    check_delta(delta, positive=True, below=EXAMPLE_DELTA_BOUND)
     return 2.0 * math.sqrt(2.0) * delta / (1.0 - math.sqrt(2.0) * delta)
 
 
@@ -262,10 +264,10 @@ def build_example3(delta, a):
 
 
 #: The 2x2 example instances by name: (builder, default signal magnitude as
-#: a function of delta).  Example 1's default is 1.5 (1+delta)/(1-delta);
-#: Examples 2 and 3 take 0.9 of their open upper bounds.
+#: a function of delta, which it checks first).  Example 1's default is
+#: 1.5 (1+delta)/(1-delta); Examples 2 and 3 take 0.9 of their open upper bounds.
 EXAMPLES = {
-    "example1": (build_example1, lambda delta: 1.5 * (1.0 + delta) / (1.0 - delta)),
+    "example1": (build_example1, lambda d: 1.5 * (1.0 + d) / (1.0 - check_delta(d, positive=True))),
     "example2": (build_example2, lambda delta: 0.9 * example2_a_bound(delta)),
     "example3": (build_example3, lambda delta: 0.9 * example3_a_bound(delta)),
 }
@@ -331,8 +333,7 @@ def lemma1_gaps(A, signals, subsets, deltas):
 def l2_noises(rngs, m, epsilon):
     """A noise vector uniform on the epsilon-ball, ||v||_2 <= epsilon, for
     each generator of ``rngs``: the noise vectors of length m as rows."""
-    if not epsilon > 0:
-        raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
+    check_epsilon(epsilon)
     if not m >= 1:
         raise ParameterOutOfRange(f"noise length must be >= 1, got {m}")
     V, level = _directions(rngs, m, lambda V, trials: norms(V), math.inf)
@@ -346,8 +347,7 @@ def linf_noises(rngs, A, epsilon):
     noise vectors as rows, and a DegenerateMatrix, by position, for each
     trial whose A^T v vanished for NOISE_ATTEMPTS consecutive draws (its
     row is zero)."""
-    if not epsilon > 0:
-        raise ParameterOutOfRange(f"epsilon must be > 0, got {epsilon}")
+    check_epsilon(epsilon)
     A = as_matrix_stack(A)
     V, level = _directions(
         rngs, A.shape[1],
@@ -400,8 +400,7 @@ def random_matrices_with_ric(m, n, delta_cap, rngs):
         raise ParameterOutOfRange(f"need n >= 1, got {m}x{n}")
     if n > m:
         raise DimensionMismatch(f"need n <= m, got {m}x{n}")
-    if not 0.0 < delta_cap < 1.0:
-        raise ParameterOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
+    check_delta(delta_cap, "delta_cap", positive=True)
     count = len(rngs)
     squared = np.empty((count, n))
     factors = np.empty((2, count, n, n))

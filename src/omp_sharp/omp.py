@@ -6,6 +6,7 @@ bounds used for comparison tables.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ from .errors import (
     DimensionMismatch,
     InvalidDeltaOrder,
     InvalidOrder,
+    check_delta,
+    check_epsilon,
+    check_order,
 )
 from .linalg import RANK_TOLERANCE, as_matrix, as_matrix_stack, as_vector, norms
 from .rip import _sharp_denominator
@@ -95,8 +99,7 @@ class FixedIterations(StoppingRule):
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidOrder(f"iteration count must be >= 1, got {self.count}")
+        check_order(self.count, "iteration count")
 
     def met(self, k, residual_l2, correlation_linf):
         return k >= self.count
@@ -109,8 +112,7 @@ class ResidualL2(StoppingRule):
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidOrder(f"epsilon must be > 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
     def met(self, k, residual_l2, correlation_linf):
         return residual_l2 <= self.epsilon
@@ -127,8 +129,7 @@ class CorrelationLInf(StoppingRule):
     threshold: float
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise InvalidOrder(f"threshold must be > 0, got {self.threshold}")
+        check_epsilon(self.threshold, "threshold")
 
     def met(self, k, residual_l2, correlation_linf):
         return correlation_linf <= self.threshold
@@ -186,13 +187,10 @@ def _max_iterations(A, rules, max_iterations):
     cap = min(A.shape[-2:])
     if max_iterations is None:
         max_iterations = cap
-    if not (1 <= max_iterations <= cap):
-        raise InvalidOrder(f"max_iterations {max_iterations} outside [1, {cap}]")
+    check_order(max_iterations, "max_iterations", most=cap)
     for rule in rules:
-        if isinstance(rule, FixedIterations) and rule.count > max_iterations:
-            raise InvalidOrder(
-                f"FixedIterations({rule.count}) exceeds max_iterations {max_iterations}"
-            )
+        if isinstance(rule, FixedIterations):
+            check_order(rule.count, "FixedIterations count", most=max_iterations)
     return max_iterations
 
 
@@ -225,9 +223,10 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
 
     Returns the traces and, by position, the error of each problem that
     fails, whose trace is None: DegenerateMatrix where a pass's correlations
-    A^T r^k are not finite (the products overflowed; the problem leaves the
-    loop then), else DimensionMismatch where its measurements (it never
-    enters the loop) or estimate are not finite.
+    A^T r^k, or the norm of the new column's component orthogonal to the
+    selected ones, are not finite (the products overflowed; the problem
+    leaves the loop then), else DimensionMismatch where its measurements (it
+    never enters the loop) or estimate are not finite.
     """
     count, m, n = A.shape
     finite = np.isfinite(Y).all(axis=1)
@@ -327,7 +326,11 @@ def _solve(Y, A, rules, max_iterations, tie_break_rng):
             problem.tolist(), s.tolist(), diagonal.ravel().tolist(),
         )):
             largest_diagonal[p] = max(largest_diagonal[p], d)
-            if index in selected[p]:
+            if not math.isfinite(d):  # the column's norm overflowed
+                failures[p] = DegenerateMatrix(
+                    f"Gram-Schmidt diagonal of column {index + 1} is not finite")
+                reasons.append((i, None))
+            elif index in selected[p]:
                 reasons.append((i, STOP_STALLED))
             elif d <= RANK_TOLERANCE * largest_diagonal[p]:
                 reasons.append((i, STOP_RANK_DEFICIENT))
@@ -359,7 +362,8 @@ def run_omps(Y, A, rules):
     leaves the loop as soon as it stops.  Returns one OmpTrace per problem,
     each ``==`` to run_omp's on that problem, and, by position, the error
     run_omp raises on each problem that fails only itself (its trace is
-    None): one whose correlations, measurements or estimate are not finite.
+    None): one whose correlations, Gram-Schmidt diagonal, measurements or
+    estimate are not finite.
     """
     A = as_matrix_stack(A)
     Y = np.asarray(Y, dtype=float)
@@ -391,7 +395,8 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
     (as y = 0 is) also ends the loop: with "rule_met" when the rule holds
     for it with ||A^T r||_inf = 0, and "stalled" otherwise.
 
-    Returns an OmpTrace; raises DegenerateMatrix when a product A^T r^k is
+    Returns an OmpTrace; raises DegenerateMatrix when a product A^T r^k, or
+    the norm of a new column's component orthogonal to the selected ones, is
     not finite (its entries overflowed), and DimensionMismatch when ``y`` or
     the estimate is not finite.  Rather than raising, the run stops with
     ``stop_reason`` "rank_deficient" when the new column's component
@@ -410,18 +415,13 @@ def run_omp(y, A, rule, max_iterations=None, tie_break_rng=None):
 
 def min_magnitude_threshold_l2(K, delta, epsilon):
     """Minimum-magnitude bound 2*eps / (1 - sqrt(K+1)*delta) for l2 noise."""
-    if epsilon < 0:
-        raise InvalidOrder(f"epsilon must be >= 0, got {epsilon}")
-    return 2.0 * epsilon / _sharp_denominator(K, delta)
+    return 2.0 * check_epsilon(epsilon) / _sharp_denominator(K, delta)
 
 
 def _linf_factor(K, delta2, deltaK1, unit_norm_columns):
-    if K < 1:
-        raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
-    if not 0.0 <= deltaK1 < 1.0:
-        raise InvalidOrder(f"delta_(K+1) must lie in [0, 1), got {deltaK1}")
-    if not 0.0 <= delta2:
-        raise InvalidOrder(f"delta_2 must be >= 0, got {delta2}")
+    check_order(K)
+    check_delta(deltaK1, "delta_(K+1)")
+    check_delta(delta2, "delta_2")
     if delta2 > deltaK1:
         raise InvalidDeltaOrder(f"delta_2 {delta2} > delta_(K+1) {deltaK1}")
     if unit_norm_columns:
@@ -435,20 +435,20 @@ def linf_stopping_threshold(K, delta2, deltaK1, epsilon, unit_norm_columns=False
     With ``unit_norm_columns`` the relaxed factor 1 + sqrt(K)/sqrt(1-dK1)
     applies instead.
     """
-    return _linf_factor(K, delta2, deltaK1, unit_norm_columns) * epsilon
+    return _linf_factor(K, delta2, deltaK1, unit_norm_columns) * check_epsilon(epsilon)
 
 
 def min_magnitude_threshold_linf(K, delta2, deltaK1, epsilon, unit_norm_columns=False):
     """Minimum-magnitude bound for linf noise: the l2 bound's leading factor
     times the linf stopping factor."""
-    if epsilon < 0:
-        raise InvalidOrder(f"epsilon must be >= 0, got {epsilon}")
     factor = _linf_factor(K, delta2, deltaK1, unit_norm_columns)
-    return 2.0 / _sharp_denominator(K, deltaK1) * factor * epsilon
+    return 2.0 / _sharp_denominator(K, deltaK1) * factor * check_epsilon(epsilon)
 
 
 def prior_art_ric_bound(K):
-    """The best previously published RIC bound, (sqrt(4K+1)-1)/(2K)."""
+    """The best previously published RIC bound, (sqrt(4K+1)-1)/(2K), for a
+    K whose 4K + 1 has a float."""
+    check_order(K, most=sys.float_info.max / 4)
     return (math.sqrt(4 * K + 1) - 1.0) / (2.0 * K)
 
 
@@ -459,9 +459,9 @@ def prior_art_thresholds(K, delta, epsilon):
     minimum-magnitude bound (sqrt(1+delta)+1)*eps /
     (1 - delta - sqrt(1-delta)*sqrt(K)*delta).
     """
-    if K < 1:
-        raise InvalidOrder(f"K must be >= 1, got {K}")
     ric_bound = prior_art_ric_bound(K)
+    check_delta(delta)
+    check_epsilon(epsilon)
     denominator = 1.0 - delta - math.sqrt(1.0 - delta) * math.sqrt(K) * delta
     if denominator <= 0:
         raise DegenerateDenominator(

@@ -1,7 +1,6 @@
 """Exact restricted isometry constants by branch-and-bound subset enumeration."""
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -12,8 +11,9 @@ from .errors import (
     BudgetExceeded,
     DegenerateDenominator,
     DegenerateMatrix,
-    InvalidOrder,
     OutOfSharpRegion,
+    check_delta,
+    check_order,
 )
 from .linalg import as_matrix, as_matrix_stack
 
@@ -129,8 +129,7 @@ def _subset_count(n, K, budget):
     Raises InvalidOrder unless 1 <= K <= n, and BudgetExceeded when the
     count exceeds ``budget``.
     """
-    if not (isinstance(K, (int, np.integer)) and 1 <= K <= n):
-        raise InvalidOrder(f"order {K} outside [1, {n}]")
+    K = check_order(K, "order", most=n)
     total = math.comb(n, K)
     if total > budget:
         raise BudgetExceeded(
@@ -358,26 +357,20 @@ def linf_threshold_rics(A, K, unit_norm_columns=False):
 def in_sharp_region(K, delta):
     """True iff delta < 1/sqrt(K+1), with the boundary strictly excluded:
     p^2 (K+1) < q^2 on the integers of delta = p/q, exact for every float,
-    numpy float or int delta and every integer K, numpy's included."""
-    if K < 1:
-        raise InvalidOrder(f"sparsity K must be >= 1, got {K}")
-    if not (0.0 <= delta < 1.0):
-        raise InvalidOrder(f"delta must lie in [0, 1), got {delta}")
-    p, q = float(delta).as_integer_ratio()
-    return p * p * (operator.index(K) + 1) < q * q
+    numpy float or int delta and every integer K, numpy's included.  K and
+    delta are checked first (see check_order and check_delta)."""
+    K = check_order(K)
+    p, q = float(check_delta(delta)).as_integer_ratio()
+    return p * p * (K + 1) < q * q
 
 
 def _sharp_denominator(K, delta):
     """1 - sqrt(K+1) * delta, the denominator of every sharp-condition bound:
     OutOfSharpRegion unless in_sharp_region(K, delta), and DegenerateDenominator
-    where delta is inside the region but the float difference rounds to 0,
-    and InvalidOrder where K + 1 has no float."""
+    where delta is inside the region but the float difference rounds to 0."""
     if not in_sharp_region(K, delta):
         raise OutOfSharpRegion(f"delta {delta} not in (0, 1/sqrt({K + 1}))")
-    try:
-        denominator = 1.0 - math.sqrt(K + 1) * delta
-    except OverflowError:  # K + 1 beyond the float range, where delta is 0
-        raise InvalidOrder(f"sparsity K = {K} too large: K + 1 exceeds the float range") from None
+    denominator = 1.0 - math.sqrt(K + 1) * delta
     if denominator <= 0:
         raise DegenerateDenominator(f"1 - sqrt({K + 1}) * {delta} = {denominator} <= 0")
     return denominator

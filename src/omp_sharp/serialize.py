@@ -23,13 +23,16 @@ into memory first.
 
 import array
 import codecs
+import contextlib
 import csv
 import functools
 import io
 import itertools
 import json
 import marshal
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -250,3 +253,11 @@ def write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell(v) for v in row])
+
+
+def remove_output(path):
+    """Remove the output ``path`` that a failed command opened, where it
+    is a regular file: a device such as /dev/null, or a symlink, stays."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)

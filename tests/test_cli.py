@@ -111,7 +111,7 @@ def test_linf_rule_sparsity_below_one_exit_3(tmp_path, sparsity, deltas):
     assert result.returncode == 3, result.stderr
     assert "InvalidOrder" in result.stderr
     # the error names the sparsity given, not a RIC order derived from it
-    assert f"sparsity K must be >= 1, got {sparsity}" in result.stderr
+    assert f"sparsity K must be an integer in [1, inf], got {sparsity}" in result.stderr
 
 
 def test_omp_run_dimension_mismatch_exit_3(tmp_path, capsys):
@@ -125,8 +125,9 @@ def test_omp_run_dimension_mismatch_exit_3(tmp_path, capsys):
     out = tmp_path / "t.json"
     A, y40 = str(DATA / "omp_gauss_40x16.txt"), str(DATA / "omp_y_k3.txt")
     for args, error in [
-        ((A, y40, "fixed:30"), "FixedIterations(30) exceeds max_iterations 16"),
-        ((A, y40, "l2:0.01", "--max-iterations", "0"), "max_iterations 0 outside [1, 16]"),
+        ((A, y40, "fixed:30"), "FixedIterations count must be an integer in [1, 16], got 30"),
+        ((A, y40, "l2:0.01", "--max-iterations", "0"),
+         "max_iterations must be an integer in [1, 16], got 0"),
         ((str(DATA / "ric_gauss_32x16.txt"), y40, "l2:0.01"),
          "DimensionMismatch: matrix has 32 rows but y has shape (40,)"),
     ]:
@@ -165,7 +166,8 @@ def test_linf_rule_negative_delta2_exit_3(tmp_path, delta2):
         "--delta2", delta2, "--delta-k1", "0.2",
     )
     assert result.returncode == 3, result.stderr
-    assert f"InvalidOrder: delta_2 must be >= 0, got {float(delta2)}" in result.stderr
+    assert (f"ParameterOutOfRange: delta_2 must be finite and lie in [0, 1), got {float(delta2)}"
+            in result.stderr)
 
 
 def test_construct_kinds():
@@ -228,10 +230,10 @@ def test_ric_budget_exceeded_exit_4(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r.json"
     gauss = str(DATA / "ric_gauss_32x16.txt")
     for args, code, error in [
-        (["99"], 3, "InvalidOrder: order 99 outside [1, 16]"),
-        (["17", "--all-orders"], 3, "InvalidOrder: order 17 outside [1, 16]"),
+        (["99"], 3, "InvalidOrder: order must be an integer in [1, 16], got 99"),
+        (["17", "--all-orders"], 3, "InvalidOrder: order must be an integer in [1, 16], got 17"),
         # 1..ORDER is empty here, so ORDER itself is checked
-        (["0", "--all-orders"], 3, "InvalidOrder: order 0 outside [1, 16]"),
+        (["0", "--all-orders"], 3, "InvalidOrder: order must be an integer in [1, 16], got 0"),
         (["8", "--budget", "10"], 4, "C(16, 8) = 12870 subsets exceeds budget 10"),
         (["8", "--all-orders", "--budget", "100"], 4, "C(16, 2) = 120 subsets exceeds budget 100"),
     ]:
@@ -451,7 +453,7 @@ def test_construct_gate_exit_3(tmp_path, capsys):
 def test_construct_sparsity_beyond_float_range_exit_3():
     result = run_cli("construct", "l2", "-K", str(10**400), "--delta", "0.3", "--gamma", "0.1")
     assert result.returncode == 3
-    assert "OutOfSharpRegion" in result.stderr
+    assert "InvalidOrder: sparsity K = 1000" in result.stderr
 
 
 def test_construct_sparsity_beyond_float_range_at_delta_0_exit_3(capsys):
@@ -478,6 +480,52 @@ def test_overflowing_products_exit_3(tmp_path, capsys, args):
             assert out == "" and err.startswith("error: DegenerateMatrix: ")
         elif args[0] == "omp":
             assert json.loads(out)["final_support"] == [2, 5]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["omp", "run", "{A}", "{y}", "fixed:2"], "correlations A^T r^0 are not finite"),
+    # A^T 1 stays finite, but the selected column's squared norm overflows
+    (["omp", "run", "{A}", "{ones}", "fixed:2"], "Gram-Schmidt diagonal of column 1 is not finite"),
+    (["ric", "{A}", "2"], "Gram matrix A^T A is not finite"),
+], ids=["omp run", "omp run y=1", "ric"])
+def test_overflow_is_one_line_on_stderr_and_leaves_no_output(tmp_path, args, error):
+    """In a process of its own, so that numpy's floating-point warnings
+    would reach stderr: the 1e154-scaled matrix gives the one error line,
+    and the -o file opened before the computation is removed."""
+    A = 1e154 * np.random.default_rng(0).standard_normal((6, 10))
+    paths = {"A": tmp_path / "A.txt", "y": tmp_path / "y.txt", "ones": tmp_path / "ones.txt"}
+    paths["A"].write_text(format_matrix_text(A))
+    paths["y"].write_text(format_matrix_text((A[:, [1, 4]] @ [1.0, -2.0])[:, None]))
+    paths["ones"].write_text(format_matrix_text(np.ones((6, 1))))
+    out = tmp_path / "out.json"
+    result = run_cli(*(arg.format(**paths) for arg in args), "-o", str(out))
+    assert result.returncode == 3
+    assert result.stderr == f"error: DegenerateMatrix: {error}\n"
+    assert not out.exists()
+
+
+def test_experiment_that_overflows_writes_nothing_to_stderr(tmp_path):
+    # the CI overflow config: trials whose products overflow are error rows
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "Theorem2Sweep", "seed": 3, "margin": 1e307,
+                                    "trials": 3}))
+    result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
+    assert result.returncode == 0 and result.stderr == ""
+    assert "DimensionMismatch: vector contains non-finite entries" in (tmp_path / "out.csv").read_text()
+
+
+def test_experiment_that_fails_leaves_no_output(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "ComparisonTable", "deltas": [0.9]}))
+    csv_path, summary = tmp_path / "out.csv", tmp_path / "summary.json"
+    run_in_process(["experiment", str(cfg_file), "--csv", str(csv_path), "--summary", str(summary)],
+                   code=3)
+    assert capsys.readouterr().err == "error: OutOfSharpRegion: delta 0.9 not in (0, 1/sqrt(2))\n"
+    assert not csv_path.exists() and not summary.exists()
+    # a CSV that cannot be opened takes the summary opened before it along
+    run_in_process(["experiment", str(cfg_file), "--csv", str(tmp_path / "missing" / "out.csv"),
+                    "--summary", str(summary)], code=2)
+    assert not summary.exists()
 
 
 def test_experiment_command(tmp_path):

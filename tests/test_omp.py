@@ -13,6 +13,7 @@ from omp_sharp.errors import (
     InvalidDeltaOrder,
     InvalidOrder,
     OutOfSharpRegion,
+    ParameterOutOfRange,
     RankDeficient,
 )
 from omp_sharp.linalg import RANK_TOLERANCE
@@ -76,9 +77,12 @@ def test_built_signal_equals_the_validated_one(values, sparsity):
 
 
 def test_rule_validation():
-    for bad in (FixedIterations, ResidualL2, CorrelationLInf):
-        with pytest.raises(InvalidOrder):
-            bad(0)
+    with pytest.raises(InvalidOrder):
+        FixedIterations(0)
+    for bad in (ResidualL2, CorrelationLInf):
+        for value in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterOutOfRange):
+                bad(value)
 
 
 # ------------------------------------------------------------------ solver
@@ -201,6 +205,24 @@ def test_overflowing_correlations_fail_the_run():
     assert isinstance(failures[1], DegenerateMatrix)
     assert_same_trace(traces[0], run_omp(y, A, rules[0]))
     assert_same_trace(traces[2], run_omp(y, A, rules[2]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_column_norm_fails_the_run():
+    """y = ones keeps A^T y finite on the 1e154-scaled matrix, but the
+    selected column's squared norm overflows: no rank_deficient stop after
+    0 iterations, but DegenerateMatrix."""
+    y, A = overflowing_problem(1e150)
+    A_big = overflowing_problem(1e154)[1]
+    with pytest.raises(DegenerateMatrix, match=r"^Gram-Schmidt diagonal of column \d+ is not finite$"):
+        run_omp(np.ones(6), A_big, FixedIterations(2))
+    # in a stack beside a healthy problem, it fails only its own problem
+    rules = [FixedIterations(2)] * 2
+    traces, failures = run_omps(np.stack([np.ones(6), y]), np.stack([A_big, A]), rules)
+    assert list(failures) == [0] and traces[0] is None
+    assert isinstance(failures[0], DegenerateMatrix)
+    assert_same_trace(traces[1], run_omp(y, A, rules[1]))
+    assert traces[1].final_support == {2, 5}
 
 
 def test_dimension_mismatch():
@@ -668,7 +690,7 @@ def test_min_magnitude_threshold_l2_frozen():
 def test_min_magnitude_threshold_l2_gates():
     with pytest.raises(OutOfSharpRegion):
         min_magnitude_threshold_l2(3, 0.5, 1.0)
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(ParameterOutOfRange):
         min_magnitude_threshold_l2(3, 0.3, -1.0)
 
 
@@ -701,16 +723,16 @@ def test_linf_threshold_unit_norm_relaxation():
 def test_linf_threshold_delta_order_gate():
     with pytest.raises(InvalidDeltaOrder):
         linf_stopping_threshold(2, 0.4, 0.3, 1.0)
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(ParameterOutOfRange):
         linf_stopping_threshold(2, 0.4, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("delta2", [-0.5, -2.0, math.nan])
 def test_linf_thresholds_reject_negative_delta2(delta2):
     # an RIC is never negative; at -2 the factor's square root would fail
-    with pytest.raises(InvalidOrder, match="delta_2"):
+    with pytest.raises(ParameterOutOfRange, match="delta_2"):
         linf_stopping_threshold(3, delta2, 0.2, 1.0)
-    with pytest.raises(InvalidOrder, match="delta_2"):
+    with pytest.raises(ParameterOutOfRange, match="delta_2"):
         min_magnitude_threshold_linf(3, delta2, 0.2, 1.0)
 
 

@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omp_sharp import rip
-from omp_sharp.errors import BudgetExceeded, DegenerateMatrix, DimensionMismatch, InvalidOrder
+from omp_sharp.errors import (
+    BudgetExceeded,
+    DegenerateMatrix,
+    DimensionMismatch,
+    InvalidOrder,
+    ParameterOutOfRange,
+)
 from omp_sharp.instances import counterexample_operator
 from omp_sharp.omp import linf_stopping_threshold
 from omp_sharp.rip import (
@@ -636,9 +642,9 @@ def test_in_sharp_region_values():
 def test_in_sharp_region_validation():
     with pytest.raises(InvalidOrder):
         in_sharp_region(0, 0.1)
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(ParameterOutOfRange):
         in_sharp_region(2, 1.0)
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(ParameterOutOfRange):
         in_sharp_region(2, -0.1)
 
 
@@ -687,9 +693,10 @@ def test_sparsity_beyond_float_precision_decided_by_exact_rationals(K, random_de
     # 2**54 + 1 is 2**54 as a float, which would put 2**-27 on the boundary
     assert not in_sharp_region(2**54, 2.0**-27)
     assert in_sharp_region(2**53, 2.0**-27)
-    # K + 1 beyond the float range
-    assert not in_sharp_region(10**400, 0.3)
-    assert in_sharp_region(10**400, 0.0)
+    # K + 1 beyond the float range is no sparsity
+    for delta in (0.3, 0.0):
+        with pytest.raises(InvalidOrder, match="exceeds the float range"):
+            in_sharp_region(10**400, delta)
 
 
 @pytest.mark.parametrize("K, n, unit_norm, orders", [
