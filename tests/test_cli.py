@@ -11,7 +11,7 @@ import pytest
 
 import omp_sharp
 from omp_sharp import cli, rip
-from omp_sharp.serialize import format_matrix_text
+from omp_sharp.serialize import format_matrix_text, remove_output
 
 # The directory this process imported omp_sharp from, put first on the child
 # process's path so that the CLI under test is the same source.
@@ -512,6 +512,21 @@ def test_experiment_that_overflows_writes_nothing_to_stderr(tmp_path):
     result = run_cli("experiment", str(cfg_file), "--csv", str(tmp_path / "out.csv"))
     assert result.returncode == 0 and result.stderr == ""
     assert "DimensionMismatch: vector contains non-finite entries" in (tmp_path / "out.csv").read_text()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_remove_output_removes_only_a_regular_file(tmp_path):
+    """A failed command removes its output file, but never a device, a
+    FIFO or a symlink given as the output path."""
+    regular, fifo, link = tmp_path / "out.json", tmp_path / "fifo", tmp_path / "link"
+    regular.write_text("{}")
+    os.mkfifo(fifo)
+    link.symlink_to(regular)
+    for path in (fifo, link, tmp_path / "missing"):
+        remove_output(str(path))
+    assert fifo.exists() and link.is_symlink() and regular.exists()
+    remove_output(str(regular))
+    assert not regular.exists()
 
 
 def test_experiment_that_fails_leaves_no_output(tmp_path, capsys):
